@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import IO
 
 from .corpus import Corpus
@@ -18,6 +21,8 @@ FIELDS = (TITLE, ABSTRACT, KEYWORDS)
 # Keywords are independent phrases; a large position gap keeps proximity
 # windows from spanning two keywords.
 KEYWORD_GAP = 100
+
+_DOC = itemgetter(0)
 
 INDEX_MAGIC = "SDGLAB-INDEX"
 INDEX_VERSION = 1
@@ -52,7 +57,13 @@ def field_token_stream(record, field: str) -> list[tuple[str, int]]:
 
 @dataclass
 class PositionalIndex:
-    """Positional inverted index: token -> sorted postings of (doc, field, positions)."""
+    """Positional inverted index: token -> postings of (doc, field, positions).
+
+    Each postings list is sorted by (doc, field), with docs in string order
+    and fields in FIELDS order, so a doc's entries sit together and
+    `positions` finds them by bisection. `build_index` establishes the order
+    and `save_index`/`load_index` keep it.
+    """
 
     postings: dict[str, list[tuple[str, str, tuple[int, ...]]]]
     doc_count: int
@@ -62,9 +73,20 @@ class PositionalIndex:
     def vocabulary(self) -> set[str]:
         return set(self.postings)
 
+    @cached_property
+    def sorted_vocabulary(self) -> list[str]:
+        """The tokens in sorted order, computed on first use; postings must not change after."""
+        return sorted(self.postings)
+
+    def doc_postings(self, token: str, doc_id: str) -> list[tuple[str, str, tuple[int, ...]]]:
+        """The token's (doc, field, positions) entries for one doc, in field order."""
+        entries = self.postings.get(token, ())
+        i = bisect_left(entries, doc_id, key=_DOC)
+        return [e for e in entries[i:i + len(FIELDS)] if e[0] == doc_id]
+
     def positions(self, token: str, doc_id: str, field: str) -> tuple[int, ...]:
-        for d, f, pos in self.postings.get(token, ()):
-            if d == doc_id and f == field:
+        for _, f, pos in self.doc_postings(token, doc_id):
+            if f == field:
                 return pos
         return ()
 
@@ -96,7 +118,11 @@ def wildcard_expand(pattern: str, index: PositionalIndex) -> set[str]:
     stem = pattern[:-1]
     if not stem:
         raise ValueError("unbounded wildcard")
-    return {tok for tok in index.postings if tok.startswith(stem)}
+    vocab = index.sorted_vocabulary
+    lo = hi = bisect_left(vocab, stem)
+    while hi < len(vocab) and vocab[hi].startswith(stem):
+        hi += 1
+    return set(vocab[lo:hi])
 
 
 def save_index(index: PositionalIndex, sink: IO[str]) -> None:

@@ -336,19 +336,20 @@ def _token_position_sets(tokens: Iterable[str],
 
 
 def _distinct_assignment(sets: list[set[int]]) -> bool:
-    # Backtracking match over a handful of small sets.
-    order = sorted(range(len(sets)), key=lambda i: len(sets[i]))
+    """True if every set can take its own position (a bipartite matching
+    saturating the sets), found by augmenting paths in polynomial time."""
+    owner: dict[int, int] = {}  # position -> index of the set holding it
 
-    def assign(i: int, used: set[int]) -> bool:
-        if i == len(order):
-            return True
-        for p in sets[order[i]]:
-            if p not in used:
-                if assign(i + 1, used | {p}):
+    def augment(i: int, seen: set[int]) -> bool:
+        for p in sets[i]:
+            if p not in seen:
+                seen.add(p)
+                if p not in owner or augment(owner[p], seen):
+                    owner[p] = i
                     return True
         return False
 
-    return assign(0, set())
+    return all(augment(i, set()) for i in range(len(sets)))
 
 
 def _window_match(sets: list[set[int]], span_bound: int) -> bool:
@@ -391,40 +392,46 @@ def _check_stem(stem: str) -> None:
             f"wildcard stem {stem!r} shorter than 2 characters")
 
 
-def _pattern_positions(pattern: str, index: PositionalIndex, doc: str,
-                       field: str) -> set[int]:
+def _expand(pattern: str, index: PositionalIndex) -> set[str]:
+    """Vocabulary tokens a phrase pattern stands for."""
     if pattern.endswith("*"):
         _check_stem(pattern[:-1])
-        out: set[int] = set()
-        for tok in wildcard_expand(pattern, index):
-            out.update(index.positions(tok, doc, field))
-        return out
-    return set(index.positions(pattern, doc, field))
+        return wildcard_expand(pattern, index)
+    return {pattern}
 
 
-def _pattern_docs(pattern: str, index: PositionalIndex, fields) -> set[str]:
-    if pattern.endswith("*"):
-        _check_stem(pattern[:-1])
-        docs: set[str] = set()
-        for tok in wildcard_expand(pattern, index):
-            docs.update(index.docs_with_token(tok, fields))
-        return docs
-    return index.docs_with_token(pattern, fields)
+def _docs_with_any(tokens: set[str], index: PositionalIndex, fields) -> set[str]:
+    docs: set[str] = set()
+    for tok in tokens:
+        docs |= index.docs_with_token(tok, fields)
+    return docs
 
 
 def _positional_eval(tokens: tuple[str, ...], index: PositionalIndex,
                      fields, matcher) -> set[str]:
+    # Each pattern is expanded once per node; per candidate doc only that
+    # doc's postings entries are looked up, by bisection.
+    expansions = []
     candidates = None
     for pattern in tokens:
-        docs = _pattern_docs(pattern, index, fields)
+        expansion = _expand(pattern, index)
+        expansions.append(expansion)
+        docs = _docs_with_any(expansion, index, fields)
         candidates = docs if candidates is None else candidates & docs
         if not candidates:
             return set()
     matched = set()
     for doc in candidates:
+        per_pattern = []  # for each pattern: field -> positions of its tokens in doc
+        for expansion in expansions:
+            found: dict[str, set[int]] = {}
+            for tok in expansion:
+                for _, f, pos in index.doc_postings(tok, doc):
+                    found.setdefault(f, set()).update(pos)
+            per_pattern.append(found)
         for field in fields:
-            sets = [_pattern_positions(p, index, doc, field) for p in tokens]
-            if matcher(sets):
+            if all(field in found for found in per_pattern) and \
+                    matcher([found[field] for found in per_pattern]):
                 matched.add(doc)
                 break
     return matched
@@ -437,8 +444,7 @@ def evaluate(ast: QueryAst, index: PositionalIndex,
     if isinstance(ast, Term):
         return index.docs_with_token(ast.token, fields)
     if isinstance(ast, Wildcard):
-        _check_stem(ast.stem)
-        return _pattern_docs(ast.stem + "*", index, fields)
+        return _docs_with_any(_expand(ast.stem + "*", index), index, fields)
     if isinstance(ast, Phrase):
         return _positional_eval(ast.tokens, index, fields, _phrase_match_positions)
     if isinstance(ast, Proximity):

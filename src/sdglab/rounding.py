@@ -5,11 +5,6 @@ from __future__ import annotations
 from decimal import ROUND_HALF_UP, Decimal
 
 
-def round_half_up(value: float, ndigits: int) -> float:
-    quant = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(value)).quantize(quant, rounding=ROUND_HALF_UP))
-
-
 def percent(count: int, denominator: int, ndigits: int = 1) -> float:
     """Share of a denominator as a percentage, rounded half-up.
 

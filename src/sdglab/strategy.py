@@ -18,14 +18,25 @@ class StrategyLoadError(ValueError):
     pass
 
 
+def _parse_strategy_query(text: str) -> QueryAst:
+    try:
+        return parse_query(text)
+    except ParseError as exc:
+        raise StrategyLoadError(f"query {text!r} does not parse: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ClassifiedTerm:
+    """A seed query and its class; `ast` is `query_text` parsed once, here."""
+
     query_text: str
     term_class: str
+    ast: QueryAst = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.term_class not in TERM_CLASSES:
             raise ValueError(f"unknown term_class: {self.term_class!r}")
+        object.__setattr__(self, "ast", _parse_strategy_query(self.query_text))
 
 
 @dataclass(frozen=True)
@@ -52,12 +63,16 @@ class SearchStrategy:
     fields: tuple[str, ...] = FIELDS
     window: YearWindow = field(default_factory=lambda: YearWindow(2015, 2019))
     enhancement: EnhancementSpec | None = None
+    # exclusion_terms parsed once, in order
+    exclusion_asts: tuple[QueryAst, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("strategy name must be non-empty")
         if not self.seed_terms:
             raise ValueError("strategy needs at least one seed term")
+        object.__setattr__(self, "exclusion_asts",
+                           tuple(_parse_strategy_query(t) for t in self.exclusion_terms))
 
 
 class ResultSet:
@@ -78,13 +93,6 @@ class ResultSet:
         return len(self.members)
 
 
-def _parse_strategy_query(text: str, label: str) -> QueryAst:
-    try:
-        return parse_query(text)
-    except ParseError as exc:
-        raise StrategyLoadError(f"query {label!r} does not parse: {exc}") from exc
-
-
 def load_strategy(source: IO[str] | dict) -> SearchStrategy:
     """Load a strategy file (JSON object, see README for the schema).
 
@@ -101,11 +109,8 @@ def load_strategy(source: IO[str] | dict) -> SearchStrategy:
         term_class = entry.get("class", "general")
         if term_class not in TERM_CLASSES:
             raise StrategyLoadError(f"unknown term_class: {term_class!r}")
-        _parse_strategy_query(entry["query"], entry["query"])
         seeds.append(ClassifiedTerm(entry["query"], term_class))
     exclusions = tuple(doc.get("exclusions", ()))
-    for q in exclusions:
-        _parse_strategy_query(q, q)
     window_doc = doc.get("window", {"start": 2015, "end": 2019})
     enhancement = None
     if doc.get("enhancement"):
@@ -147,9 +152,9 @@ def run_strategy(strategy: SearchStrategy, index: PositionalIndex,
     """
     matched: set[str] = set()
     for term in strategy.seed_terms:
-        matched |= evaluate(parse_query(term.query_text), index, strategy.fields)
-    for text in strategy.exclusion_terms:
-        matched -= evaluate(parse_query(text), index, strategy.fields)
+        matched |= evaluate(term.ast, index, strategy.fields)
+    for ast in strategy.exclusion_asts:
+        matched -= evaluate(ast, index, strategy.fields)
     members = {m for m in matched if strategy.window.contains(corpus[m].year)}
     return ResultSet(strategy.name, corpus, members)
 

@@ -154,3 +154,60 @@ class TestWildcardExpand:
         expanded = wildcard_expand("cl*", index)
         assert expanded <= index.vocabulary
         assert all(tok.startswith("cl") for tok in expanded)
+
+    def test_stem_that_is_itself_a_token(self):
+        index = self.make_index(["clim", "climate", "climb", "cli", "clin"])
+        assert wildcard_expand("clim*", index) == {"clim", "climate", "climb"}
+
+    def test_stem_after_last_vocabulary_entry(self):
+        index = self.make_index(["alpha", "zebra"])
+        assert wildcard_expand("zebras*", index) == set()
+        assert wildcard_expand("zz*", index) == set()
+
+    def test_non_ascii_stems(self):
+        index = self.make_index(["ökologie", "ökonomie", "oko", "öl", "été",
+                                 "étude", "数据", "数据库"])
+        assert wildcard_expand("ök*", index) == {"ökologie", "ökonomie"}
+        assert wildcard_expand("ét*", index) == {"été", "étude"}
+        assert wildcard_expand("数据*", index) == {"数据", "数据库"}
+
+    def test_equals_linear_scan(self):
+        index = build_index(random_corpus(46, 300))
+        vocab = sorted(index.postings)
+        stems = {tok[:n] for tok in vocab for n in range(1, len(tok) + 1)}
+        stems |= {"clim", "zzz", "ö", vocab[-1] + "a", vocab[0][:-1]}
+        for stem in stems:
+            assert wildcard_expand(stem + "*", index) == \
+                {tok for tok in index.postings if tok.startswith(stem)}, stem
+
+
+class TestPositions:
+    def test_token_missing_from_the_asked_field(self):
+        index = build_index(two_doc_corpus())
+        # "policy" sits only in a's keywords, "energy" in b's title and abstract
+        assert index.positions("policy", "a", "keywords") == (1,)
+        assert index.positions("policy", "a", "title") == ()
+        assert index.positions("policy", "a", "abstract") == ()
+        assert index.positions("energy", "b", "abstract") == (1,)
+        assert index.positions("energy", "b", "keywords") == ()
+        assert index.positions("energy", "a", "title") == ()
+        assert index.positions("absent", "a", "title") == ()
+
+    def test_equals_linear_scan(self):
+        corpus = random_corpus(47, 150)
+        index = build_index(corpus)
+        for tok, entries in index.postings.items():
+            expected = {(d, f): p for d, f, p in entries}
+            for doc in corpus.records:
+                for fld in FIELDS:
+                    assert index.positions(tok, doc, fld) == \
+                        expected.get((doc, fld), ())
+
+    def test_doc_field_order_survives_round_trip(self):
+        # doc ids d0..d299 sort as strings ("d10" < "d2"), not as numbers
+        sink = io.StringIO()
+        save_index(build_index(random_corpus(45, 300)), sink)
+        again = load_index(io.StringIO(sink.getvalue()))
+        for entries in again.postings.values():
+            keys = [(d, FIELDS.index(f)) for d, f, _ in entries]
+            assert keys == sorted(set(keys))

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,27 @@ class TestProximityMatch:
         assert proximity_match(("climate", "climate"), 3,
                                tokenize("climate climate"))
 
+    def test_repeated_tokens_match_in_polynomial_time(self):
+        # 13 copies of one token cannot take 12 distinct positions; a
+        # backtracking search tries about 12! assignments before saying so
+        stream = tokenize("w " * 12)
+
+        def too_slow(signum, frame):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            matched = proximity_match(("w",) * 13, 1, stream)
+        except TimeoutError:
+            matched = "still running after 1 s"
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert matched is False
+        assert proximity_match(("w",) * 12, 1, stream)
+        assert proximity_match(("w", "w"), 1, tokenize("w w"))
+
     def test_monotone_in_window(self):
         stream = tokenize("climate a b impact")
         matched = [n for n in range(1, 8)
@@ -232,6 +254,24 @@ class TestOracleEquivalence:
             if evaluate(ast, index) != evaluate_by_scan(ast, corpus_500):
                 mismatches += 1
         assert mismatches == 0
+
+    def test_positional_nodes_with_wildcard_patterns(self, corpus_500):
+        index = build_index(corpus_500)
+        rng = random.Random(77)
+
+        def pattern():
+            word = rng.choice(VOCAB + ["zebra"])
+            if rng.random() < 0.5:
+                return word
+            return word[:rng.randint(2, len(word))] + "*"
+
+        for _ in range(150):
+            tokens = tuple(pattern() for _ in range(rng.randint(2, 3)))
+            node = (Phrase(tokens) if rng.random() < 0.5
+                    else Proximity(tokens, rng.randint(1, 4)))
+            fields = tuple(f for f in FIELDS if rng.random() < 0.7) or FIELDS
+            assert evaluate(node, index, fields) == \
+                evaluate_by_scan(node, corpus_500, fields), node
 
     def test_boolean_set_laws(self, corpus_500):
         index = build_index(corpus_500)

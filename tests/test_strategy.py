@@ -191,3 +191,32 @@ class TestTermClassSummary:
                 DATA_DIR / "strategies" / f"{name}.json")
             shares = term_class_summary(strategy)["shares"]
             assert 99 <= sum(shares.values()) <= 101
+
+
+class TestParseOnce:
+    def test_terms_and_exclusions_carry_their_ast(self):
+        strategy = climate_strategy()
+        assert strategy.seed_terms[0].ast == parse_query("climat*")
+        assert strategy.exclusion_asts == (parse_query('"prehistoric climate"'),)
+
+    def test_ast_is_left_out_of_equality(self):
+        assert ClassifiedTerm('"sea level"', "general") == \
+            ClassifiedTerm('"sea level"', "general")
+        assert ClassifiedTerm("a", "general") != ClassifiedTerm("a", "policy")
+
+    def test_run_does_not_parse_again(self, monkeypatch):
+        corpus = exclusion_corpus()
+        strategy = climate_strategy()
+        expected = run_strategy(strategy, build_index(corpus), corpus).members
+
+        def no_parse(text):
+            raise AssertionError(f"parsed again: {text!r}")
+
+        monkeypatch.setattr("sdglab.strategy.parse_query", no_parse)
+        assert run_strategy(strategy, build_index(corpus), corpus).members == expected
+
+    def test_bad_query_fails_at_construction(self):
+        with pytest.raises(StrategyLoadError, match="does not parse"):
+            ClassifiedTerm('"unbalanced', "general")
+        with pytest.raises(StrategyLoadError, match="does not parse"):
+            climate_strategy(exclusion_terms=("(",))
