@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import os
@@ -12,12 +13,12 @@ from pathlib import Path
 from .clustering import (build_citation_graph, cluster_citation_graph,
                          enhance_by_cluster_threshold, load_cluster_assignment,
                          save_cluster_assignment)
-from .corpus import IngestError, load_corpus_file
-from .index import build_index, load_index, save_index
+from .corpus import Corpus, IngestError, load_corpus_file
+from .index import PositionalIndex, build_index, load_index, save_index
 from .overlap import pairwise_compare, render_overlap_bar
 from .pipeline import (PipelineConfig, PipelineError, ReportBundle,
                        TABLE5_HEADER, emit_report, load_result_file,
-                       result_to_doc, run_pipeline, table5_row)
+                       result_to_doc, run_pipeline, table5_row, write_atomic)
 from .query import ParseError, explain, parse_query, print_query
 from .strategy import ResultSet, StrategyLoadError, load_strategy_file, \
     run_strategy, term_class_summary
@@ -37,12 +38,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write(path: str | Path, content: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
-
-
 def cmd_ingest(args) -> int:
     corpus = load_corpus_file(args.corpus, name=args.name,
                               coverage_path=args.coverage)
@@ -56,8 +51,9 @@ def cmd_ingest(args) -> int:
 def cmd_index(args) -> int:
     corpus = load_corpus_file(args.corpus)
     index = build_index(corpus)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        save_index(index, fh)
+    buf = io.StringIO()
+    save_index(index, buf)
+    write_atomic(Path(args.out), buf.getvalue())
     print(f"indexed {index.doc_count} docs, vocabulary {len(index.postings)}")
     return EXIT_OK
 
@@ -82,18 +78,38 @@ def cmd_strategy(args) -> int:
     return EXIT_OK
 
 
+def _load_index_for(path: str, corpus: Corpus) -> PositionalIndex:
+    """Load an index file and check that it indexes exactly `corpus`.
+
+    A malformed, foreign or mismatched index file is bad input, reported as
+    a config error rather than the ValueError/KeyError it would cause.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            index = load_index(fh)
+        except ValueError as exc:
+            raise PipelineError("index", f"{path}: {exc}", kind="config") from exc
+    if index.doc_ids != corpus.records.keys():
+        missing = len(corpus.records.keys() - index.doc_ids)
+        extra = len(index.doc_ids - corpus.records.keys())
+        raise PipelineError(
+            "index", f"{path} does not index corpus {corpus.name}: "
+            f"{missing} corpus records not indexed, {extra} indexed ids "
+            f"not in the corpus", kind="config")
+    return index
+
+
 def cmd_run(args) -> int:
     corpus = load_corpus_file(args.corpus, coverage_path=args.coverage)
     strategy = load_strategy_file(args.strategy)
     if args.index:
-        with open(args.index, encoding="utf-8") as fh:
-            index = load_index(fh)
+        index = _load_index_for(args.index, corpus)
     else:
         index = build_index(corpus)
     result = run_strategy(strategy, index, corpus)
     doc = json.dumps(result_to_doc(result), indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write(args.out, doc)
+        write_atomic(Path(args.out), doc)
     else:
         print(doc, end="")
     return EXIT_OK
@@ -117,7 +133,7 @@ def cmd_enhance(args) -> int:
         seed_result, assignment, args.threshold, corpus)
     doc = json.dumps(result_to_doc(enhanced), indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write(args.out, doc)
+        write_atomic(Path(args.out), doc)
     else:
         print(doc, end="")
     print(f"clusters included: {len(report.included_clusters)}, "
@@ -148,8 +164,8 @@ def cmd_compare(args) -> int:
         comparison, sample_size=None if args.full_dois else args.sample)
     if args.out:
         out = Path(args.out)
-        _write(out / "overlap.svg", svg)
-        _write(out / "overlap.json", sidecar)
+        write_atomic(out / "overlap.svg", svg)
+        write_atomic(out / "overlap.json", sidecar)
     return EXIT_OK
 
 
@@ -166,7 +182,7 @@ def cmd_termmap(args) -> int:
                               result_b.strategy_name, docs_b, config)
     out = Path(args.out)
     for fmt in ("json", "graphml", "html"):
-        _write(out / f"termmap.{fmt}", export_term_map(term_map, fmt))
+        write_atomic(out / f"termmap.{fmt}", export_term_map(term_map, fmt))
     print(f"{len(term_map.terms)} terms, {len(term_map.edges)} edges -> {out}")
     return EXIT_OK
 

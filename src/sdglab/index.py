@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -94,19 +96,51 @@ class PositionalIndex:
         return {d for d, f, _ in self.postings.get(token, ()) if f in fields}
 
 
+@contextmanager
+def _gc_paused():
+    """Hold the cyclic collector off around bulk allocation of acyclic data.
+
+    Restores the caller's prior setting, so a caller that runs with GC off
+    keeps it off.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def build_index(corpus: Corpus) -> PositionalIndex:
-    """Index the title, abstract and keywords fields of every record."""
-    raw: dict[str, dict[tuple[str, str], list[int]]] = {}
-    for rec in corpus:
-        for fld in FIELDS:
-            for tok, pos in field_token_stream(rec, fld):
-                raw.setdefault(tok, {}).setdefault((rec.internal_id, fld), []).append(pos)
-    postings: dict[str, list[tuple[str, str, tuple[int, ...]]]] = {}
-    for tok in sorted(raw):
-        entries = [(doc, fld, tuple(sorted(posns)))
-                   for (doc, fld), posns in raw[tok].items()]
-        entries.sort(key=lambda e: (e[0], FIELDS.index(e[1])))
-        postings[tok] = entries
+    """Index the title, abstract and keywords fields of every record.
+
+    Docs are visited in id order and fields in FIELDS order, so each postings
+    list grows in (doc, field) order and each position list in increasing
+    order; neither needs a sort. The final entry tuples are created token by
+    token in a second pass, which keeps each token's entries close together
+    in memory for the scans of `docs_with_token`.
+    """
+    with _gc_paused():
+        raw: dict[str, list[tuple[str, str, list[int]]]] = {}
+        for doc in sorted(corpus.records):
+            rec = corpus.records[doc]
+            for fld in FIELDS:
+                field_posns: dict[str, list[int]] = {}
+                for tok, pos in field_token_stream(rec, fld):
+                    posns = field_posns.get(tok)
+                    if posns is None:
+                        field_posns[tok] = [pos]
+                    else:
+                        posns.append(pos)
+                for tok, posns in field_posns.items():
+                    entries = raw.get(tok)
+                    if entries is None:
+                        raw[tok] = [(doc, fld, posns)]
+                    else:
+                        entries.append((doc, fld, posns))
+        postings = {tok: [(d, f, tuple(p)) for d, f, p in raw[tok]]
+                    for tok in sorted(raw)}
     return PositionalIndex(postings=postings, doc_count=len(corpus),
                            doc_ids=frozenset(corpus.records))
 
@@ -126,28 +160,28 @@ def wildcard_expand(pattern: str, index: PositionalIndex) -> set[str]:
 
 
 def save_index(index: PositionalIndex, sink: IO[str]) -> None:
+    # One json.dumps call runs the C encoder (json.dump streams through the
+    # pure-Python one); tuples encode as arrays, so postings go in as they are.
     doc = {
         "magic": INDEX_MAGIC,
         "version": INDEX_VERSION,
         "doc_count": index.doc_count,
         "doc_ids": sorted(index.doc_ids),
-        "postings": {
-            tok: [[d, f, list(p)] for d, f, p in entries]
-            for tok, entries in index.postings.items()
-        },
+        "postings": index.postings,
     }
-    json.dump(doc, sink, ensure_ascii=False, sort_keys=True)
+    sink.write(json.dumps(doc, ensure_ascii=False, sort_keys=True))
 
 
 def load_index(source: IO[str]) -> PositionalIndex:
-    doc = json.load(source)
-    if doc.get("magic") != INDEX_MAGIC:
-        raise ValueError("not an index file")
-    if doc.get("version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version: {doc.get('version')}")
-    postings = {
-        tok: [(d, f, tuple(p)) for d, f, p in entries]
-        for tok, entries in doc["postings"].items()
-    }
+    with _gc_paused():
+        doc = json.load(source)
+        if not isinstance(doc, dict) or doc.get("magic") != INDEX_MAGIC:
+            raise ValueError("not an index file")
+        if doc.get("version") != INDEX_VERSION:
+            raise ValueError(f"unsupported index version: {doc.get('version')}")
+        postings = {
+            tok: [(d, f, tuple(p)) for d, f, p in entries]
+            for tok, entries in doc["postings"].items()
+        }
     return PositionalIndex(postings=postings, doc_count=doc["doc_count"],
                            doc_ids=frozenset(doc["doc_ids"]))

@@ -140,7 +140,9 @@ class ReportBundle:
     manifest: dict
 
 
-def _write_atomic(path: Path, content: str) -> None:
+def write_atomic(path: Path, content: str) -> None:
+    """Write through a temporary file and os.replace, so a failure leaves
+    the previous file at `path` whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(content, encoding="utf-8")
@@ -169,7 +171,7 @@ def _strategy_result(strategy, index, corpus, config: PipelineConfig,
                         if strategy.window.contains(r.year)}
         result, report = enhance_by_cluster_threshold(
             result, assignment, spec.threshold, corpus, eligible=eligible)
-        _write_atomic(out_dir / "enhancement.json", json.dumps({
+        write_atomic(out_dir / "enhancement.json", json.dumps({
             "included_clusters": report.included_clusters,
             "excluded_clusters": report.excluded_clusters,
             "seed_members_lost": report.seed_members_lost,
@@ -241,7 +243,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             raise PipelineError(stage, str(exc)) from exc
         results[name] = result
         result_corpus[name] = s["corpus"]
-        _write_atomic(out / "results" / name / "result.json",
+        write_atomic(out / "results" / name / "result.json",
                       json.dumps(result_to_doc(result), indent=2,
                                  sort_keys=True) + "\n")
         share_pct = percent(result.doi_record_count, len(result.members)) \
@@ -264,8 +266,8 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         table5.append(table5_row(comparison))
         pair_dir = out / "comparisons" / f"{a}__{b}"
         svg, sidecar = render_overlap_bar(comparison)
-        _write_atomic(pair_dir / "overlap.svg", svg)
-        _write_atomic(pair_dir / "overlap.json", sidecar)
+        write_atomic(pair_dir / "overlap.svg", svg)
+        write_atomic(pair_dir / "overlap.json", sidecar)
         figures.append(str((pair_dir / "overlap.svg").relative_to(out)))
 
     for pair in config.termmaps:
@@ -286,14 +288,14 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             raise PipelineError(stage, str(exc)) from exc
         map_dir = out / "termmaps" / f"{a}__{b}"
         for fmt in ("json", "graphml", "html"):
-            _write_atomic(map_dir / f"termmap.{fmt}", export_term_map(term_map, fmt))
+            write_atomic(map_dir / f"termmap.{fmt}", export_term_map(term_map, fmt))
             figures.append(str((map_dir / f"termmap.{fmt}").relative_to(out)))
 
     bundle = ReportBundle(table3=table3, table4=table4, table5=table5,
                           figures=figures, manifest={})
     emit_report(bundle, "csv", out / "reports")
     emit_report(bundle, "markdown", out / "reports")
-    _write_atomic(out / "reports" / "bundle.json", json.dumps({
+    write_atomic(out / "reports" / "bundle.json", json.dumps({
         "table3": table3, "table4": table4, "table5": table5,
         "figures": figures,
     }, indent=2, sort_keys=True) + "\n")
@@ -308,7 +310,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             manifest["outputs"][str(path.relative_to(out))] = _sha256(path)
-    _write_atomic(out / "manifest.json",
+    write_atomic(out / "manifest.json",
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     bundle.manifest = manifest
     return bundle
@@ -339,6 +341,6 @@ def emit_report(bundle: ReportBundle, fmt: str, out_dir: Path) -> list[Path]:
             path = Path(out_dir) / f"{name}.md"
         else:
             raise ValueError(f"unknown report format: {fmt!r}")
-        _write_atomic(path, "\n".join(lines) + "\n")
+        write_atomic(path, "\n".join(lines) + "\n")
         written.append(path)
     return written

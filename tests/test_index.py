@@ -1,11 +1,15 @@
+import gc
+import hashlib
 import io
+import json
 import random
 
 import pytest
 
 from conftest import random_corpus
-from sdglab.corpus import Corpus, PublicationRecord
-from sdglab.index import (FIELDS, build_index, field_token_stream, load_index,
+from sdglab.corpus import Corpus, PublicationRecord, load_corpus_file
+from sdglab.index import (FIELDS, INDEX_MAGIC, INDEX_VERSION, PositionalIndex,
+                          build_index, field_token_stream, load_index,
                           save_index, tokenize, tokenize_keywords,
                           wildcard_expand)
 
@@ -211,3 +215,127 @@ class TestPositions:
         for entries in again.postings.values():
             keys = [(d, FIELDS.index(f)) for d, f, _ in entries]
             assert keys == sorted(set(keys))
+
+
+# Index files of the demo corpora as written before build and save stopped
+# sorting and copying; the file format must not drift.
+DEMO_INDEX_SHA256 = {
+    "corpus_x": "7c3dcf71f61bf4a17d1c7e4b80b6c776480a4015740ed78c339843f5aa3c765a",
+    "corpus_y": "510dc11019406ac16e87b20e8bd73b6a8d3d266bc2774e704bdbbe6c3b7ad3a6",
+}
+
+MIXED_VOCAB = ("climate ökologie été étude 数据 数据库 naïve café co2 "
+               "sea-level flood_risk Ωmega ÅNGSTRÖM x").split()
+
+
+def mixed_corpus(seed: int, n: int) -> Corpus:
+    """Random records with non-ASCII tokens, empty fields and unsorted ids."""
+    rng = random.Random(seed)
+
+    def text(lo, hi):
+        return " ".join(rng.choices(MIXED_VOCAB, k=rng.randint(lo, hi)))
+
+    ids = [f"r{rng.randrange(10**6)}-{i}" for i in range(n)]
+    rng.shuffle(ids)
+    return Corpus("mixed", [
+        PublicationRecord(doc, text(0, 6), 2016, abstract=text(0, 20),
+                          keywords=tuple(text(0, 3) for _ in range(rng.randint(0, 3))))
+        for doc in ids])
+
+
+def sort_based_build(corpus: Corpus) -> PositionalIndex:
+    """Reference: collect postings in corpus order, then sort them."""
+    raw = {}
+    for rec in corpus:
+        for fld in FIELDS:
+            for tok, pos in field_token_stream(rec, fld):
+                raw.setdefault(tok, {}).setdefault((rec.internal_id, fld), []).append(pos)
+    postings = {}
+    for tok in sorted(raw):
+        entries = [(doc, fld, tuple(sorted(posns)))
+                   for (doc, fld), posns in raw[tok].items()]
+        entries.sort(key=lambda e: (e[0], FIELDS.index(e[1])))
+        postings[tok] = entries
+    return PositionalIndex(postings=postings, doc_count=len(corpus),
+                           doc_ids=frozenset(corpus.records))
+
+
+def list_copy_save(index: PositionalIndex, sink) -> None:
+    """Reference: json.dump of the postings copied into lists."""
+    doc = {
+        "magic": INDEX_MAGIC,
+        "version": INDEX_VERSION,
+        "doc_count": index.doc_count,
+        "doc_ids": sorted(index.doc_ids),
+        "postings": {
+            tok: [[d, f, list(p)] for d, f, p in entries]
+            for tok, entries in index.postings.items()
+        },
+    }
+    json.dump(doc, sink, ensure_ascii=False, sort_keys=True)
+
+
+class TestIndexFormat:
+    @pytest.mark.parametrize("name", sorted(DEMO_INDEX_SHA256))
+    def test_demo_index_bytes_are_golden(self, demo_dir, name):
+        sink = io.StringIO()
+        save_index(build_index(load_corpus_file(demo_dir / f"{name}.jsonl")), sink)
+        digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+        assert digest == DEMO_INDEX_SHA256[name]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_build_equals_sort_based_reference(self, seed):
+        corpus = mixed_corpus(seed, 120)
+        index, ref = build_index(corpus), sort_based_build(corpus)
+        assert index == ref
+        assert list(index.postings) == list(ref.postings)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_save_equals_list_copy_reference(self, seed):
+        index = build_index(mixed_corpus(100 + seed, 120))
+        sink, ref = io.StringIO(), io.StringIO()
+        save_index(index, sink)
+        list_copy_save(index, ref)
+        assert sink.getvalue() == ref.getvalue()
+        assert load_index(io.StringIO(sink.getvalue())) == index
+
+    def test_empty_corpus(self):
+        corpus = Corpus("empty", [])
+        sink, ref = io.StringIO(), io.StringIO()
+        save_index(build_index(corpus), sink)
+        list_copy_save(sort_based_build(corpus), ref)
+        assert sink.getvalue() == ref.getvalue()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"magic": "nope"}', "not an index file"),
+        ('[1, 2]', "not an index file"),
+        (json.dumps({"magic": INDEX_MAGIC, "version": INDEX_VERSION + 1}),
+         "unsupported index version"),
+        ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": {"a": [["d',
+         "Unterminated string"),
+    ])
+    def test_bad_files_raise_value_error(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_index(io.StringIO(text))
+
+
+class TestGcState:
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_build_and_load_restore_gc_state(self, gc_state):
+        index = build_index(two_doc_corpus())
+        assert gc.isenabled() == gc_state
+        sink = io.StringIO()
+        save_index(index, sink)
+        load_index(io.StringIO(sink.getvalue()))
+        assert gc.isenabled() == gc_state
+
+    def test_load_failure_restores_gc_state(self, gc_state):
+        with pytest.raises(ValueError, match="not an index file"):
+            load_index(io.StringIO('{"magic": "nope"}'))
+        assert gc.isenabled() == gc_state

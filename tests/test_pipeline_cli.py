@@ -166,6 +166,72 @@ class TestCli:
                             "--out", str(out)) == 0
         assert out.exists()
 
+    def test_run_with_saved_index_matches_fresh_build(self, demo_dir, tmp_path):
+        index = tmp_path / "index.json"
+        corpus = str(demo_dir / "corpus_x.jsonl")
+        assert self.run_cli("index", "--corpus", corpus, "--out", str(index)) == 0
+        fresh, loaded = tmp_path / "fresh.json", tmp_path / "loaded.json"
+        for out, extra in ((fresh, ()), (loaded, ("--index", str(index)))):
+            assert self.run_cli("run", "--strategy", str(demo_dir / "alpha.json"),
+                                "--corpus", corpus, "--out", str(out), *extra) == 0
+        assert loaded.read_bytes() == fresh.read_bytes()
+
+    def test_failed_index_write_keeps_previous_file(self, demo_dir, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "index.json"
+        out.write_text("previous", encoding="utf-8")
+
+        def partial_then_fail(index, sink):
+            sink.write('{"doc_count": ')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("sdglab.cli.save_index", partial_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            self.run_cli("index", "--corpus", str(demo_dir / "corpus_x.jsonl"),
+                         "--out", str(out))
+        assert out.read_text(encoding="utf-8") == "previous"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def run_with_index(self, demo_dir, index, corpus="corpus_x.jsonl"):
+        return self.run_cli("run", "--strategy", str(demo_dir / "alpha.json"),
+                            "--corpus", str(demo_dir / corpus),
+                            "--index", str(index))
+
+    def test_index_of_another_corpus_exit_code(self, demo_dir, tmp_path, capsys):
+        index = tmp_path / "index_y.json"
+        assert self.run_cli("index", "--corpus", str(demo_dir / "corpus_y.jsonl"),
+                            "--out", str(index)) == 0
+        capsys.readouterr()
+        assert self.run_with_index(demo_dir, index) == 2
+        err = capsys.readouterr().err
+        assert str(index) in err and "does not index corpus" in err
+
+    def test_partly_overlapping_index_exit_code(self, demo_dir, tmp_path, capsys):
+        lines = (demo_dir / "corpus_x.jsonl").read_text(encoding="utf-8").splitlines()
+        part = tmp_path / "part.jsonl"
+        part.write_text("\n".join(lines[: len(lines) // 2]) + "\n", encoding="utf-8")
+        index = tmp_path / "index_part.json"
+        assert self.run_cli("index", "--corpus", str(part), "--out", str(index)) == 0
+        capsys.readouterr()
+        assert self.run_with_index(demo_dir, index) == 2
+        assert str(index) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"magic": "nope"}', "not an index file"),
+        ('{"magic": "SDGLAB-INDEX", "version": 99}', "unsupported index version"),
+        ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": {"a": [["x0', "Unterminated"),
+    ], ids=["magic", "version", "truncated"])
+    def test_bad_index_file_exit_code(self, demo_dir, tmp_path, capsys,
+                                      content, message):
+        index = tmp_path / "bad.json"
+        index.write_text(content, encoding="utf-8")
+        assert self.run_with_index(demo_dir, index) == 2
+        err = capsys.readouterr().err
+        assert str(index) in err and message in err
+
+    def test_missing_index_file_exit_code(self, demo_dir, tmp_path):
+        assert self.run_with_index(demo_dir, tmp_path / "missing.json") == 3
+
     def test_enhance_command(self, demo_dir, tmp_path, capsys):
         res = tmp_path / "beta.json"
         self.run_cli("run", "--strategy", str(demo_dir / "beta.json"),
