@@ -28,6 +28,8 @@ _DOC = itemgetter(0)
 
 INDEX_MAGIC = "SDGLAB-INDEX"
 INDEX_VERSION = 1
+# Keys `load_index` requires besides magic and version, with their types.
+_INDEX_KEYS = (("postings", dict), ("doc_count", int), ("doc_ids", list))
 
 
 def tokenize(text: str) -> list[tuple[str, int]]:
@@ -179,9 +181,19 @@ def load_index(source: IO[str]) -> PositionalIndex:
             raise ValueError("not an index file")
         if doc.get("version") != INDEX_VERSION:
             raise ValueError(f"unsupported index version: {doc.get('version')}")
-        postings = {
-            tok: [(d, f, tuple(p)) for d, f, p in entries]
-            for tok, entries in doc["postings"].items()
-        }
+        for key, kind in _INDEX_KEYS:
+            if key not in doc:
+                raise ValueError(f"index has no {key!r} key")
+            if not isinstance(doc[key], kind):
+                raise ValueError(f"index {key!r} is a {type(doc[key]).__name__}, "
+                                 f"not a {kind.__name__}")
+        try:
+            postings = {
+                tok: [(d, f, tuple(p)) for d, f, p in entries]
+                for tok, entries in doc["postings"].items()
+            }
+            doc_ids = frozenset(doc["doc_ids"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"index entries are malformed: {exc}") from exc
     return PositionalIndex(postings=postings, doc_count=doc["doc_count"],
-                           doc_ids=frozenset(doc["doc_ids"]))
+                           doc_ids=doc_ids)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .clustering import (build_citation_graph, cluster_citation_graph,
+from .clustering import (ClusterAssignment, build_citation_graph, cluster_citation_graph,
                          enhance_by_cluster_threshold, load_cluster_assignment)
 from .corpus import Corpus, YearWindow, doi_share, load_corpus_file
 from .index import build_index
@@ -19,6 +20,8 @@ from .overlap import (SEGMENT_ORDER, PairwiseComparison, pairwise_compare,
 from .rounding import percent
 from .strategy import ResultSet, load_strategy_file, run_strategy, term_class_summary
 from .termmap import TermMapConfig, build_term_map, export_term_map
+
+log = logging.getLogger("sdglab.pipeline")
 
 TABLE3_HEADER = "strategy,total,with_doi,doi_share_pct"
 TABLE4_HEADER = "strategy,general,policy,technical,total"
@@ -153,24 +156,42 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+ClusteringKey = tuple[str, float, int]  # (corpus name, resolution, seed)
+
+
 def _strategy_result(strategy, index, corpus, config: PipelineConfig,
-                     out_dir: Path) -> ResultSet:
+                     out_dir: Path,
+                     clusterings: dict[ClusteringKey, ClusterAssignment]) -> ResultSet:
+    """Run a strategy and apply its enhancement.
+
+    A computed clustering is looked up in `clusterings` and added on a miss:
+    Louvain is seeded, so strategies that share a corpus, resolution and
+    seed share one assignment. Enhanced members stay inside the strategy's
+    window even when cluster shares are computed over the whole corpus.
+    """
     result = run_strategy(strategy, index, corpus)
     spec = strategy.enhancement
     if spec is not None:
         if spec.assignment_source == "computed":
-            graph = build_citation_graph(corpus)
-            assignment = cluster_citation_graph(
-                graph, resolution=spec.resolution, seed=spec.seed)
+            key = (corpus.name, spec.resolution, spec.seed)
+            assignment = clusterings.get(key)
+            if assignment is None:
+                assignment = cluster_citation_graph(
+                    build_citation_graph(corpus),
+                    resolution=spec.resolution, seed=spec.seed)
+                clusterings[key] = assignment
+                log.info("clustering %s resolution=%s seed=%s: computed, %d clusters",
+                         *key, assignment.cluster_count)
+            else:
+                log.info("clustering %s resolution=%s seed=%s: reused", *key)
         else:
             with open(config.resolve(spec.assignment_source), encoding="utf-8") as fh:
                 assignment = load_cluster_assignment(fh, corpus)
-        eligible = None
-        if not spec.whole_corpus_shares:
-            eligible = {r.internal_id for r in corpus
-                        if strategy.window.contains(r.year)}
+        in_window = {r.internal_id for r in corpus if strategy.window.contains(r.year)}
         result, report = enhance_by_cluster_threshold(
-            result, assignment, spec.threshold, corpus, eligible=eligible)
+            result, assignment, spec.threshold, corpus,
+            eligible=None if spec.whole_corpus_shares else in_window)
+        result = ResultSet(result.strategy_name, corpus, result.members & in_window)
         write_atomic(out_dir / "enhancement.json", json.dumps({
             "included_clusters": report.included_clusters,
             "excluded_clusters": report.excluded_clusters,
@@ -222,9 +243,12 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             raise PipelineError(stage, str(exc), kind="config") from exc
         corpora[c["name"]] = corpus
         indexes[c["name"]] = build_index(corpus)
+        log.info("ingest %s: %d records, %d vocabulary tokens", c["name"], len(corpus),
+                 len(indexes[c["name"]].postings))
 
     results: dict[str, ResultSet] = {}
     result_corpus: dict[str, str] = {}
+    clusterings: dict[ClusteringKey, ClusterAssignment] = {}
     table3, table4 = [], []
     for s in config.strategies:
         name = Path(s["file"]).stem
@@ -238,9 +262,10 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         corpus = corpora[s["corpus"]]
         try:
             result = _strategy_result(strategy, indexes[s["corpus"]], corpus,
-                                      config, out / "results" / name)
+                                      config, out / "results" / name, clusterings)
         except ValueError as exc:
             raise PipelineError(stage, str(exc)) from exc
+        log.info("run %s: %d members", name, len(result))
         results[name] = result
         result_corpus[name] = s["corpus"]
         write_atomic(out / "results" / name / "result.json",
@@ -269,6 +294,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         write_atomic(pair_dir / "overlap.svg", svg)
         write_atomic(pair_dir / "overlap.json", sidecar)
         figures.append(str((pair_dir / "overlap.svg").relative_to(out)))
+        log.info("compare %s__%s: %d DOIs in the union", a, b, comparison.denominator)
 
     for pair in config.termmaps:
         a, b = pair["a"], pair["b"]
@@ -290,6 +316,8 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         for fmt in ("json", "graphml", "html"):
             write_atomic(map_dir / f"termmap.{fmt}", export_term_map(term_map, fmt))
             figures.append(str((map_dir / f"termmap.{fmt}").relative_to(out)))
+        log.info("termmap %s__%s: %d docs, %d terms, %d edges", a, b,
+                 len(docs_a) + len(docs_b), len(term_map.terms), len(term_map.edges))
 
     bundle = ReportBundle(table3=table3, table4=table4, table5=table5,
                           figures=figures, manifest={})
@@ -313,6 +341,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     write_atomic(out / "manifest.json",
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     bundle.manifest = manifest
+    log.info("report: %d files", len(manifest["outputs"]) + 1)
     return bundle
 
 

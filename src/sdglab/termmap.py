@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -82,36 +83,40 @@ def _doc_ngrams(record, config: TermMapConfig) -> set[str]:
     return grams
 
 
-def extract_terms(docs_a: Iterable, docs_b: Iterable,
-                  config: TermMapConfig) -> list[TermStats]:
-    """Document-frequency tally of 1..max_ngram grams over titles+abstracts,
-    retaining terms whose combined count reaches min_occurrences."""
-    occ_a: dict[str, int] = {}
-    occ_b: dict[str, int] = {}
-    for doc in docs_a:
-        for gram in _doc_ngrams(doc, config):
-            occ_a[gram] = occ_a.get(gram, 0) + 1
-    for doc in docs_b:
-        for gram in _doc_ngrams(doc, config):
-            occ_b[gram] = occ_b.get(gram, 0) + 1
+def _tally_terms(gram_sets_a: Iterable[Iterable[str]],
+                 gram_sets_b: Iterable[Iterable[str]],
+                 config: TermMapConfig) -> list[TermStats]:
+    occ_a = Counter(chain.from_iterable(gram_sets_a))
+    occ_b = Counter(chain.from_iterable(gram_sets_b))
     stats = []
-    for term in sorted(set(occ_a) | set(occ_b)):
-        a, b = occ_a.get(term, 0), occ_b.get(term, 0)
+    for term in sorted(occ_a.keys() | occ_b.keys()):
+        a, b = occ_a[term], occ_b[term]
         if a + b >= config.min_occurrences:
             stats.append(TermStats(term=term, occ_a=a, occ_b=b))
     return stats
 
 
+def _count_edges(terms: list[TermStats],
+                 gram_sets: Iterable[Iterable[str]]) -> list[tuple[str, str, int]]:
+    retained = {t.term for t in terms}
+    weights = Counter(chain.from_iterable(
+        combinations(sorted(retained.intersection(grams)), 2)
+        for grams in gram_sets))
+    return [(u, v, w) for (u, v), w in sorted(weights.items())]
+
+
+def extract_terms(docs_a: Iterable, docs_b: Iterable,
+                  config: TermMapConfig) -> list[TermStats]:
+    """Document-frequency tally of 1..max_ngram grams over titles+abstracts,
+    retaining terms whose combined count reaches min_occurrences."""
+    return _tally_terms((_doc_ngrams(d, config) for d in docs_a),
+                        (_doc_ngrams(d, config) for d in docs_b), config)
+
+
 def cooccurrence_edges(terms: list[TermStats], docs: Iterable,
                        config: TermMapConfig) -> list[tuple[str, str, int]]:
     """Edges weighted by the number of documents containing both terms."""
-    retained = {t.term for t in terms}
-    weights: dict[tuple[str, str], int] = {}
-    for doc in docs:
-        present = sorted(_doc_ngrams(doc, config) & retained)
-        for u, v in combinations(present, 2):
-            weights[(u, v)] = weights.get((u, v), 0) + 1
-    return [(u, v, w) for (u, v), w in sorted(weights.items())]
+    return _count_edges(terms, (_doc_ngrams(d, config) for d in docs))
 
 
 def layout_map(edges: list[tuple[str, str, int]], terms: list[TermStats],
@@ -162,10 +167,23 @@ def layout_map(edges: list[tuple[str, str, int]], terms: list[TermStats],
 
 def build_term_map(name_a: str, docs_a, name_b: str, docs_b,
                    config: TermMapConfig | None = None) -> TermMap:
+    """`extract_terms` over both sets and `cooccurrence_edges` over their
+    union by internal_id (a later doc replaces an earlier one with its id),
+    with each doc's n-grams extracted once.
+
+    A doc's grams are kept as a tuple whose strings are shared across docs
+    through `canon`; per-doc sets of private strings take more memory.
+    """
     config = config or TermMapConfig()
-    terms = extract_terms(docs_a, docs_b, config)
-    combined = {d.internal_id: d for d in list(docs_a) + list(docs_b)}
-    edges = cooccurrence_edges(terms, combined.values(), config)
+    docs = list(docs_a)
+    n_a = len(docs)
+    docs += docs_b
+    canon: dict[str, str] = {}
+    gram_sets = [tuple(canon.setdefault(g, g) for g in _doc_ngrams(d, config))
+                 for d in docs]
+    terms = _tally_terms(gram_sets[:n_a], gram_sets[n_a:], config)
+    combined = {d.internal_id: grams for d, grams in zip(docs, gram_sets)}
+    edges = _count_edges(terms, combined.values())
     coords = layout_map(edges, terms, config) if terms else {}
     return TermMap(name_a=name_a, name_b=name_b, terms=terms, edges=edges,
                    coordinates=coords, config=config)

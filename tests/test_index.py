@@ -318,6 +318,23 @@ class TestIndexFormat:
         with pytest.raises(ValueError, match=message):
             load_index(io.StringIO(text))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"doc_count": 0, "doc_ids": []}, "no 'postings' key"),
+        ({"postings": {}, "doc_ids": []}, "no 'doc_count' key"),
+        ({"postings": {}, "doc_count": 0}, "no 'doc_ids' key"),
+        ({"postings": [], "doc_count": 0, "doc_ids": []}, "'postings' is a list"),
+        ({"postings": {}, "doc_count": "0", "doc_ids": []}, "'doc_count' is a str"),
+        ({"postings": {"a": 5}, "doc_count": 0, "doc_ids": []}, "malformed"),
+        ({"postings": {"a": [["d", "title", 3]]}, "doc_count": 1, "doc_ids": ["d"]},
+         "malformed"),
+        ({"postings": {}, "doc_count": 0, "doc_ids": [["d"]]}, "malformed"),
+    ], ids=["no-postings", "no-doc_count", "no-doc_ids", "postings-list",
+            "doc_count-str", "token-entries-int", "positions-int", "doc_id-list"])
+    def test_partial_index_object_raises_value_error(self, doc, message):
+        text = json.dumps({"magic": INDEX_MAGIC, "version": INDEX_VERSION, **doc})
+        with pytest.raises(ValueError, match=message):
+            load_index(io.StringIO(text))
+
 
 class TestGcState:
     @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import logging
 import shutil
 import subprocess
 import sys
@@ -6,8 +8,74 @@ from pathlib import Path
 
 import pytest
 
+from sdglab import pipeline
 from sdglab.cli import main
 from sdglab.pipeline import PipelineConfig, PipelineError, run_pipeline
+
+# sha256 of every demo pipeline output, as the manifest records them.
+DEMO_OUTPUTS = {
+    "comparisons/alpha__beta/overlap.json":
+        "2257609ce14dcf8ae2d144ad4a92508f5310d7348f4b5c609331c32322a36c95",
+    "comparisons/alpha__beta/overlap.svg":
+        "934761f655d9587a72a44f327b2f8f350e77c724a67403ffaec14a623e59cac9",
+    "comparisons/alpha__delta/overlap.json":
+        "8e9f6f96863d145bb3f90218549f3332a0abbd05e82cc6e217a7a43c2c2fb1e2",
+    "comparisons/alpha__delta/overlap.svg":
+        "4e462753e281a9e2ef2961d2810bcb3170f2397c345eedc7c722fcef4c1354ab",
+    "comparisons/alpha__gamma/overlap.json":
+        "0fea73419385e05cce483b54413cf4a64ea44d862ad84ad3405de705ad6a98e8",
+    "comparisons/alpha__gamma/overlap.svg":
+        "2438c55f22cc6fb73a29417b55a016dbb1f420e8f7e28c7f4a84b4f32889e380",
+    "comparisons/beta__delta/overlap.json":
+        "b1a711a9d33a80cbfe39aa2e97a3ff944db0ac7b9b89cdd21760a52077238d66",
+    "comparisons/beta__delta/overlap.svg":
+        "8dcdc4d9ccd5deee6820c49aa337df5f5ecdb36a02f8e8627047ee152878e6c6",
+    "comparisons/beta__gamma/overlap.json":
+        "e0de04543ae77f98d0d836ac6041b17eff9679e1edadd9c20b57ccdde2051b0f",
+    "comparisons/beta__gamma/overlap.svg":
+        "e2c5f4f7c8309dbe82e19c984625b3d1b96c740a9b12d64eed8e1f8b4c877c92",
+    "comparisons/gamma__delta/overlap.json":
+        "934a80954d6823bf408dfba2e015e5fac1401c8930e107d41e9e9972c03881ea",
+    "comparisons/gamma__delta/overlap.svg":
+        "25f91c4d3e581c7398cb372e5a9281ce3ba2d6c077d9ed9210aa309a6c8956d2",
+    "reports/bundle.json":
+        "d094eca50a000f94314dc2027600021a388f179dd073bd0e1036a84de4eb66b6",
+    "reports/table3.csv":
+        "4f4cf2a2116873ab12079a1993c0ac90899964af29b9ec49cd91be0a30afa309",
+    "reports/table3.md":
+        "1ee9f087ad5fcb833739fc72ddacc98ab471849db56e8b63ecce7c775c8cf41a",
+    "reports/table4.csv":
+        "e286cd12daaa61c33076f2c3c87215c2d88f091d9e8b902d4c1ff5e24c6bdf3c",
+    "reports/table4.md":
+        "97127e184e759ce6d78ea90581e5efe962f2ac17770825315a7aa25441b27469",
+    "reports/table5.csv":
+        "f70e879e5e7a42e2c53418984659f30baf6a88ab45b8a5a9dedd0ac9be4c0306",
+    "reports/table5.md":
+        "f169e364243ec4bd717ce6767b87e577a35441a182b2198ec390fdf9c4341085",
+    "results/alpha/result.json":
+        "1682bb81f6351c312151c66d0e6d4f2df416c05b91b0759fb4fbf50950f7b879",
+    "results/beta/enhancement.json":
+        "fe0419f8ff37313a9243b3e6a96f1cc32059a132d147fac1c4b056103e342deb",
+    "results/beta/result.json":
+        "d2a9a967441dc5c7e5bd6b5c961cb3f30ea117682ad811c046827f6f735c17f2",
+    "results/delta/result.json":
+        "fff4c277fd79428c4098908aaf39d51e76959d4c5d1af30cfe7b8501ba90366a",
+    "results/gamma/result.json":
+        "1dfacb8f6b4a039cc885b94423b386d73a3ab71a17815e2331ae412f42841b07",
+    "termmaps/alpha__gamma/termmap.graphml":
+        "09582749bc4a9ea9287abea9803c7b50aa6919447cebe586dd38616d3057eff1",
+    "termmaps/alpha__gamma/termmap.html":
+        "db11d8fe1a347c5559d508e031088434843684bcb8b46a71b927312fc7bc506d",
+    "termmaps/alpha__gamma/termmap.json":
+        "65f6fa82ad98c78f36144604b225fd605e18531eaef757a3d1d5f261c6dc78b0",
+    "termmaps/beta__delta/termmap.graphml":
+        "c6279cd5376faca051e657536976d8c8a9239c24bf08b37ff186b0fb98471ab9",
+    "termmaps/beta__delta/termmap.html":
+        "3d05a03dd9bf42a53e6428101e24dcfe0833f3c2353937bae755f3471647b5bf",
+    "termmaps/beta__delta/termmap.json":
+        "fe6a0b3a75992578f50c8741d08ac97ef9a24169716d6535ce739aa7378b3b31",
+}
+DEMO_OUTPUTS_SHA256 = "80d875b94d09ddb0e19eab4ab898e21c4d13c62b3afdf01f0968733c0ea668b3"
 
 
 @pytest.fixture()
@@ -17,7 +85,6 @@ def demo_config(demo_dir, tmp_path):
 
 
 def tree_digest(root: Path) -> dict:
-    import hashlib
     return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*"))
             if p.is_file() and p.name != "manifest.json"}
@@ -35,6 +102,12 @@ class TestRunPipeline:
         run_pipeline(PipelineConfig.load(demo_dir / "config.json", out1))
         run_pipeline(PipelineConfig.load(demo_dir / "config.json", out2))
         assert tree_digest(out1) == tree_digest(out2)
+
+    def test_demo_outputs_are_golden(self, demo_config):
+        outputs = run_pipeline(demo_config).manifest["outputs"]
+        assert outputs == DEMO_OUTPUTS
+        assert hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()) \
+            .hexdigest() == DEMO_OUTPUTS_SHA256
 
     def test_manifest_lists_every_output_with_hash(self, demo_config):
         run_pipeline(demo_config)
@@ -101,6 +174,98 @@ class TestRunPipeline:
         assert table5.strip().splitlines() == [
             "a,b,cov_a,meth_a,overlap,meth_b,cov_b,"
             "cov_a_pct,meth_a_pct,overlap_pct,meth_b_pct,cov_b_pct"]
+
+
+def write_config(out_dir: Path, corpus_file: Path, strategies: list[dict]) -> Path:
+    """A pipeline config over one corpus named "c" that runs `strategies`
+    (strategy documents, each written to <name>.json) and nothing else."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for doc in strategies:
+        path = out_dir / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        entries.append({"file": str(path), "corpus": "c"})
+    config = out_dir / "config.json"
+    config.write_text(json.dumps({
+        "corpora": [{"name": "c", "corpus_file": str(corpus_file)}],
+        "strategies": entries}))
+    return config
+
+
+class TestSharedClustering:
+    @pytest.fixture()
+    def strategies(self, demo_dir):
+        def enhanced(base, name, seed):
+            doc = json.loads((demo_dir / base).read_text())
+            doc["name"] = name
+            doc["enhancement"] = {"kind": "cluster_threshold", "threshold": 0.15,
+                                  "assignment_source": "computed", "seed": seed}
+            return doc
+        return [enhanced("alpha.json", "alpha7", 7), enhanced("beta.json", "beta7", 7),
+                enhanced("beta.json", "beta3", 3)]
+
+    def test_one_clustering_per_corpus_resolution_seed(self, demo_dir, tmp_path,
+                                                       strategies, monkeypatch):
+        calls = []
+
+        def counting(graph, **kwargs):
+            calls.append(kwargs)
+            return cluster_citation_graph(graph, **kwargs)
+
+        cluster_citation_graph = pipeline.cluster_citation_graph
+        monkeypatch.setattr("sdglab.pipeline.cluster_citation_graph", counting)
+        corpus_file = demo_dir / "corpus_x.jsonl"
+        run_pipeline(PipelineConfig.load(
+            write_config(tmp_path / "all", corpus_file, strategies), tmp_path / "all"))
+        assert calls == [{"resolution": 1.0, "seed": 7}, {"resolution": 1.0, "seed": 3}]
+        for doc in strategies:
+            alone = tmp_path / doc["name"]
+            run_pipeline(PipelineConfig.load(write_config(alone, corpus_file, [doc]), alone))
+            for name in ("enhancement.json", "result.json"):
+                shared = tmp_path / "all" / "results" / doc["name"] / name
+                own = alone / "results" / doc["name"] / name
+                assert shared.read_bytes() == own.read_bytes()
+
+    def test_reuse_is_logged(self, demo_dir, tmp_path, strategies, caplog):
+        caplog.set_level(logging.INFO, logger="sdglab.pipeline")
+        run_pipeline(PipelineConfig.load(
+            write_config(tmp_path, demo_dir / "corpus_x.jsonl", strategies), tmp_path))
+        messages = [r.getMessage() for r in caplog.records]
+        clustering = [m for m in messages if m.startswith("clustering ")]
+        assert clustering[0].startswith("clustering c resolution=1.0 seed=7: computed")
+        assert clustering[1] == "clustering c resolution=1.0 seed=7: reused"
+        assert clustering[2].startswith("clustering c resolution=1.0 seed=3: computed")
+        assert [m.split(":")[0] for m in messages if m not in clustering] == \
+            ["ingest c", "run alpha7", "run beta7", "run beta3", "report"]
+
+
+class TestEnhancedWindow:
+    @pytest.mark.parametrize("whole_corpus_shares, share",
+                             [(True, 1 / 3), (False, 1 / 2)])
+    def test_enhanced_members_stay_in_window(self, tmp_path, whole_corpus_shares,
+                                             share):
+        # Two citation triangles; w3 (2010) is outside the 2015-2019 window
+        # but in the cluster of the seed hit w1.
+        records = [("w1", 2016, "climate policy", ["w2", "w3"]),
+                   ("w2", 2017, "ocean study", ["w3"]),
+                   ("w3", 2010, "forest data", ["w1"]),
+                   ("o1", 2016, "energy model", ["o2", "o3"]),
+                   ("o2", 2016, "energy storage", ["o3"]),
+                   ("o3", 2016, "solar energy", ["o1"])]
+        corpus_file = tmp_path / "corpus.jsonl"
+        corpus_file.write_text("".join(
+            json.dumps({"id": rid, "year": year, "title": title, "refs": refs}) + "\n"
+            for rid, year, title, refs in records))
+        strategy = {"name": "s", "seeds": [{"query": "climate", "class": "general"}],
+                    "window": {"start": 2015, "end": 2019},
+                    "enhancement": {"kind": "cluster_threshold", "threshold": 0.3,
+                                    "whole_corpus_shares": whole_corpus_shares}}
+        run_pipeline(PipelineConfig.load(write_config(tmp_path, corpus_file, [strategy]),
+                                         tmp_path))
+        results = tmp_path / "results" / "s"
+        assert json.loads((results / "result.json").read_text())["members"] == ["w1", "w2"]
+        report = json.loads((results / "enhancement.json").read_text())
+        assert list(report["included_clusters"].values()) == [pytest.approx(share)]
 
 
 class TestCli:
@@ -220,7 +385,12 @@ class TestCli:
         ('{"magic": "nope"}', "not an index file"),
         ('{"magic": "SDGLAB-INDEX", "version": 99}', "unsupported index version"),
         ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": {"a": [["x0', "Unterminated"),
-    ], ids=["magic", "version", "truncated"])
+        ('{"magic": "SDGLAB-INDEX", "version": 1}', "no 'postings' key"),
+        ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": {}}', "no 'doc_count' key"),
+        ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": [], "doc_count": 0, '
+         '"doc_ids": []}', "'postings' is a list"),
+    ], ids=["magic", "version", "truncated", "no-postings", "no-doc_count",
+            "postings-list"])
     def test_bad_index_file_exit_code(self, demo_dir, tmp_path, capsys,
                                       content, message):
         index = tmp_path / "bad.json"

@@ -167,6 +167,38 @@ class TestCooccurrence:
         assert {(u, v): w for u, v, w in edges} == expected
 
 
+class TestBuildTermMap:
+    @staticmethod
+    def random_docs(rng, ids):
+        words = ["climate", "carbon", "energy", "ocean", "policy", "the", "of"]
+
+        def text():
+            return " ".join(rng.choices(words, k=rng.randint(0, 8)))
+        return [doc(rid, text(), text()) for rid in ids]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_extract_terms_and_cooccurrence_over_union(self, seed):
+        rng = random.Random(seed)
+        # ids a20..a39 appear on both sides, and a5 twice on side a, each
+        # time with its own text: the last doc with an id wins in the union.
+        docs_a = self.random_docs(rng, [f"a{i}" for i in range(40)] + ["a5"])
+        docs_b = self.random_docs(rng, [f"a{i}" for i in range(20, 60)])
+        config = TermMapConfig(min_occurrences=3, max_ngram=1 + seed % 3,
+                               stoplist=frozenset({"the", "of"}))
+        for side_a, side_b in ((docs_a, docs_b), (docs_a, []), ([], docs_b)):
+            term_map = build_term_map("a", side_a, "b", side_b, config)
+            terms = extract_terms(side_a, side_b, config)
+            combined = {d.internal_id: d for d in side_a + side_b}
+            assert terms
+            assert term_map.terms == terms
+            assert term_map.edges == cooccurrence_edges(
+                terms, combined.values(), config)
+
+    def test_both_sides_empty(self):
+        term_map = build_term_map("a", [], "b", [], TermMapConfig())
+        assert (term_map.terms, term_map.edges, term_map.coordinates) == ([], [], {})
+
+
 class TestLayout:
     def test_single_term_centered(self):
         terms = [TermStats("solo", 3, 2)]
