@@ -154,7 +154,6 @@ def main() -> None:
     pairs = [{"a": a, "b": b} for i, a in enumerate(names)
              for b in names[i + 1:]]
     config = {
-        "window": {"start": 2015, "end": 2019},
         "output_dir": "demo-out",
         "corpora": [
             {"name": "corpus_x", "corpus_file": "corpus_x.jsonl",

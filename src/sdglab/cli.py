@@ -10,19 +10,15 @@ import os
 import sys
 from pathlib import Path
 
-from .clustering import (build_citation_graph, cluster_citation_graph,
-                         enhance_by_cluster_threshold, load_cluster_assignment,
-                         save_cluster_assignment)
-from .corpus import Corpus, IngestError, load_corpus_file
+from .clustering import save_cluster_assignment
+from .corpus import Corpus, load_coverage_file
 from .index import PositionalIndex, build_index, load_index, save_index
-from .overlap import pairwise_compare, render_overlap_bar
-from .pipeline import (PipelineConfig, PipelineError, ReportBundle,
-                       TABLE5_HEADER, emit_report, load_result_file,
-                       result_to_doc, run_pipeline, table5_row, write_atomic)
-from .query import ParseError, explain, parse_query, print_query
-from .strategy import ResultSet, StrategyLoadError, load_strategy_file, \
-    run_strategy, term_class_summary
-from .termmap import TermMapConfig, build_term_map, export_term_map
+from .pipeline import (PipelineConfig, PipelineError, ReportBundle, TABLE5_HEADER,
+                       cluster_assignment, compare, emit_report, enhance, ingest,
+                       load_result_file, load_strategy, result_to_doc, run_pipeline,
+                       stage, term_map, to_json, write_atomic)
+from .query import explain, parse_query, print_query
+from .strategy import run_strategy, term_class_summary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,9 +34,16 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _emit(text: str, out) -> None:
+    """Write `text` to the file `out`, or to stdout when there is none."""
+    if out:
+        write_atomic(Path(out), text)
+    else:
+        print(text, end="")
+
+
 def cmd_ingest(args) -> int:
-    corpus = load_corpus_file(args.corpus, name=args.name,
-                              coverage_path=args.coverage)
+    corpus = ingest(args.corpus, args.name, args.coverage)
     years = sorted({r.year for r in corpus})
     print(f"{corpus.name}: {len(corpus)} records, "
           f"{sum(1 for r in corpus if r.doi)} with DOI, "
@@ -49,8 +52,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index(args) -> int:
-    corpus = load_corpus_file(args.corpus)
-    index = build_index(corpus)
+    index = build_index(ingest(args.corpus))
     buf = io.StringIO()
     save_index(index, buf)
     write_atomic(Path(args.out), buf.getvalue())
@@ -59,19 +61,14 @@ def cmd_index(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    ast = parse_query(args.query)
-    if args.explain:
-        print(explain(ast))
-    else:
-        print(print_query(ast))
+    with stage("parse", "config"):
+        ast = parse_query(args.query)
+    print(explain(ast) if args.explain else print_query(ast))
     return EXIT_OK
 
 
 def cmd_strategy(args) -> int:
-    if args.action != "summarize":
-        raise StrategyLoadError(f"unknown action: {args.action}")
-    strategy = load_strategy_file(args.file)
-    s = term_class_summary(strategy)
+    s = term_class_summary(load_strategy(args.file))
     print("strategy,general,policy,technical,total")
     print(f"{s['strategy']},{s['counts']['general']},{s['counts']['policy']},"
           f"{s['counts']['technical']},{s['total']}")
@@ -84,58 +81,35 @@ def _load_index_for(path: str, corpus: Corpus) -> PositionalIndex:
     A malformed, foreign or mismatched index file is bad input, reported as
     a config error rather than the ValueError/KeyError it would cause.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            index = load_index(fh)
-        except ValueError as exc:
-            raise PipelineError("index", f"{path}: {exc}", kind="config") from exc
+    with stage(f"index:{path}", "config"), open(path, encoding="utf-8") as fh:
+        index = load_index(fh)
     if index.doc_ids != corpus.records.keys():
         missing = len(corpus.records.keys() - index.doc_ids)
         extra = len(index.doc_ids - corpus.records.keys())
         raise PipelineError(
-            "index", f"{path} does not index corpus {corpus.name}: "
+            f"index:{path}", f"does not index corpus {corpus.name}: "
             f"{missing} corpus records not indexed, {extra} indexed ids "
             f"not in the corpus", kind="config")
     return index
 
 
 def cmd_run(args) -> int:
-    corpus = load_corpus_file(args.corpus, coverage_path=args.coverage)
-    strategy = load_strategy_file(args.strategy)
-    if args.index:
-        index = _load_index_for(args.index, corpus)
-    else:
-        index = build_index(corpus)
-    result = run_strategy(strategy, index, corpus)
-    doc = json.dumps(result_to_doc(result), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        write_atomic(Path(args.out), doc)
-    else:
-        print(doc, end="")
+    corpus = ingest(args.corpus, coverage_file=args.coverage)
+    strategy = load_strategy(args.strategy)
+    index = _load_index_for(args.index, corpus) if args.index else build_index(corpus)
+    _emit(to_json(result_to_doc(run_strategy(strategy, index, corpus))), args.out)
     return EXIT_OK
 
 
 def cmd_enhance(args) -> int:
-    corpus = load_corpus_file(args.corpus)
-    result = load_result_file(args.result)
-    seed_result = ResultSet(result.strategy_name, corpus, result.members)
-    if args.assignment:
-        with open(args.assignment, encoding="utf-8") as fh:
-            assignment = load_cluster_assignment(fh, corpus)
-    else:
-        graph = build_citation_graph(corpus)
-        assignment = cluster_citation_graph(graph, resolution=args.resolution,
-                                            seed=args.seed)
-        if args.save_assignment:
-            with open(args.save_assignment, "w", encoding="utf-8") as fh:
-                save_cluster_assignment(assignment, fh)
-    enhanced, report = enhance_by_cluster_threshold(
-        seed_result, assignment, args.threshold, corpus)
-    doc = json.dumps(result_to_doc(enhanced), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        write_atomic(Path(args.out), doc)
-    else:
-        print(doc, end="")
+    corpus = ingest(args.corpus)
+    result = load_result_file(args.result, corpus)
+    assignment = cluster_assignment(corpus, args.resolution, args.seed, args.assignment)
+    if args.save_assignment and not args.assignment:
+        with open(args.save_assignment, "w", encoding="utf-8") as fh:
+            save_cluster_assignment(assignment, fh)
+    enhanced, report = enhance(result, assignment, args.threshold, corpus)
+    _emit(to_json(result_to_doc(enhanced)), args.out)
     print(f"clusters included: {len(report.included_clusters)}, "
           f"excluded: {len(report.excluded_clusters)}, "
           f"seed members lost to sub-threshold clusters: "
@@ -145,23 +119,13 @@ def cmd_enhance(args) -> int:
     return EXIT_OK
 
 
-def _load_coverage_lines(path) -> set[str]:
-    from .corpus import load_coverage_file
-    return load_coverage_file(path)
-
-
 def cmd_compare(args) -> int:
-    result_a = load_result_file(args.a)
-    result_b = load_result_file(args.b)
-    cov_a = _load_coverage_lines(args.coverage_a)
-    cov_b = _load_coverage_lines(args.coverage_b)
-    comparison = pairwise_compare(result_a, cov_b, result_b, cov_a)
-    row = table5_row(comparison)
-    header = TABLE5_HEADER
-    print(header)
-    print(",".join(str(row[h]) for h in header.split(",")))
-    svg, sidecar = render_overlap_bar(
-        comparison, sample_size=None if args.full_dois else args.sample)
+    row, svg, sidecar = compare(
+        load_result_file(args.a), load_coverage_file(args.coverage_a),
+        load_result_file(args.b), load_coverage_file(args.coverage_b),
+        sample_size=None if args.full_dois else args.sample)
+    print(TABLE5_HEADER)
+    print(",".join(str(row[h]) for h in TABLE5_HEADER.split(",")))
     if args.out:
         out = Path(args.out)
         write_atomic(out / "overlap.svg", svg)
@@ -170,20 +134,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_termmap(args) -> int:
-    corpus_a = load_corpus_file(args.corpus_a)
-    corpus_b = load_corpus_file(args.corpus_b or args.corpus_a)
-    result_a = load_result_file(args.a)
-    result_b = load_result_file(args.b)
-    config = TermMapConfig(min_occurrences=args.min_occurrences,
-                           layout_seed=args.seed)
-    docs_a = [corpus_a[m] for m in sorted(result_a.members)]
-    docs_b = [corpus_b[m] for m in sorted(result_b.members)]
-    term_map = build_term_map(result_a.strategy_name, docs_a,
-                              result_b.strategy_name, docs_b, config)
+    corpus_a = ingest(args.corpus_a)
+    corpus_b = ingest(args.corpus_b) if args.corpus_b else corpus_a
+    tm, exports = term_map(
+        load_result_file(args.a, corpus_a), corpus_a,
+        load_result_file(args.b, corpus_b), corpus_b,
+        {"min_occurrences": args.min_occurrences, "layout_seed": args.seed})
     out = Path(args.out)
-    for fmt in ("json", "graphml", "html"):
-        write_atomic(out / f"termmap.{fmt}", export_term_map(term_map, fmt))
-    print(f"{len(term_map.terms)} terms, {len(term_map.edges)} edges -> {out}")
+    for fmt, text in exports.items():
+        write_atomic(out / f"termmap.{fmt}", text)
+    print(f"{len(tm.terms)} terms, {len(tm.edges)} edges -> {out}")
     return EXIT_OK
 
 
@@ -289,23 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. An OSError or ValueError surfaces as a
+    stage-labelled PipelineError, whose kind picks the exit code."""
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with stage(args.command):
+            return args.func(args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {"config": EXIT_CONFIG, "io": EXIT_IO}.get(exc.kind, EXIT_COMPUTE)
-    except (IngestError, StrategyLoadError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

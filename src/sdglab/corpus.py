@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO, Iterable
 
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi:")
@@ -142,9 +143,10 @@ def ingest_corpus(source: IO[str], name: str = "corpus",
 
 def load_corpus_file(path, name: str | None = None,
                      coverage_path=None) -> Corpus:
+    """Load a corpus file, named `name` or else by the file's stem."""
     coverage = load_coverage_file(coverage_path) if coverage_path else None
     with open(path, encoding="utf-8") as fh:
-        return ingest_corpus(fh, name=name or str(path), coverage=coverage)
+        return ingest_corpus(fh, name=name or Path(path).stem, coverage=coverage)
 
 
 def load_coverage_file(path) -> set[str]:

@@ -1,4 +1,7 @@
-"""End-to-end pipeline: ingest, index, run strategies, enhance, compare, map, report."""
+"""End-to-end pipeline: ingest, index, run strategies, enhance, compare, map, report.
+
+`run_pipeline` and every CLI subcommand call the same stage functions below.
+"""
 
 from __future__ import annotations
 
@@ -7,19 +10,21 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .clustering import (ClusterAssignment, build_citation_graph, cluster_citation_graph,
-                         enhance_by_cluster_threshold, load_cluster_assignment)
-from .corpus import Corpus, YearWindow, doi_share, load_corpus_file
+from .clustering import (ClusterAssignment, EnhancementReport, build_citation_graph,
+                         cluster_citation_graph, enhance_by_cluster_threshold,
+                         load_cluster_assignment)
+from .corpus import Corpus, YearWindow, load_corpus_file
 from .index import build_index
-from .overlap import (SEGMENT_ORDER, PairwiseComparison, pairwise_compare,
-                      render_overlap_bar)
+from .overlap import PairwiseComparison, pairwise_compare, render_overlap_bar
 from .rounding import percent
-from .strategy import ResultSet, load_strategy_file, run_strategy, term_class_summary
-from .termmap import TermMapConfig, build_term_map, export_term_map
+from .strategy import (ResultSet, SearchStrategy, load_strategy_file, run_strategy,
+                       term_class_summary)
+from .termmap import TermMap, TermMapConfig, build_term_map, export_term_map
 
 log = logging.getLogger("sdglab.pipeline")
 
@@ -27,6 +32,8 @@ TABLE3_HEADER = "strategy,total,with_doi,doi_share_pct"
 TABLE4_HEADER = "strategy,general,policy,technical,total"
 TABLE5_HEADER = ("a,b,cov_a,meth_a,overlap,meth_b,cov_b,"
                  "cov_a_pct,meth_a_pct,overlap_pct,meth_b_pct,cov_b_pct")
+TERMMAP_FORMATS = ("json", "graphml", "html")
+TERMMAP_SETTINGS = ("min_occurrences", "max_ngram", "layout_seed", "layout_iterations")
 
 
 class PipelineError(Exception):
@@ -38,14 +45,22 @@ class PipelineError(Exception):
         self.kind = kind  # "config" | "io" | "computation"
 
 
-@dataclass
-class LoadedResult:
-    """Result set reloaded from a result.json file."""
-    strategy_name: str
-    corpus_name: str
-    members: frozenset[str]
-    doi_members: frozenset[str]
-    doi_record_count: int
+@contextmanager
+def stage(name: str, kind: str = "computation"):
+    """Label a failure inside the block with the stage `name`: an OSError
+    becomes an "io" PipelineError, a ValueError one of `kind`. A
+    PipelineError raised by an inner stage keeps its own label."""
+    try:
+        yield
+    except OSError as exc:
+        raise PipelineError(name, str(exc), kind="io") from exc
+    except ValueError as exc:
+        raise PipelineError(name, str(exc), kind=kind) from exc
+
+
+def to_json(doc) -> str:
+    """The text every JSON output is written as."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def result_to_doc(result) -> dict:
@@ -58,16 +73,114 @@ def result_to_doc(result) -> dict:
     }
 
 
-def load_result_file(path) -> LoadedResult:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return LoadedResult(
-        strategy_name=doc["strategy"],
-        corpus_name=doc["corpus"],
-        members=frozenset(doc["members"]),
-        doi_members=frozenset(doc["dois"]),
-        doi_record_count=doc["with_doi"],
-    )
+def ingest(corpus_file, name: str | None = None, coverage_file=None) -> Corpus:
+    """Load a corpus, named `name` or else by its file stem, and its coverage."""
+    name = name or Path(corpus_file).stem
+    with stage(f"ingest:{name}", "config"):
+        return load_corpus_file(corpus_file, name=name, coverage_path=coverage_file)
+
+
+def load_strategy(path) -> SearchStrategy:
+    """Load a strategy file; a bad one is a config error labelled by its stem."""
+    with stage(f"strategy:{Path(path).stem}", "config"):
+        return load_strategy_file(path)
+
+
+def load_result_file(path, corpus: Corpus | None = None) -> ResultSet:
+    """Reload a result.json file; against `corpus` when given, so a result
+    from another corpus is a config error."""
+    with stage(f"result:{path}", "config"), open(path, encoding="utf-8") as fh:
+        return ResultSet.from_doc(json.load(fh), corpus)
+
+
+ClusteringKey = tuple[str, float, int]  # (corpus name, resolution, seed)
+
+
+def cluster_assignment(corpus: Corpus, resolution: float = 1.0, seed: int = 0,
+                       source=None,
+                       clusterings: dict[ClusteringKey, ClusterAssignment] | None = None,
+                       ) -> ClusterAssignment:
+    """The assignment file `source`, or when it is None seeded Louvain on
+    the citation graph of `corpus`, looked up in `clusterings` and added on a
+    miss: enhancements that share a corpus, resolution and seed share one."""
+    if source is not None:
+        with open(source, encoding="utf-8") as fh:
+            return load_cluster_assignment(fh, corpus)
+    clusterings = {} if clusterings is None else clusterings
+    key = (corpus.name, resolution, seed)
+    if key in clusterings:
+        log.info("clustering %s resolution=%s seed=%s: reused", *key)
+        return clusterings[key]
+    assignment = cluster_citation_graph(build_citation_graph(corpus),
+                                        resolution=resolution, seed=seed)
+    clusterings[key] = assignment
+    log.info("clustering %s resolution=%s seed=%s: computed, %d clusters",
+             *key, assignment.cluster_count)
+    return assignment
+
+
+def enhance(result: ResultSet, assignment: ClusterAssignment, threshold: float,
+            corpus: Corpus, window: YearWindow | None = None,
+            whole_corpus_shares: bool = False) -> tuple[ResultSet, EnhancementReport]:
+    """Cluster-threshold enhancement, cut to `window` when one is given:
+    cluster shares count the records in the window (the whole corpus with
+    `whole_corpus_shares`), and only members in the window are kept."""
+    if window is None:
+        return enhance_by_cluster_threshold(result, assignment, threshold, corpus)
+    in_window = {r.internal_id for r in corpus if window.contains(r.year)}
+    enhanced, report = enhance_by_cluster_threshold(
+        result, assignment, threshold, corpus,
+        eligible=None if whole_corpus_shares else in_window)
+    return ResultSet(enhanced.strategy_name, corpus, enhanced.members & in_window), report
+
+
+def table5_row(comparison: PairwiseComparison) -> dict:
+    counts = comparison.counts
+    shares = comparison.shares
+    return {
+        "a": comparison.name_a,
+        "b": comparison.name_b,
+        "cov_a": counts["surplus_a_coverage"],
+        "meth_a": counts["surplus_a_method"],
+        "overlap": counts["overlap"],
+        "meth_b": counts["surplus_b_method"],
+        "cov_b": counts["surplus_b_coverage"],
+        "cov_a_pct": shares["surplus_a_coverage"],
+        "meth_a_pct": shares["surplus_a_method"],
+        "overlap_pct": shares["overlap"],
+        "meth_b_pct": shares["surplus_b_method"],
+        "cov_b_pct": shares["surplus_b_coverage"],
+    }
+
+
+def compare(result_a: ResultSet, coverage_a, result_b: ResultSet, coverage_b,
+            sample_size: int | None = 10) -> tuple[dict, str, str]:
+    """Split the DOI overlap of two results, each side's surplus by the other
+    database's coverage. Returns the Table 5 row, the overlap bar SVG and its
+    JSON sidecar (with up to `sample_size` DOIs per segment, None for all)."""
+    comparison = pairwise_compare(result_a, coverage_b, result_b, coverage_a)
+    row = table5_row(comparison)
+    svg, sidecar = render_overlap_bar(comparison, sample_size=sample_size)
+    log.info("compare %s__%s: %d DOIs in the union", comparison.name_a,
+             comparison.name_b, comparison.denominator)
+    return row, svg, sidecar
+
+
+def term_map(result_a: ResultSet, corpus_a: Corpus, result_b: ResultSet,
+             corpus_b: Corpus, settings: dict) -> tuple[TermMap, dict[str, str]]:
+    """Contrast term map of two results, over their members in id order.
+
+    `settings` may set any of TERMMAP_SETTINGS; the rest keep TermMapConfig's
+    defaults. Returns the map and its export in each of TERMMAP_FORMATS.
+    """
+    config = TermMapConfig(**{k: settings[k] for k in TERMMAP_SETTINGS if k in settings})
+    docs_a = [corpus_a[m] for m in sorted(result_a.members)]
+    docs_b = [corpus_b[m] for m in sorted(result_b.members)]
+    tm = build_term_map(result_a.strategy_name, docs_a, result_b.strategy_name, docs_b,
+                        config)
+    log.info("termmap %s__%s: %d docs, %d terms, %d edges", tm.name_a, tm.name_b,
+             len(docs_a) + len(docs_b), len(tm.terms), len(tm.edges))
+    return tm, {fmt: export_term_map(tm, fmt) for fmt in TERMMAP_FORMATS}
 
 
 @dataclass
@@ -76,29 +189,25 @@ class PipelineConfig:
     strategies: list[dict]
     comparisons: list[dict]
     termmaps: list[dict]
-    window: YearWindow
     output_dir: Path
     base_dir: Path = field(default_factory=Path.cwd)
     raw: dict = field(default_factory=dict)
 
     @classmethod
     def load(cls, path, output_dir=None) -> "PipelineConfig":
+        """Read a config file. Its paths, `output_dir` included, resolve
+        against the file's directory; an `output_dir` argument is taken as
+        given."""
         path = Path(path)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise PipelineError("config", str(exc), kind="io") from exc
-        except json.JSONDecodeError as exc:
-            raise PipelineError("config", f"invalid JSON: {exc}", kind="config") from exc
-        window_doc = doc.get("window", {"start": 2015, "end": 2019})
+        with stage("config", "config"), open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         config = cls(
             corpora=doc.get("corpora", []),
             strategies=doc.get("strategies", []),
             comparisons=doc.get("comparisons", []),
             termmaps=doc.get("termmaps", []),
-            window=YearWindow(window_doc["start"], window_doc["end"]),
-            output_dir=Path(output_dir or doc.get("output_dir", "sdglab-out")),
+            output_dir=Path(output_dir) if output_dir
+            else path.parent / doc.get("output_dir", "sdglab-out"),
             base_dir=path.parent,
             raw=doc,
         )
@@ -156,70 +265,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-ClusteringKey = tuple[str, float, int]  # (corpus name, resolution, seed)
-
-
-def _strategy_result(strategy, index, corpus, config: PipelineConfig,
-                     out_dir: Path,
-                     clusterings: dict[ClusteringKey, ClusterAssignment]) -> ResultSet:
-    """Run a strategy and apply its enhancement.
-
-    A computed clustering is looked up in `clusterings` and added on a miss:
-    Louvain is seeded, so strategies that share a corpus, resolution and
-    seed share one assignment. Enhanced members stay inside the strategy's
-    window even when cluster shares are computed over the whole corpus.
-    """
-    result = run_strategy(strategy, index, corpus)
-    spec = strategy.enhancement
-    if spec is not None:
-        if spec.assignment_source == "computed":
-            key = (corpus.name, spec.resolution, spec.seed)
-            assignment = clusterings.get(key)
-            if assignment is None:
-                assignment = cluster_citation_graph(
-                    build_citation_graph(corpus),
-                    resolution=spec.resolution, seed=spec.seed)
-                clusterings[key] = assignment
-                log.info("clustering %s resolution=%s seed=%s: computed, %d clusters",
-                         *key, assignment.cluster_count)
-            else:
-                log.info("clustering %s resolution=%s seed=%s: reused", *key)
-        else:
-            with open(config.resolve(spec.assignment_source), encoding="utf-8") as fh:
-                assignment = load_cluster_assignment(fh, corpus)
-        in_window = {r.internal_id for r in corpus if strategy.window.contains(r.year)}
-        result, report = enhance_by_cluster_threshold(
-            result, assignment, spec.threshold, corpus,
-            eligible=None if spec.whole_corpus_shares else in_window)
-        result = ResultSet(result.strategy_name, corpus, result.members & in_window)
-        write_atomic(out_dir / "enhancement.json", json.dumps({
-            "included_clusters": report.included_clusters,
-            "excluded_clusters": report.excluded_clusters,
-            "seed_members_lost": report.seed_members_lost,
-            "singleton_members": report.singleton_members,
-        }, indent=2, sort_keys=True) + "\n")
-    return result
-
-
-def table5_row(comparison: PairwiseComparison) -> dict:
-    counts = comparison.counts
-    shares = comparison.shares
-    return {
-        "a": comparison.name_a,
-        "b": comparison.name_b,
-        "cov_a": counts["surplus_a_coverage"],
-        "meth_a": counts["surplus_a_method"],
-        "overlap": counts["overlap"],
-        "meth_b": counts["surplus_b_method"],
-        "cov_b": counts["surplus_b_coverage"],
-        "cov_a_pct": shares["surplus_a_coverage"],
-        "meth_a_pct": shares["surplus_a_method"],
-        "overlap_pct": shares["overlap"],
-        "meth_b_pct": shares["surplus_b_method"],
-        "cov_b_pct": shares["surplus_b_coverage"],
-    }
-
-
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Execute every configured stage in dependency order.
 
@@ -231,16 +276,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     corpora: dict[str, Corpus] = {}
     indexes = {}
     for c in config.corpora:
-        stage = f"ingest:{c['name']}"
-        try:
-            corpus = load_corpus_file(
-                config.resolve(c["corpus_file"]), name=c["name"],
-                coverage_path=config.resolve(c["coverage_file"])
-                if c.get("coverage_file") else None)
-        except OSError as exc:
-            raise PipelineError(stage, str(exc), kind="io") from exc
-        except ValueError as exc:
-            raise PipelineError(stage, str(exc), kind="config") from exc
+        corpus = ingest(config.resolve(c["corpus_file"]), c["name"],
+                        config.resolve(c["coverage_file"])
+                        if c.get("coverage_file") else None)
         corpora[c["name"]] = corpus
         indexes[c["name"]] = build_index(corpus)
         log.info("ingest %s: %d records, %d vocabulary tokens", c["name"], len(corpus),
@@ -252,25 +290,24 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     table3, table4 = [], []
     for s in config.strategies:
         name = Path(s["file"]).stem
-        stage = f"run:{name}"
-        try:
-            strategy = load_strategy_file(config.resolve(s["file"]))
-        except OSError as exc:
-            raise PipelineError(stage, str(exc), kind="io") from exc
-        except ValueError as exc:
-            raise PipelineError(stage, str(exc), kind="config") from exc
+        strategy = load_strategy(config.resolve(s["file"]))
         corpus = corpora[s["corpus"]]
-        try:
-            result = _strategy_result(strategy, indexes[s["corpus"]], corpus,
-                                      config, out / "results" / name, clusterings)
-        except ValueError as exc:
-            raise PipelineError(stage, str(exc)) from exc
+        with stage(f"run:{name}"):
+            result = run_strategy(strategy, indexes[s["corpus"]], corpus)
+            spec = strategy.enhancement
+            if spec is not None:
+                assignment = cluster_assignment(
+                    corpus, spec.resolution, spec.seed,
+                    None if spec.assignment_source == "computed"
+                    else config.resolve(spec.assignment_source), clusterings)
+                result, report = enhance(result, assignment, spec.threshold, corpus,
+                                         strategy.window, spec.whole_corpus_shares)
+                write_atomic(out / "results" / name / "enhancement.json",
+                             to_json(asdict(report)))
         log.info("run %s: %d members", name, len(result))
         results[name] = result
         result_corpus[name] = s["corpus"]
-        write_atomic(out / "results" / name / "result.json",
-                      json.dumps(result_to_doc(result), indent=2,
-                                 sort_keys=True) + "\n")
+        write_atomic(out / "results" / name / "result.json", to_json(result_to_doc(result)))
         share_pct = percent(result.doi_record_count, len(result.members)) \
             if result.members else 0.0
         table3.append({"strategy": name, "total": len(result.members),
@@ -284,49 +321,34 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     table5 = []
     for pair in config.comparisons:
         a, b = pair["a"], pair["b"]
-        stage = f"compare:{a}__{b}"
-        cov_a = corpora[result_corpus[a]].coverage
-        cov_b = corpora[result_corpus[b]].coverage
-        comparison = pairwise_compare(results[a], cov_b, results[b], cov_a)
-        table5.append(table5_row(comparison))
+        with stage(f"compare:{a}__{b}"):
+            row, svg, sidecar = compare(results[a], corpora[result_corpus[a]].coverage,
+                                        results[b], corpora[result_corpus[b]].coverage)
+        table5.append(row)
         pair_dir = out / "comparisons" / f"{a}__{b}"
-        svg, sidecar = render_overlap_bar(comparison)
         write_atomic(pair_dir / "overlap.svg", svg)
         write_atomic(pair_dir / "overlap.json", sidecar)
         figures.append(str((pair_dir / "overlap.svg").relative_to(out)))
-        log.info("compare %s__%s: %d DOIs in the union", a, b, comparison.denominator)
 
     for pair in config.termmaps:
         a, b = pair["a"], pair["b"]
-        stage = f"termmap:{a}__{b}"
-        cfg_doc = pair.get("config", {})
-        tm_config = TermMapConfig(
-            min_occurrences=cfg_doc.get("min_occurrences", 70),
-            max_ngram=cfg_doc.get("max_ngram", 3),
-            layout_seed=cfg_doc.get("layout_seed", 0),
-            layout_iterations=cfg_doc.get("layout_iterations", 150),
-        )
-        docs_a = [corpora[result_corpus[a]][m] for m in sorted(results[a].members)]
-        docs_b = [corpora[result_corpus[b]][m] for m in sorted(results[b].members)]
-        try:
-            term_map = build_term_map(a, docs_a, b, docs_b, tm_config)
-        except ValueError as exc:
-            raise PipelineError(stage, str(exc)) from exc
+        with stage(f"termmap:{a}__{b}"):
+            _, exports = term_map(results[a], corpora[result_corpus[a]],
+                                  results[b], corpora[result_corpus[b]],
+                                  pair.get("config", {}))
         map_dir = out / "termmaps" / f"{a}__{b}"
-        for fmt in ("json", "graphml", "html"):
-            write_atomic(map_dir / f"termmap.{fmt}", export_term_map(term_map, fmt))
+        for fmt, text in exports.items():
+            write_atomic(map_dir / f"termmap.{fmt}", text)
             figures.append(str((map_dir / f"termmap.{fmt}").relative_to(out)))
-        log.info("termmap %s__%s: %d docs, %d terms, %d edges", a, b,
-                 len(docs_a) + len(docs_b), len(term_map.terms), len(term_map.edges))
 
     bundle = ReportBundle(table3=table3, table4=table4, table5=table5,
                           figures=figures, manifest={})
     emit_report(bundle, "csv", out / "reports")
     emit_report(bundle, "markdown", out / "reports")
-    write_atomic(out / "reports" / "bundle.json", json.dumps({
+    write_atomic(out / "reports" / "bundle.json", to_json({
         "table3": table3, "table4": table4, "table5": table5,
         "figures": figures,
-    }, indent=2, sort_keys=True) + "\n")
+    }))
 
     manifest = {
         "config_sha256": hashlib.sha256(
@@ -338,8 +360,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             manifest["outputs"][str(path.relative_to(out))] = _sha256(path)
-    write_atomic(out / "manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(out / "manifest.json", to_json(manifest))
     bundle.manifest = manifest
     log.info("report: %d files", len(manifest["outputs"]) + 1)
     return bundle

@@ -89,6 +89,23 @@ class ResultSet:
         self.doi_members: frozenset[str] = frozenset(d for d in dois if d)
         self.doi_record_count: int = sum(1 for d in dois if d)
 
+    @classmethod
+    def from_doc(cls, doc: dict, corpus: Corpus | None = None) -> "ResultSet":
+        """Rebuild a result from its result.json document: against `corpus`
+        when given, with members checked and DOIs derived; else with the
+        document's own DOI view."""
+        try:
+            if corpus is not None:
+                return cls(doc["strategy"], corpus, doc["members"])
+            result = cls.__new__(cls)
+            result.strategy_name, result.corpus_name = doc["strategy"], doc["corpus"]
+            result.members = frozenset(doc["members"])
+            result.doi_members = frozenset(doc["dois"])
+            result.doi_record_count = doc["with_doi"]
+            return result
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"not a result document: {exc!r}") from exc
+
     def __len__(self) -> int:
         return len(self.members)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import os
 import shutil
 import subprocess
 import sys
@@ -132,6 +133,22 @@ class TestRunPipeline:
         with pytest.raises(PipelineError) as exc:
             PipelineConfig.load(bad, output_dir=tmp_path / "out")
         assert exc.value.kind == "config"
+
+    def test_output_dir_resolves_against_config_file(self, demo_dir, tmp_path,
+                                                     monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "config.json").write_text(json.dumps({
+            "corpora": [{"name": "c", "corpus_file": str(demo_dir / "corpus_x.jsonl")}],
+            "strategies": [{"file": str(demo_dir / "alpha.json"), "corpus": "c"}]}))
+        monkeypatch.chdir(tmp_path)
+        config = PipelineConfig.load(Path("sub") / "config.json")
+        run_pipeline(config)
+        assert (sub / "sdglab-out" / "results" / "alpha" / "result.json").is_file()
+        assert not (tmp_path / "sdglab-out").exists()
+        # an output directory given by the caller stays relative to the cwd
+        given = PipelineConfig.load(Path("sub") / "config.json", output_dir="given")
+        assert given.output_dir == Path("given")
 
     def test_non_distinct_pair_rejected(self, demo_dir, tmp_path):
         doc = json.loads((demo_dir / "config.json").read_text())
@@ -272,6 +289,15 @@ class TestCli:
     def run_cli(self, *argv):
         return main(list(argv))
 
+    def run_cli_failing(self, capsys, code, *argv) -> str:
+        """Run a CLI call that must exit with `code` and report a
+        stage-labelled error; return its stderr."""
+        capsys.readouterr()
+        assert main(list(argv)) == code
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: [") for line in err.splitlines()), err
+        return err
+
     def test_parse_explain(self, capsys):
         assert self.run_cli("parse", "--query", '"climate change"~2',
                             "--explain") == 0
@@ -279,11 +305,13 @@ class TestCli:
         assert "Proximity" in out
 
     def test_parse_error_exit_code(self, capsys):
-        assert self.run_cli("parse", "--query", '"unbalanced') == 2
+        err = self.run_cli_failing(capsys, 2, "parse", "--query", '"unbalanced')
+        assert err.startswith("error: [parse] ")
 
-    def test_missing_file_exit_code(self, tmp_path):
-        assert self.run_cli("ingest", "--corpus",
-                            str(tmp_path / "missing.jsonl")) == 3
+    def test_missing_file_exit_code(self, tmp_path, capsys):
+        err = self.run_cli_failing(capsys, 3, "ingest", "--corpus",
+                                   str(tmp_path / "missing.jsonl"))
+        assert err.startswith("error: [ingest:missing] ")
 
     def test_strategy_summarize(self, data_dir, capsys):
         path = data_dir / "strategies" / "strings.json"
@@ -357,18 +385,17 @@ class TestCli:
         assert out.read_text(encoding="utf-8") == "previous"
         assert list(tmp_path.iterdir()) == [out]
 
-    def run_with_index(self, demo_dir, index, corpus="corpus_x.jsonl"):
-        return self.run_cli("run", "--strategy", str(demo_dir / "alpha.json"),
-                            "--corpus", str(demo_dir / corpus),
-                            "--index", str(index))
+    def run_with_index_failing(self, capsys, code, demo_dir, index) -> str:
+        return self.run_cli_failing(capsys, code, "run",
+                                    "--strategy", str(demo_dir / "alpha.json"),
+                                    "--corpus", str(demo_dir / "corpus_x.jsonl"),
+                                    "--index", str(index))
 
     def test_index_of_another_corpus_exit_code(self, demo_dir, tmp_path, capsys):
         index = tmp_path / "index_y.json"
         assert self.run_cli("index", "--corpus", str(demo_dir / "corpus_y.jsonl"),
                             "--out", str(index)) == 0
-        capsys.readouterr()
-        assert self.run_with_index(demo_dir, index) == 2
-        err = capsys.readouterr().err
+        err = self.run_with_index_failing(capsys, 2, demo_dir, index)
         assert str(index) in err and "does not index corpus" in err
 
     def test_partly_overlapping_index_exit_code(self, demo_dir, tmp_path, capsys):
@@ -377,9 +404,7 @@ class TestCli:
         part.write_text("\n".join(lines[: len(lines) // 2]) + "\n", encoding="utf-8")
         index = tmp_path / "index_part.json"
         assert self.run_cli("index", "--corpus", str(part), "--out", str(index)) == 0
-        capsys.readouterr()
-        assert self.run_with_index(demo_dir, index) == 2
-        assert str(index) in capsys.readouterr().err
+        assert str(index) in self.run_with_index_failing(capsys, 2, demo_dir, index)
 
     @pytest.mark.parametrize("content, message", [
         ('{"magic": "nope"}', "not an index file"),
@@ -395,12 +420,11 @@ class TestCli:
                                       content, message):
         index = tmp_path / "bad.json"
         index.write_text(content, encoding="utf-8")
-        assert self.run_with_index(demo_dir, index) == 2
-        err = capsys.readouterr().err
+        err = self.run_with_index_failing(capsys, 2, demo_dir, index)
         assert str(index) in err and message in err
 
-    def test_missing_index_file_exit_code(self, demo_dir, tmp_path):
-        assert self.run_with_index(demo_dir, tmp_path / "missing.json") == 3
+    def test_missing_index_file_exit_code(self, demo_dir, tmp_path, capsys):
+        self.run_with_index_failing(capsys, 3, demo_dir, tmp_path / "missing.json")
 
     def test_enhance_command(self, demo_dir, tmp_path, capsys):
         res = tmp_path / "beta.json"
@@ -415,6 +439,66 @@ class TestCli:
         doc = json.loads(enhanced.read_text())
         assert doc["members"]
 
+    @pytest.fixture()
+    def gamma_result(self, demo_dir, tmp_path):
+        """A result of the demo strategy gamma on corpus_y."""
+        res = tmp_path / "gamma.json"
+        assert self.run_cli("run", "--strategy", str(demo_dir / "gamma.json"),
+                            "--corpus", str(demo_dir / "corpus_y.jsonl"),
+                            "--out", str(res)) == 0
+        return res
+
+    def test_enhance_result_of_another_corpus_exit_code(self, demo_dir, tmp_path,
+                                                        capsys, gamma_result):
+        err = self.run_cli_failing(
+            capsys, 2, "enhance", "--corpus", str(demo_dir / "corpus_x.jsonl"),
+            "--result", str(gamma_result), "--out", str(tmp_path / "enhanced.json"))
+        assert f"error: [result:{gamma_result}] members not in corpus" in err
+        assert not (tmp_path / "enhanced.json").exists()
+
+    def test_termmap_result_of_another_corpus_exit_code(self, demo_dir, tmp_path,
+                                                        capsys, gamma_result):
+        err = self.run_cli_failing(
+            capsys, 2, "termmap", "--a", str(gamma_result), "--b", str(gamma_result),
+            "--corpus-a", str(demo_dir / "corpus_x.jsonl"), "--out", str(tmp_path / "tm"))
+        assert f"error: [result:{gamma_result}] members not in corpus" in err
+        assert not (tmp_path / "tm").exists()
+
+    def test_malformed_result_file_exit_code(self, demo_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"strategy": "s", "corpus": "c"}', encoding="utf-8")
+        err = self.run_cli_failing(
+            capsys, 2, "compare", "--a", str(bad), "--b", str(bad),
+            "--coverage-a", str(demo_dir / "coverage_x.txt"),
+            "--coverage-b", str(demo_dir / "coverage_y.txt"))
+        assert f"error: [result:{bad}] not a result document" in err
+
+    def test_cli_outputs_equal_pipeline_outputs(self, demo_config, demo_dir, tmp_path):
+        run_pipeline(demo_config)
+        pipe, cli = demo_config.output_dir, tmp_path / "cli"
+        for name, corpus in (("alpha", "corpus_x"), ("gamma", "corpus_y")):
+            assert self.run_cli("run", "--strategy", str(demo_dir / f"{name}.json"),
+                                "--corpus", str(demo_dir / f"{corpus}.jsonl"),
+                                "--out", str(cli / f"{name}.json")) == 0
+            assert (cli / f"{name}.json").read_bytes() == \
+                (pipe / "results" / name / "result.json").read_bytes()
+        results = ("--a", str(cli / "alpha.json"), "--b", str(cli / "gamma.json"))
+        assert self.run_cli("compare", *results,
+                            "--coverage-a", str(demo_dir / "coverage_x.txt"),
+                            "--coverage-b", str(demo_dir / "coverage_y.txt"),
+                            "--out", str(cli / "compare")) == 0
+        for name in ("overlap.svg", "overlap.json"):
+            assert (cli / "compare" / name).read_bytes() == \
+                (pipe / "comparisons" / "alpha__gamma" / name).read_bytes()
+        assert self.run_cli("termmap", *results,
+                            "--corpus-a", str(demo_dir / "corpus_x.jsonl"),
+                            "--corpus-b", str(demo_dir / "corpus_y.jsonl"),
+                            "--min-occurrences", "5", "--seed", "11",
+                            "--out", str(cli / "termmap")) == 0
+        for fmt in ("json", "graphml", "html"):
+            assert (cli / "termmap" / f"termmap.{fmt}").read_bytes() == \
+                (pipe / "termmaps" / "alpha__gamma" / f"termmap.{fmt}").read_bytes()
+
     def test_entry_point_installed(self):
         exe = shutil.which("sdglab")
         if exe is None:
@@ -422,3 +506,13 @@ class TestCli:
         proc = subprocess.run([exe, "parse", "--query", '"a" AND "b"'],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+def test_benchmark_imports_resolve():
+    """perfbench/measure.py imports names from the sdglab modules; renaming
+    one of them must fail here, not only in the benchmark's own tests."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "perfbench"])}
+    proc = subprocess.run([sys.executable, "-c", "import measure"], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
