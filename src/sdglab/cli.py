@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import logging
 import os
@@ -12,9 +11,10 @@ from pathlib import Path
 
 from .clustering import save_cluster_assignment
 from .corpus import Corpus, load_coverage_file
-from .index import PositionalIndex, build_index, load_index, save_index
-from .pipeline import (PipelineConfig, PipelineError, ReportBundle, TABLE5_HEADER,
-                       cluster_assignment, compare, emit_report, enhance, ingest,
+from .index import PositionalIndex, load_index, save_index
+from .pipeline import (TABLE3_HEADER, TABLE4_HEADER, TABLE5_HEADER, PipelineConfig,
+                       PipelineError, ReportBundle, atomic_file, cluster_assignment,
+                       compare, emit_report, enhance, index_corpus, ingest,
                        load_result_file, load_strategy, result_to_doc, run_pipeline,
                        stage, term_map, to_json, write_atomic)
 from .query import explain, parse_query, print_query
@@ -52,11 +52,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index(args) -> int:
-    index = build_index(ingest(args.corpus))
-    buf = io.StringIO()
-    save_index(index, buf)
-    write_atomic(Path(args.out), buf.getvalue())
-    print(f"indexed {index.doc_count} docs, vocabulary {len(index.postings)}")
+    index = index_corpus(ingest(args.corpus))
+    with atomic_file(Path(args.out)) as fh:
+        save_index(index, fh)
+    print(f"indexed {index.doc_count} docs, vocabulary {len(index.sorted_vocabulary)}")
     return EXIT_OK
 
 
@@ -96,7 +95,7 @@ def _load_index_for(path: str, corpus: Corpus) -> PositionalIndex:
 def cmd_run(args) -> int:
     corpus = ingest(args.corpus, coverage_file=args.coverage)
     strategy = load_strategy(args.strategy)
-    index = _load_index_for(args.index, corpus) if args.index else build_index(corpus)
+    index = _load_index_for(args.index, corpus) if args.index else index_corpus(corpus)
     _emit(to_json(result_to_doc(run_strategy(strategy, index, corpus))), args.out)
     return EXIT_OK
 
@@ -148,12 +147,22 @@ def cmd_termmap(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(Path(args.bundle) / "reports" / "bundle.json",
-              encoding="utf-8") as fh:
+    with stage("report", "config"), open(Path(args.bundle) / "reports" / "bundle.json",
+                                         encoding="utf-8") as fh:
         doc = json.load(fh)
-    bundle = ReportBundle(table3=doc["table3"], table4=doc["table4"],
-                          table5=doc["table5"], figures=doc["figures"],
-                          manifest={})
+        if not isinstance(doc, dict):
+            raise ValueError("bundle.json is not an object")
+        tables = {key: doc.get(key) for key in ("table3", "table4", "table5", "figures")}
+        for key, value in tables.items():
+            if not isinstance(value, list):
+                raise ValueError(f"bundle.json has no {key!r} list")
+        for key, header in (("table3", TABLE3_HEADER), ("table4", TABLE4_HEADER),
+                            ("table5", TABLE5_HEADER)):
+            for row in tables[key]:
+                if not isinstance(row, dict) or not row.keys() >= set(header.split(",")):
+                    raise ValueError(f"bundle.json {key!r} row {row!r} lacks a column "
+                                     f"of {header}")
+    bundle = ReportBundle(**tables, manifest={})
     written = emit_report(bundle, args.format, Path(args.out))
     for path in written:
         print(path)

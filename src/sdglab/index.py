@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import gc
+import base64
 import json
 import re
 from bisect import bisect_left
-from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from itertools import chain
 from typing import IO
+
+import numpy as np
 
 from .corpus import Corpus
 
@@ -24,17 +23,27 @@ FIELDS = (TITLE, ABSTRACT, KEYWORDS)
 # windows from spanning two keywords.
 KEYWORD_GAP = 100
 
-_DOC = itemgetter(0)
+# One occurrence is one int64 code, doc number << DOC_SHIFT | field <<
+# FIELD_SHIFT | position: docs are numbered in sorted id order, fields by
+# their place in FIELDS (two bits), and a position must be below MAX_POSITION.
+FIELD_SHIFT = 22
+DOC_SHIFT = 24
+MAX_POSITION = 1 << FIELD_SHIFT
+POS_MASK = MAX_POSITION - 1
 
 INDEX_MAGIC = "SDGLAB-INDEX"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 # Keys `load_index` requires besides magic and version, with their types.
-_INDEX_KEYS = (("postings", dict), ("doc_count", int), ("doc_ids", list))
+_INDEX_KEYS = (("doc_count", int), ("doc_ids", list), ("tokens", list),
+               ("counts", str), ("postings", str))
+# Array bytes base64-encoded per write; a multiple of 3, so the pieces
+# join into the encoding of the whole array.
+_B64_CHUNK = 3 << 18
 
 
 def tokenize(text: str) -> list[tuple[str, int]]:
     """Split text into lowercase alphanumeric runs with 0-based positions."""
-    return [(m.group(0).lower(), i) for i, m in enumerate(_TOKEN_RE.finditer(text))]
+    return [(tok.lower(), i) for i, tok in enumerate(_TOKEN_RE.findall(text))]
 
 
 def tokenize_keywords(keywords: tuple[str, ...] | list[str]) -> list[tuple[str, int]]:
@@ -59,92 +68,109 @@ def field_token_stream(record, field: str) -> list[tuple[str, int]]:
     raise ValueError(f"unknown field: {field}")
 
 
-@dataclass
 class PositionalIndex:
-    """Positional inverted index: token -> postings of (doc, field, positions).
+    """Positional inverted index of packed occurrence codes.
 
-    Each postings list is sorted by (doc, field), with docs in string order
-    and fields in FIELDS order, so a doc's entries sit together and
-    `positions` finds them by bisection. `build_index` establishes the order
-    and `save_index`/`load_index` keep it.
+    `codes` holds every token's codes (see DOC_SHIFT), token after token in
+    the order of `sorted_vocabulary`, each token's run strictly increasing;
+    `counts` gives the length of each run. Both arrays are read-only. A doc
+    number is the place of its id in `doc_order`. `doc_order` and the
+    vocabulary must be sorted and distinct.
     """
 
-    postings: dict[str, list[tuple[str, str, tuple[int, ...]]]]
-    doc_count: int
-    doc_ids: frozenset[str]
+    def __init__(self, doc_order: list[str], tokens: list[str],
+                 counts: np.ndarray, codes: np.ndarray):
+        self.doc_order = tuple(doc_order)
+        self.doc_ids = frozenset(doc_order)
+        self.doc_count = len(doc_order)
+        self.sorted_vocabulary = tokens
+        self.counts, self.codes = counts, codes
+        counts.flags.writeable = codes.flags.writeable = False
+        self._offsets = [0, *np.cumsum(counts).tolist()]
+        self._slot = {tok: i for i, tok in enumerate(tokens)}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PositionalIndex):
+            return NotImplemented
+        return (self.doc_order == other.doc_order
+                and self.sorted_vocabulary == other.sorted_vocabulary
+                and bool(np.array_equal(self.counts, other.counts))
+                and bool(np.array_equal(self.codes, other.codes)))
+
+    __hash__ = None
+
+    def token_codes(self, token: str) -> np.ndarray:
+        """The token's codes, increasing; empty for a token not indexed."""
+        i = self._slot.get(token)
+        if i is None:
+            return self.codes[:0]
+        return self.codes[self._offsets[i]:self._offsets[i + 1]]
+
+    def prefix_range(self, stem: str) -> tuple[int, int]:
+        """The slice of `sorted_vocabulary` holding the tokens that start with `stem`."""
+        vocab = self.sorted_vocabulary
+        lo = hi = bisect_left(vocab, stem)
+        while hi < len(vocab) and vocab[hi].startswith(stem):
+            hi += 1
+        return lo, hi
+
+    def prefix_codes(self, stem: str) -> np.ndarray:
+        """The codes of every token that starts with `stem`, token after token."""
+        lo, hi = self.prefix_range(stem)
+        return self.codes[self._offsets[lo]:self._offsets[hi]]
+
+    def doc_names(self, doc_numbers: list[int]) -> set[str]:
+        """A new set of the ids of the given doc numbers."""
+        return set(map(self.doc_order.__getitem__, doc_numbers))
 
     @property
-    def vocabulary(self) -> set[str]:
-        return set(self.postings)
+    def postings(self) -> dict[str, list[tuple[str, str, tuple[int, ...]]]]:
+        """token -> [(doc, field, positions)] in (doc, field) order.
 
-    @cached_property
-    def sorted_vocabulary(self) -> list[str]:
-        """The tokens in sorted order, computed on first use; postings must not change after."""
-        return sorted(self.postings)
-
-    def doc_postings(self, token: str, doc_id: str) -> list[tuple[str, str, tuple[int, ...]]]:
-        """The token's (doc, field, positions) entries for one doc, in field order."""
-        entries = self.postings.get(token, ())
-        i = bisect_left(entries, doc_id, key=_DOC)
-        return [e for e in entries[i:i + len(FIELDS)] if e[0] == doc_id]
-
-    def positions(self, token: str, doc_id: str, field: str) -> tuple[int, ...]:
-        for _, f, pos in self.doc_postings(token, doc_id):
-            if f == field:
-                return pos
-        return ()
-
-    def docs_with_token(self, token: str, fields) -> set[str]:
-        return {d for d, f, _ in self.postings.get(token, ()) if f in fields}
-
-
-@contextmanager
-def _gc_paused():
-    """Hold the cyclic collector off around bulk allocation of acyclic data.
-
-    Restores the caller's prior setting, so a caller that runs with GC off
-    keeps it off.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+        Decoded from the codes on each access, for inspection and tests;
+        evaluation reads the codes.
+        """
+        keys = self.codes >> FIELD_SHIFT  # (doc, field)
+        bounds = np.union1d(np.flatnonzero(keys[1:] != keys[:-1]) + 1, self._offsets)
+        first = np.searchsorted(bounds, self._offsets).tolist()
+        keys, bounds = keys.tolist(), bounds.tolist()
+        positions = (self.codes & POS_MASK).tolist()
+        field_bits = DOC_SHIFT - FIELD_SHIFT
+        entries = [(self.doc_order[keys[a] >> field_bits], FIELDS[keys[a] & 3],
+                    tuple(positions[a:b]))
+                   for a, b in zip(bounds, bounds[1:])]
+        return {tok: entries[a:b]
+                for tok, a, b in zip(self.sorted_vocabulary, first, first[1:])}
 
 
 def build_index(corpus: Corpus) -> PositionalIndex:
     """Index the title, abstract and keywords fields of every record.
 
-    Docs are visited in id order and fields in FIELDS order, so each postings
-    list grows in (doc, field) order and each position list in increasing
-    order; neither needs a sort. The final entry tuples are created token by
-    token in a second pass, which keeps each token's entries close together
-    in memory for the scans of `docs_with_token`.
+    Docs are visited in id order, fields in FIELDS order and positions in
+    increasing order, so each token's codes come out increasing with no sort.
+    Raises ValueError for a position at or past MAX_POSITION.
     """
-    with _gc_paused():
-        raw: dict[str, list[tuple[str, str, list[int]]]] = {}
-        for doc in sorted(corpus.records):
-            rec = corpus.records[doc]
-            for fld in FIELDS:
-                field_posns: dict[str, list[int]] = {}
-                for tok, pos in field_token_stream(rec, fld):
-                    posns = field_posns.get(tok)
-                    if posns is None:
-                        field_posns[tok] = [pos]
-                    else:
-                        posns.append(pos)
-                for tok, posns in field_posns.items():
-                    entries = raw.get(tok)
-                    if entries is None:
-                        raw[tok] = [(doc, fld, posns)]
-                    else:
-                        entries.append((doc, fld, posns))
-        postings = {tok: [(d, f, tuple(p)) for d, f, p in raw[tok]]
-                    for tok in sorted(raw)}
-    return PositionalIndex(postings=postings, doc_count=len(corpus),
-                           doc_ids=frozenset(corpus.records))
+    doc_order = sorted(corpus.records)
+    raw: dict[str, list[int]] = {}
+    for num, doc in enumerate(doc_order):
+        rec = corpus.records[doc]
+        for f, fld in enumerate(FIELDS):
+            stream = field_token_stream(rec, fld)
+            if stream and stream[-1][1] >= MAX_POSITION:
+                raise ValueError(f"record {doc!r} field {fld!r}: position "
+                                 f"{stream[-1][1]} is not below 2**{FIELD_SHIFT}")
+            base = num << DOC_SHIFT | f << FIELD_SHIFT
+            for tok, pos in stream:
+                codes = raw.get(tok)
+                if codes is None:
+                    raw[tok] = [base | pos]
+                else:
+                    codes.append(base | pos)
+    tokens = sorted(raw)
+    runs = [raw[tok] for tok in tokens]
+    counts = np.fromiter(map(len, runs), np.int64, len(runs))
+    codes = np.fromiter(chain.from_iterable(runs), np.int64, int(counts.sum()))
+    return PositionalIndex(doc_order, tokens, counts, codes)
 
 
 def wildcard_expand(pattern: str, index: PositionalIndex) -> set[str]:
@@ -154,46 +180,88 @@ def wildcard_expand(pattern: str, index: PositionalIndex) -> set[str]:
     stem = pattern[:-1]
     if not stem:
         raise ValueError("unbounded wildcard")
-    vocab = index.sorted_vocabulary
-    lo = hi = bisect_left(vocab, stem)
-    while hi < len(vocab) and vocab[hi].startswith(stem):
-        hi += 1
-    return set(vocab[lo:hi])
+    lo, hi = index.prefix_range(stem)
+    return set(index.sorted_vocabulary[lo:hi])
+
+
+def _write_base64(sink: IO[str], array: np.ndarray) -> None:
+    data = memoryview(array.astype("<i8", copy=False)).cast("B")
+    for i in range(0, len(data), _B64_CHUNK):
+        sink.write(base64.b64encode(data[i:i + _B64_CHUNK]).decode("ascii"))
 
 
 def save_index(index: PositionalIndex, sink: IO[str]) -> None:
-    # One json.dumps call runs the C encoder (json.dump streams through the
-    # pure-Python one); tuples encode as arrays, so postings go in as they are.
-    doc = {
-        "magic": INDEX_MAGIC,
-        "version": INDEX_VERSION,
-        "doc_count": index.doc_count,
-        "doc_ids": sorted(index.doc_ids),
-        "postings": index.postings,
-    }
-    sink.write(json.dumps(doc, ensure_ascii=False, sort_keys=True))
+    """Write the index as one JSON object: magic, version, doc_count, the
+    sorted doc_ids and tokens, then `counts` and `postings` (the codes) as
+    base64 of little-endian int64 bytes. The base64 goes out in pieces, so
+    the encoded arrays are never held whole in memory."""
+    head = json.dumps({"magic": INDEX_MAGIC, "version": INDEX_VERSION,
+                       "doc_count": index.doc_count, "doc_ids": list(index.doc_order),
+                       "tokens": index.sorted_vocabulary}, ensure_ascii=False)
+    sink.write(head[:-1])
+    for key, array in (("counts", index.counts), ("postings", index.codes)):
+        sink.write(f', "{key}": "')
+        _write_base64(sink, array)
+        sink.write('"')
+    sink.write("}")
+
+
+def _sorted_strings(doc: dict, key: str) -> list[str]:
+    values = doc[key]
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"index {key!r} holds a value that is not a string")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"index {key!r} is not sorted and distinct")
+    return values
+
+
+def _int64_array(doc: dict, key: str) -> np.ndarray:
+    try:
+        data = base64.b64decode(doc[key], validate=True)
+    except ValueError as exc:
+        raise ValueError(f"index {key!r} is not base64: {exc}") from exc
+    if len(data) % 8:
+        raise ValueError(f"index {key!r} holds {len(data)} bytes, not a multiple of 8")
+    return np.frombuffer(data, dtype="<i8").astype(np.int64, copy=False)
+
+
+def _check_codes(codes: np.ndarray, ends: np.ndarray, doc_count: int) -> None:
+    if not len(codes):
+        return
+    rising = codes[1:] > codes[:-1]
+    rising[ends[:-1] - 1] = True  # a token's first code follows another token's
+    if not rising.all():
+        raise ValueError("index codes of a token are not strictly increasing")
+    if codes.min() < 0 or codes.max() >> DOC_SHIFT >= doc_count:
+        raise ValueError(f"index codes name a doc number outside 0..{doc_count - 1}")
+    if (codes >> FIELD_SHIFT & 3 >= len(FIELDS)).any():
+        raise ValueError(f"index codes name field {len(FIELDS)}: "
+                         f"a position not below 2**{FIELD_SHIFT}")
 
 
 def load_index(source: IO[str]) -> PositionalIndex:
-    with _gc_paused():
-        doc = json.load(source)
-        if not isinstance(doc, dict) or doc.get("magic") != INDEX_MAGIC:
-            raise ValueError("not an index file")
-        if doc.get("version") != INDEX_VERSION:
-            raise ValueError(f"unsupported index version: {doc.get('version')}")
-        for key, kind in _INDEX_KEYS:
-            if key not in doc:
-                raise ValueError(f"index has no {key!r} key")
-            if not isinstance(doc[key], kind):
-                raise ValueError(f"index {key!r} is a {type(doc[key]).__name__}, "
-                                 f"not a {kind.__name__}")
-        try:
-            postings = {
-                tok: [(d, f, tuple(p)) for d, f, p in entries]
-                for tok, entries in doc["postings"].items()
-            }
-            doc_ids = frozenset(doc["doc_ids"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"index entries are malformed: {exc}") from exc
-    return PositionalIndex(postings=postings, doc_count=doc["doc_count"],
-                           doc_ids=doc_ids)
+    """Read an index written by `save_index`; raises ValueError for anything
+    else, naming what is wrong."""
+    doc = json.load(source)
+    if not isinstance(doc, dict) or doc.get("magic") != INDEX_MAGIC:
+        raise ValueError("not an index file")
+    if doc.get("version") != INDEX_VERSION:
+        raise ValueError(f"unsupported index version: {doc.get('version')}")
+    for key, kind in _INDEX_KEYS:
+        if key not in doc:
+            raise ValueError(f"index has no {key!r} key")
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"index {key!r} is a {type(doc[key]).__name__}, "
+                             f"not a {kind.__name__}")
+    doc_order, tokens = _sorted_strings(doc, "doc_ids"), _sorted_strings(doc, "tokens")
+    if doc["doc_count"] != len(doc_order):
+        raise ValueError(f"index doc_count {doc['doc_count']} is not the number "
+                         f"of doc_ids, {len(doc_order)}")
+    counts, codes = _int64_array(doc, "counts"), _int64_array(doc, "postings")
+    if len(counts) != len(tokens):
+        raise ValueError(f"index has {len(counts)} counts for {len(tokens)} tokens")
+    if len(counts) and (counts.min() < 1 or counts.max() > len(codes)) \
+            or int(counts.sum()) != len(codes):
+        raise ValueError(f"index counts do not sum to the number of codes, {len(codes)}")
+    _check_codes(codes, np.cumsum(counts), len(doc_order))
+    return PositionalIndex(doc_order, tokens, counts, codes)

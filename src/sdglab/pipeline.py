@@ -19,7 +19,7 @@ from .clustering import (ClusterAssignment, EnhancementReport, build_citation_gr
                          cluster_citation_graph, enhance_by_cluster_threshold,
                          load_cluster_assignment)
 from .corpus import Corpus, YearWindow, load_corpus_file
-from .index import build_index
+from .index import PositionalIndex, build_index
 from .overlap import PairwiseComparison, pairwise_compare, render_overlap_bar
 from .rounding import percent
 from .strategy import (ResultSet, SearchStrategy, load_strategy_file, run_strategy,
@@ -78,6 +78,13 @@ def ingest(corpus_file, name: str | None = None, coverage_file=None) -> Corpus:
     name = name or Path(corpus_file).stem
     with stage(f"ingest:{name}", "config"):
         return load_corpus_file(corpus_file, name=name, coverage_path=coverage_file)
+
+
+def index_corpus(corpus: Corpus) -> PositionalIndex:
+    """Build the corpus's positional index; a record the index cannot hold
+    is a config error labelled by the corpus."""
+    with stage(f"ingest:{corpus.name}", "config"):
+        return build_index(corpus)
 
 
 def load_strategy(path) -> SearchStrategy:
@@ -201,6 +208,13 @@ class PipelineConfig:
         path = Path(path)
         with stage("config", "config"), open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("config file is not a JSON object")
+            for key, kind in (("corpora", list), ("strategies", list),
+                              ("comparisons", list), ("termmaps", list),
+                              ("output_dir", str)):
+                if key in doc and not isinstance(doc[key], kind):
+                    raise ValueError(f"config {key!r} is not a {kind.__name__}")
         config = cls(
             corpora=doc.get("corpora", []),
             strategies=doc.get("strategies", []),
@@ -219,20 +233,29 @@ class PipelineConfig:
         return p if p.is_absolute() else self.base_dir / p
 
     def validate(self) -> None:
-        corpus_names = [c.get("name") for c in self.corpora]
+        for what, entries, keys in (("corpus", self.corpora, ("name", "corpus_file")),
+                                    ("strategy", self.strategies, ("file", "corpus")),
+                                    ("comparison", self.comparisons + self.termmaps,
+                                     ("a", "b"))):
+            for entry in entries:
+                for key in keys:
+                    if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
+                        raise PipelineError("config", f"{what} entry {entry!r} has no "
+                                            f"string {key!r}", kind="config")
+        corpus_names = [c["name"] for c in self.corpora]
         if len(set(corpus_names)) != len(corpus_names):
             raise PipelineError("config", "duplicate corpus names", kind="config")
         if not self.corpora:
             raise PipelineError("config", "no corpora defined", kind="config")
         strategy_names = set()
         for s in self.strategies:
-            if s.get("corpus") not in corpus_names:
+            if s["corpus"] not in corpus_names:
                 raise PipelineError(
                     "config", f"strategy references undefined corpus "
-                    f"{s.get('corpus')!r}", kind="config")
+                    f"{s['corpus']!r}", kind="config")
             strategy_names.add(Path(s["file"]).stem)
         for pair in self.comparisons + self.termmaps:
-            a, b = pair.get("a"), pair.get("b")
+            a, b = pair["a"], pair["b"]
             if a == b:
                 raise PipelineError("config", f"comparison pair not distinct: "
                                     f"{a!r}", kind="config")
@@ -252,13 +275,25 @@ class ReportBundle:
     manifest: dict
 
 
-def write_atomic(path: Path, content: str) -> None:
-    """Write through a temporary file and os.replace, so a failure leaves
-    the previous file at `path` whole."""
+@contextmanager
+def atomic_file(path: Path):
+    """A text file that replaces `path` when the block ends: it is written
+    as a temporary file and moved over `path` by os.replace, so a failure
+    leaves the previous file at `path` whole and no temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def write_atomic(path: Path, content: str) -> None:
+    with atomic_file(path) as fh:
+        fh.write(content)
 
 
 def _sha256(path: Path) -> str:
@@ -280,9 +315,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                         config.resolve(c["coverage_file"])
                         if c.get("coverage_file") else None)
         corpora[c["name"]] = corpus
-        indexes[c["name"]] = build_index(corpus)
+        indexes[c["name"]] = index_corpus(corpus)
         log.info("ingest %s: %d records, %d vocabulary tokens", c["name"], len(corpus),
-                 len(indexes[c["name"]].postings))
+                 len(indexes[c["name"]].sorted_vocabulary))
 
     results: dict[str, ResultSet] = {}
     result_corpus: dict[str, str] = {}

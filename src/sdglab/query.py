@@ -6,7 +6,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .index import FIELDS, PositionalIndex, wildcard_expand
+import numpy as np
+
+from .index import DOC_SHIFT, FIELD_SHIFT, FIELDS, POS_MASK, PositionalIndex
 
 
 class ParseError(ValueError):
@@ -376,14 +378,9 @@ def proximity_match(phrase_tokens: tuple[str, ...], window: int,
     return _window_match(sets, bound)
 
 
-def _phrase_match_positions(sets: list[set[int]]) -> bool:
-    if any(not s for s in sets):
-        return False
-    return any(all(p + i in sets[i] for i in range(len(sets))) for p in sets[0])
-
-
 # ---------------------------------------------------------------------------
-# Evaluation against the index
+# Evaluation against the index: sorted arrays of occurrence codes (see
+# sdglab.index), reduced to doc numbers, mapped to ids once per leaf node.
 
 
 def _check_stem(stem: str) -> None:
@@ -392,65 +389,113 @@ def _check_stem(stem: str) -> None:
             f"wildcard stem {stem!r} shorter than 2 characters")
 
 
-def _expand(pattern: str, index: PositionalIndex) -> set[str]:
-    """Vocabulary tokens a phrase pattern stands for."""
+def _pattern_codes(pattern: str, index: PositionalIndex) -> np.ndarray:
+    """The sorted codes of the tokens a phrase pattern stands for."""
     if pattern.endswith("*"):
         _check_stem(pattern[:-1])
-        return wildcard_expand(pattern, index)
-    return {pattern}
+        return np.sort(index.prefix_codes(pattern[:-1]))
+    return index.token_codes(pattern)
 
 
-def _docs_with_any(tokens: set[str], index: PositionalIndex, fields) -> set[str]:
-    docs: set[str] = set()
-    for tok in tokens:
-        docs |= index.docs_with_token(tok, fields)
-    return docs
+def _in_fields(values: np.ndarray, fields: tuple[int, ...], shift: int) -> np.ndarray:
+    """The values whose two field bits, at bit `shift`, hold one of `fields`."""
+    if len(fields) == len(FIELDS):
+        return values
+    field = values >> shift & 3
+    keep = np.zeros(len(values), dtype=bool)
+    for f in fields:
+        keep |= field == f
+    return values[keep]
 
 
-def _positional_eval(tokens: tuple[str, ...], index: PositionalIndex,
-                     fields, matcher) -> set[str]:
-    # Each pattern is expanded once per node; per candidate doc only that
-    # doc's postings entries are looked up, by bisection.
-    expansions = []
-    candidates = None
-    for pattern in tokens:
-        expansion = _expand(pattern, index)
-        expansions.append(expansion)
-        docs = _docs_with_any(expansion, index, fields)
-        candidates = docs if candidates is None else candidates & docs
-        if not candidates:
-            return set()
-    matched = set()
-    for doc in candidates:
-        per_pattern = []  # for each pattern: field -> positions of its tokens in doc
-        for expansion in expansions:
-            found: dict[str, set[int]] = {}
-            for tok in expansion:
-                for _, f, pos in index.doc_postings(tok, doc):
-                    found.setdefault(f, set()).update(pos)
-            per_pattern.append(found)
-        for field in fields:
-            if all(field in found for found in per_pattern) and \
-                    matcher([found[field] for found in per_pattern]):
-                matched.add(doc)
-                break
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array."""
+    if len(values) < 2:
+        return values
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _members(needles: np.ndarray, haystack: np.ndarray) -> np.ndarray:
+    """For each needle, whether the sorted `haystack` holds it."""
+    if not len(haystack):
+        return np.zeros(len(needles), dtype=bool)
+    i = np.searchsorted(haystack, needles)
+    np.minimum(i, len(haystack) - 1, out=i)
+    return haystack[i] == needles
+
+
+def _phrase_docs(tokens: tuple[str, ...], index: PositionalIndex,
+                 fields: tuple[int, ...]) -> list[int]:
+    """Doc numbers of A(t0) & (A(t1) - 1) & ... & (A(tk) - k): starting from
+    the rarest pattern, each candidate start code is kept while start + i is
+    an occurrence of pattern i."""
+    arrays = [_pattern_codes(p, index) for p in tokens]
+    order = sorted(range(len(arrays)), key=lambda i: len(arrays[i]))
+    starts = _in_fields(arrays[order[0]], fields, FIELD_SHIFT) - order[0]
+    for i in order[1:]:
+        if not len(starts):
+            break
+        starts = starts[_members(starts + i, arrays[i])]
+    # A shift that borrows across a field puts the start past the last
+    # position a whole phrase can begin at.
+    starts = starts[(starts & POS_MASK) <= POS_MASK - (len(tokens) - 1)]
+    return _distinct(starts >> DOC_SHIFT).tolist()
+
+
+def _proximity_docs(tokens: tuple[str, ...], window: int, index: PositionalIndex,
+                    fields: tuple[int, ...]) -> list[int]:
+    """Doc numbers with a (doc, field) key, code >> FIELD_SHIFT, that every
+    pattern occurs in and whose positions there pass `_window_match`."""
+    arrays = [_pattern_codes(p, index) for p in tokens]
+    keys = None
+    for arr in arrays:
+        k = _distinct(arr >> FIELD_SHIFT)
+        keys = _in_fields(k, fields, 0) if keys is None else keys[_members(keys, k)]
+        if not len(keys):
+            return []
+    bound = len(tokens) - 1 + window
+    slices = [(arr & POS_MASK,
+               np.searchsorted(arr, keys << FIELD_SHIFT).tolist(),
+               np.searchsorted(arr, keys + 1 << FIELD_SHIFT).tolist())
+              for arr in arrays]
+    matched = []
+    for c, key in enumerate(keys.tolist()):
+        doc = key >> DOC_SHIFT - FIELD_SHIFT
+        if matched and matched[-1] == doc:
+            continue
+        if _window_match([set(pos[lo[c]:hi[c]].tolist()) for pos, lo, hi in slices],
+                         bound):
+            matched.append(doc)
     return matched
+
+
+def _leaf_docs(ast: QueryAst, index: PositionalIndex, fields: tuple[int, ...]) -> list[int]:
+    """Doc numbers of a Term, Wildcard, Phrase or Proximity node."""
+    if isinstance(ast, Term):
+        codes = _in_fields(index.token_codes(ast.token), fields, FIELD_SHIFT)
+        return _distinct(codes >> DOC_SHIFT).tolist()
+    if isinstance(ast, Wildcard):
+        _check_stem(ast.stem)
+        codes = _in_fields(index.prefix_codes(ast.stem), fields, FIELD_SHIFT)
+        return np.unique(codes >> DOC_SHIFT).tolist()
+    if isinstance(ast, Phrase):
+        return _phrase_docs(ast.tokens, index, fields)
+    return _proximity_docs(ast.tokens, ast.window, index, fields)
 
 
 def evaluate(ast: QueryAst, index: PositionalIndex,
              default_fields=FIELDS) -> set[str]:
-    """Evaluate a query AST to the set of matching document ids."""
+    """Evaluate a query AST to a new set of the matching document ids.
+
+    Fields that are not in FIELDS are ignored.
+    """
     fields = tuple(default_fields)
-    if isinstance(ast, Term):
-        return index.docs_with_token(ast.token, fields)
-    if isinstance(ast, Wildcard):
-        return _docs_with_any(_expand(ast.stem + "*", index), index, fields)
-    if isinstance(ast, Phrase):
-        return _positional_eval(ast.tokens, index, fields, _phrase_match_positions)
-    if isinstance(ast, Proximity):
-        bound = len(ast.tokens) - 1 + ast.window
-        return _positional_eval(ast.tokens, index, fields,
-                                lambda sets: _window_match(sets, bound))
+    if isinstance(ast, (Term, Wildcard, Phrase, Proximity)):
+        numbers = tuple(i for i, f in enumerate(FIELDS) if f in fields)
+        return index.doc_names(_leaf_docs(ast, index, numbers))
     if isinstance(ast, And):
         result = evaluate(ast.children[0], index, fields)
         for child in ast.children[1:]:

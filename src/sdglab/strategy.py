@@ -128,6 +128,11 @@ def load_strategy(source: IO[str] | dict) -> SearchStrategy:
             raise StrategyLoadError(f"unknown term_class: {term_class!r}")
         seeds.append(ClassifiedTerm(entry["query"], term_class))
     exclusions = tuple(doc.get("exclusions", ()))
+    fields = doc.get("fields", list(FIELDS))
+    if not isinstance(fields, list) or not fields or \
+            not all(f in FIELDS for f in fields) or len(set(fields)) != len(fields):
+        raise StrategyLoadError(f"fields must be a non-empty list of distinct names "
+                                f"from {list(FIELDS)}: {fields!r}")
     window_doc = doc.get("window", {"start": 2015, "end": 2019})
     enhancement = None
     if doc.get("enhancement"):
@@ -148,7 +153,7 @@ def load_strategy(source: IO[str] | dict) -> SearchStrategy:
             name=name,
             seed_terms=tuple(seeds),
             exclusion_terms=exclusions,
-            fields=tuple(doc.get("fields", FIELDS)),
+            fields=tuple(fields),
             window=YearWindow(window_doc["start"], window_doc["end"]),
             enhancement=enhancement,
         )

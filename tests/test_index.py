@@ -1,16 +1,18 @@
+import base64
 import gc
 import hashlib
 import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_corpus
 from sdglab.corpus import Corpus, PublicationRecord, load_corpus_file
-from sdglab.index import (FIELDS, INDEX_MAGIC, INDEX_VERSION, PositionalIndex,
-                          build_index, field_token_stream, load_index,
-                          save_index, tokenize, tokenize_keywords,
+from sdglab.index import (FIELDS, INDEX_MAGIC, INDEX_VERSION, KEYWORD_GAP,
+                          MAX_POSITION, PositionalIndex, build_index, field_token_stream,
+                          load_index, save_index, tokenize, tokenize_keywords,
                           wildcard_expand)
 
 
@@ -76,7 +78,7 @@ class TestBuildIndex:
             ("a", "abstract", (1,)),
             ("a", "keywords", (0,)),
         ]
-        assert index.docs_with_token("energy", FIELDS) == {"b"}
+        assert {d for d, _, _ in index.postings["energy"]} == {"b"}
 
     def test_rebuild_is_byte_identical(self):
         corpus = two_doc_corpus()
@@ -110,13 +112,14 @@ class TestBuildIndex:
         streams = {(rec.internal_id, fld):
                    {tok for tok, _ in field_token_stream(rec, fld)}
                    for rec in corpus for fld in FIELDS}
-        for tok, entries in index.postings.items():
+        postings = index.postings  # decoded anew on each access
+        for tok, entries in postings.items():
             for doc, fld, _ in entries:
                 assert tok in streams[(doc, fld)]
         for (doc, fld), toks in streams.items():
             for tok in toks:
                 assert any(d == doc and f == fld
-                           for d, f, _ in index.postings[tok])
+                           for d, f, _ in postings[tok])
 
     def test_round_trip_serialization(self):
         index = build_index(two_doc_corpus())
@@ -125,6 +128,9 @@ class TestBuildIndex:
         again = load_index(io.StringIO(sink.getvalue()))
         assert again.postings == index.postings
         assert again.doc_count == index.doc_count
+        assert again.doc_ids == index.doc_ids == frozenset({"a", "b"})
+        assert (again == index) is True
+        assert (again != index) is False
 
     def test_load_rejects_wrong_magic(self):
         with pytest.raises(ValueError, match="not an index file"):
@@ -156,7 +162,7 @@ class TestWildcardExpand:
     def test_result_within_vocabulary(self):
         index = self.make_index(["climate", "climatic", "clay", "sun"])
         expanded = wildcard_expand("cl*", index)
-        assert expanded <= index.vocabulary
+        assert expanded <= set(index.sorted_vocabulary)
         assert all(tok.startswith("cl") for tok in expanded)
 
     def test_stem_that_is_itself_a_token(self):
@@ -182,30 +188,35 @@ class TestWildcardExpand:
         stems |= {"clim", "zzz", "ö", vocab[-1] + "a", vocab[0][:-1]}
         for stem in stems:
             assert wildcard_expand(stem + "*", index) == \
-                {tok for tok in index.postings if tok.startswith(stem)}, stem
+                {tok for tok in vocab if tok.startswith(stem)}, stem
+
+
+def field_positions(postings, tok, doc, fld) -> tuple[int, ...]:
+    """The positions of `tok` in one field of one doc, per the postings view."""
+    return next((p for d, f, p in postings.get(tok, ()) if (d, f) == (doc, fld)), ())
 
 
 class TestPositions:
     def test_token_missing_from_the_asked_field(self):
-        index = build_index(two_doc_corpus())
+        postings = build_index(two_doc_corpus()).postings
         # "policy" sits only in a's keywords, "energy" in b's title and abstract
-        assert index.positions("policy", "a", "keywords") == (1,)
-        assert index.positions("policy", "a", "title") == ()
-        assert index.positions("policy", "a", "abstract") == ()
-        assert index.positions("energy", "b", "abstract") == (1,)
-        assert index.positions("energy", "b", "keywords") == ()
-        assert index.positions("energy", "a", "title") == ()
-        assert index.positions("absent", "a", "title") == ()
+        assert field_positions(postings, "policy", "a", "keywords") == (1,)
+        assert field_positions(postings, "policy", "a", "title") == ()
+        assert field_positions(postings, "policy", "a", "abstract") == ()
+        assert field_positions(postings, "energy", "b", "abstract") == (1,)
+        assert field_positions(postings, "energy", "b", "keywords") == ()
+        assert field_positions(postings, "energy", "a", "title") == ()
+        assert "absent" not in postings
 
     def test_equals_linear_scan(self):
         corpus = random_corpus(47, 150)
-        index = build_index(corpus)
-        for tok, entries in index.postings.items():
-            expected = {(d, f): p for d, f, p in entries}
-            for doc in corpus.records:
-                for fld in FIELDS:
-                    assert index.positions(tok, doc, fld) == \
-                        expected.get((doc, fld), ())
+        postings = build_index(corpus).postings
+        for rec in corpus:
+            for fld in FIELDS:
+                stream = field_token_stream(rec, fld)
+                for tok in {t for t, _ in stream}:
+                    assert field_positions(postings, tok, rec.internal_id, fld) == \
+                        tuple(p for t, p in stream if t == tok)
 
     def test_doc_field_order_survives_round_trip(self):
         # doc ids d0..d299 sort as strings ("d10" < "d2"), not as numbers
@@ -217,11 +228,11 @@ class TestPositions:
             assert keys == sorted(set(keys))
 
 
-# Index files of the demo corpora as written before build and save stopped
-# sorting and copying; the file format must not drift.
+# Index files of the demo corpora in the version-2 format; the format must
+# not drift.
 DEMO_INDEX_SHA256 = {
-    "corpus_x": "7c3dcf71f61bf4a17d1c7e4b80b6c776480a4015740ed78c339843f5aa3c765a",
-    "corpus_y": "510dc11019406ac16e87b20e8bd73b6a8d3d266bc2774e704bdbbe6c3b7ad3a6",
+    "corpus_x": "6ff8f637a464123198389858f391501e862ac68b3d94a25d8e3d9bc41c86eee4",
+    "corpus_y": "a7f0bc257966000564f7652a6941c3864e3c648b2df965eb549d5ea93190d2e6",
 }
 
 MIXED_VOCAB = ("climate ökologie été étude 数据 数据库 naïve café co2 "
@@ -243,7 +254,7 @@ def mixed_corpus(seed: int, n: int) -> Corpus:
         for doc in ids])
 
 
-def sort_based_build(corpus: Corpus) -> PositionalIndex:
+def sort_based_build(corpus: Corpus) -> dict:
     """Reference: collect postings in corpus order, then sort them."""
     raw = {}
     for rec in corpus:
@@ -256,23 +267,36 @@ def sort_based_build(corpus: Corpus) -> PositionalIndex:
                    for (doc, fld), posns in raw[tok].items()]
         entries.sort(key=lambda e: (e[0], FIELDS.index(e[1])))
         postings[tok] = entries
-    return PositionalIndex(postings=postings, doc_count=len(corpus),
-                           doc_ids=frozenset(corpus.records))
+    return postings
 
 
-def list_copy_save(index: PositionalIndex, sink) -> None:
-    """Reference: json.dump of the postings copied into lists."""
-    doc = {
-        "magic": INDEX_MAGIC,
-        "version": INDEX_VERSION,
-        "doc_count": index.doc_count,
-        "doc_ids": sorted(index.doc_ids),
-        "postings": {
-            tok: [[d, f, list(p)] for d, f, p in entries]
-            for tok, entries in index.postings.items()
-        },
-    }
-    json.dump(doc, sink, ensure_ascii=False, sort_keys=True)
+def b64(values) -> str:
+    return base64.b64encode(np.array(values, dtype="<i8").tobytes()).decode("ascii")
+
+
+def list_copy_save(postings: dict, doc_ids, sink) -> None:
+    """Reference: the version-2 file from a list copy of a postings dict,
+    each code doc number << 24 | field << 22 | position, each array encoded
+    whole, and one json.dump."""
+    order = sorted(doc_ids)
+    number = {doc: i for i, doc in enumerate(order)}
+    tokens = list(postings)
+    counts = [sum(len(p) for _, _, p in postings[tok]) for tok in tokens]
+    codes = [number[d] << 24 | FIELDS.index(f) << 22 | p
+             for tok in tokens for d, f, posns in postings[tok] for p in posns]
+    doc = {"magic": INDEX_MAGIC, "version": INDEX_VERSION, "doc_count": len(order),
+           "doc_ids": order, "tokens": tokens, "counts": b64(counts),
+           "postings": b64(codes)}
+    json.dump(doc, sink, ensure_ascii=False)
+
+
+# A valid one-doc, one-token index object without magic and version.
+ONE_DOC = {"doc_count": 1, "doc_ids": ["d"], "tokens": ["a"],
+           "counts": b64([1]), "postings": b64([0])}
+
+
+def without(key: str) -> dict:
+    return {k: v for k, v in ONE_DOC.items() if k != key}
 
 
 class TestIndexFormat:
@@ -286,54 +310,130 @@ class TestIndexFormat:
     @pytest.mark.parametrize("seed", range(5))
     def test_build_equals_sort_based_reference(self, seed):
         corpus = mixed_corpus(seed, 120)
-        index, ref = build_index(corpus), sort_based_build(corpus)
-        assert index == ref
-        assert list(index.postings) == list(ref.postings)
+        postings, ref = build_index(corpus).postings, sort_based_build(corpus)
+        assert postings == ref
+        assert list(postings) == list(ref)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_save_equals_list_copy_reference(self, seed):
-        index = build_index(mixed_corpus(100 + seed, 120))
+        corpus = mixed_corpus(100 + seed, 120)
+        index = build_index(corpus)
         sink, ref = io.StringIO(), io.StringIO()
         save_index(index, sink)
-        list_copy_save(index, ref)
+        list_copy_save(sort_based_build(corpus), corpus.records, ref)
         assert sink.getvalue() == ref.getvalue()
-        assert load_index(io.StringIO(sink.getvalue())) == index
+        assert (load_index(io.StringIO(sink.getvalue())) == index) is True
 
     def test_empty_corpus(self):
         corpus = Corpus("empty", [])
         sink, ref = io.StringIO(), io.StringIO()
         save_index(build_index(corpus), sink)
-        list_copy_save(sort_based_build(corpus), ref)
+        list_copy_save(sort_based_build(corpus), (), ref)
         assert sink.getvalue() == ref.getvalue()
+        assert load_index(io.StringIO(sink.getvalue())) == build_index(corpus)
+
+    def test_base64_pieces_join_into_one_encoding(self, monkeypatch):
+        # more codes than one base64 piece holds
+        monkeypatch.setattr("sdglab.index._B64_CHUNK", 24)
+        index = build_index(mixed_corpus(7, 40))
+        sink, ref = io.StringIO(), io.StringIO()
+        save_index(index, sink)
+        list_copy_save(index.postings, index.doc_ids, ref)
+        assert sink.getvalue() == ref.getvalue()
+
+    def test_one_changed_occurrence_is_unequal(self):
+        index = build_index(mixed_corpus(3, 30))
+        codes = index.codes.copy()
+        codes[len(codes) // 2] += 1
+        changed = PositionalIndex(list(index.doc_order), index.sorted_vocabulary,
+                                  index.counts, codes)
+        assert (changed == index) is False
+        assert (changed != index) is True
+        same = PositionalIndex(list(index.doc_order), index.sorted_vocabulary,
+                               index.counts, index.codes.copy())
+        assert (same == index) is True
 
     @pytest.mark.parametrize("text, message", [
         ('{"magic": "nope"}', "not an index file"),
         ('[1, 2]', "not an index file"),
         (json.dumps({"magic": INDEX_MAGIC, "version": INDEX_VERSION + 1}),
          "unsupported index version"),
-        ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": {"a": [["d',
+        ('{"magic": "SDGLAB-INDEX", "version": 2, "doc_ids": ["d',
          "Unterminated string"),
+        ('{"magic": "SDGLAB-INDEX", "version": 1, "doc_count": 0, "doc_ids": [], '
+         '"postings": {}}', "unsupported index version: 1"),
     ])
     def test_bad_files_raise_value_error(self, text, message):
         with pytest.raises(ValueError, match=message):
             load_index(io.StringIO(text))
 
     @pytest.mark.parametrize("doc, message", [
-        ({"doc_count": 0, "doc_ids": []}, "no 'postings' key"),
-        ({"postings": {}, "doc_ids": []}, "no 'doc_count' key"),
-        ({"postings": {}, "doc_count": 0}, "no 'doc_ids' key"),
-        ({"postings": [], "doc_count": 0, "doc_ids": []}, "'postings' is a list"),
-        ({"postings": {}, "doc_count": "0", "doc_ids": []}, "'doc_count' is a str"),
-        ({"postings": {"a": 5}, "doc_count": 0, "doc_ids": []}, "malformed"),
-        ({"postings": {"a": [["d", "title", 3]]}, "doc_count": 1, "doc_ids": ["d"]},
-         "malformed"),
-        ({"postings": {}, "doc_count": 0, "doc_ids": [["d"]]}, "malformed"),
-    ], ids=["no-postings", "no-doc_count", "no-doc_ids", "postings-list",
-            "doc_count-str", "token-entries-int", "positions-int", "doc_id-list"])
+        (without("doc_count"), "no 'doc_count' key"),
+        (without("doc_ids"), "no 'doc_ids' key"),
+        (without("tokens"), "no 'tokens' key"),
+        (without("counts"), "no 'counts' key"),
+        (without("postings"), "no 'postings' key"),
+        ({**ONE_DOC, "doc_count": "1"}, "'doc_count' is a str"),
+        ({**ONE_DOC, "doc_ids": "d"}, "'doc_ids' is a str"),
+        ({**ONE_DOC, "tokens": {}}, "'tokens' is a dict"),
+        ({**ONE_DOC, "counts": [1]}, "'counts' is a list"),
+        ({**ONE_DOC, "postings": []}, "'postings' is a list"),
+        ({**ONE_DOC, "doc_ids": [["d"]]}, "'doc_ids' holds a value that is not a string"),
+        ({**ONE_DOC, "tokens": [5]}, "'tokens' holds a value that is not a string"),
+        ({**ONE_DOC, "doc_count": 2, "doc_ids": ["e", "d"]}, "'doc_ids' is not sorted"),
+        ({**ONE_DOC, "tokens": ["a", "a"], "counts": b64([1, 1]), "postings": b64([0, 1])},
+         "'tokens' is not sorted"),
+        ({**ONE_DOC, "doc_count": 2}, "doc_count 2 is not the number of doc_ids"),
+        ({**ONE_DOC, "postings": "AAAA!AAA"}, "'postings' is not base64"),
+        ({**ONE_DOC, "counts": "AAAA"}, "'counts' holds 3 bytes, not a multiple of 8"),
+        ({**ONE_DOC, "counts": b64([1, 1])}, "2 counts for 1 tokens"),
+        ({**ONE_DOC, "counts": b64([2])}, "counts do not sum to the number of codes"),
+        ({**ONE_DOC, "counts": b64([0])}, "counts do not sum to the number of codes"),
+        ({**ONE_DOC, "counts": b64([2]), "postings": b64([1, 0])},
+         "not strictly increasing"),
+        ({**ONE_DOC, "counts": b64([2]), "postings": b64([1, 1])},
+         "not strictly increasing"),
+        ({**ONE_DOC, "postings": b64([1 << 24])}, "doc number outside 0..0"),
+        ({**ONE_DOC, "postings": b64([-1])}, "doc number outside 0..0"),
+        ({**ONE_DOC, "postings": b64([3 << 22])}, "field 3: a position not below 2"),
+    ], ids=["no-doc_count", "no-doc_ids", "no-tokens", "no-counts", "no-postings",
+            "doc_count-str", "doc_ids-str", "tokens-dict", "counts-list", "postings-list",
+            "doc_id-list", "token-entries-int", "doc_ids-unsorted", "tokens-repeated",
+            "doc_count-mismatch", "bad-base64", "payload-length", "counts-per-token",
+            "counts-sum", "count-zero", "codes-decreasing", "codes-repeated",
+            "doc-number-past-end", "doc-number-negative", "position-overflow"])
     def test_partial_index_object_raises_value_error(self, doc, message):
         text = json.dumps({"magic": INDEX_MAGIC, "version": INDEX_VERSION, **doc})
         with pytest.raises(ValueError, match=message):
             load_index(io.StringIO(text))
+
+    def test_valid_one_doc_object_loads(self):
+        text = json.dumps({"magic": INDEX_MAGIC, "version": INDEX_VERSION, **ONE_DOC})
+        assert load_index(io.StringIO(text)).postings == {"a": [("d", "title", (0,))]}
+
+
+def keywords_ending_at(last: int) -> tuple[str, ...]:
+    """One-word keywords, then one keyword whose last word sits at `last`."""
+    ones = (last - 76) // (1 + KEYWORD_GAP)
+    words = last - ones * (1 + KEYWORD_GAP) + 1
+    return ("k",) * ones + (" ".join(["w"] * words),)
+
+
+class TestPositionLimit:
+    def test_last_position_below_the_limit_is_indexed(self):
+        keywords = keywords_ending_at(MAX_POSITION - 1)
+        assert tokenize_keywords(keywords)[-1][1] == MAX_POSITION - 1
+        index = build_index(Corpus("c", [PublicationRecord("r", "t", 2016,
+                                                           keywords=keywords)]))
+        assert index.postings["w"][0][2][-1] == MAX_POSITION - 1
+
+    def test_position_at_the_limit_names_record_and_field(self):
+        keywords = keywords_ending_at(MAX_POSITION)
+        corpus = Corpus("c", [PublicationRecord("ok", "t", 2016),
+                              PublicationRecord("big", "t", 2016, keywords=keywords)])
+        with pytest.raises(ValueError, match="record 'big' field 'keywords': position "
+                                             f"{MAX_POSITION} is not below"):
+            build_index(corpus)
 
 
 class TestGcState:

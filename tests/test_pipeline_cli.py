@@ -285,6 +285,14 @@ class TestEnhancedWindow:
         assert list(report["included_clusters"].values()) == [pytest.approx(share)]
 
 
+def index_text(drop: str | None = None, **changes) -> str:
+    """An empty version-2 index object, without key `drop`, with `changes`."""
+    doc = {"magic": "SDGLAB-INDEX", "version": 2, "doc_count": 0, "doc_ids": [],
+           "tokens": [], "counts": "", "postings": "", **changes}
+    doc.pop(drop, None)
+    return json.dumps(doc)
+
+
 class TestCli:
     def run_cli(self, *argv):
         return main(list(argv))
@@ -409,13 +417,15 @@ class TestCli:
     @pytest.mark.parametrize("content, message", [
         ('{"magic": "nope"}', "not an index file"),
         ('{"magic": "SDGLAB-INDEX", "version": 99}', "unsupported index version"),
-        ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": {"a": [["x0', "Unterminated"),
-        ('{"magic": "SDGLAB-INDEX", "version": 1}', "no 'postings' key"),
-        ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": {}}', "no 'doc_count' key"),
-        ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": [], "doc_count": 0, '
-         '"doc_ids": []}', "'postings' is a list"),
+        ('{"magic": "SDGLAB-INDEX", "version": 2, "doc_ids": ["x0', "Unterminated"),
+        (index_text(drop="postings"), "no 'postings' key"),
+        (index_text(drop="doc_count"), "no 'doc_count' key"),
+        (index_text(postings=[]), "'postings' is a list"),
+        ('{"magic": "SDGLAB-INDEX", "version": 1, "postings": {}, "doc_count": 0, '
+         '"doc_ids": []}', "unsupported index version: 1"),
+        (index_text(postings="!!!!"), "'postings' is not base64"),
     ], ids=["magic", "version", "truncated", "no-postings", "no-doc_count",
-            "postings-list"])
+            "postings-list", "version-1", "bad-base64"])
     def test_bad_index_file_exit_code(self, demo_dir, tmp_path, capsys,
                                       content, message):
         index = tmp_path / "bad.json"
@@ -498,6 +508,111 @@ class TestCli:
         for fmt in ("json", "graphml", "html"):
             assert (cli / "termmap" / f"termmap.{fmt}").read_bytes() == \
                 (pipe / "termmaps" / "alpha__gamma" / f"termmap.{fmt}").read_bytes()
+
+    @pytest.fixture()
+    def overflow_corpus(self, tmp_path):
+        """A corpus file whose record "big" has 42,000 one-word keywords; with
+        the gap between keywords its last position is past 2**22."""
+        path = tmp_path / "over.jsonl"
+        records = [{"id": "ok", "title": "climate", "year": 2016},
+                   {"id": "big", "title": "climate", "year": 2016,
+                    "keywords": ["k"] * 42_000}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return path
+
+    def test_position_overflow_exit_code(self, demo_dir, tmp_path, capsys,
+                                         overflow_corpus):
+        label = "error: [ingest:over] record 'big' field 'keywords': position"
+        out = tmp_path / "index.json"
+        err = self.run_cli_failing(capsys, 2, "index", "--corpus", str(overflow_corpus),
+                                   "--out", str(out))
+        assert err.startswith(label)
+        assert not out.exists()
+        err = self.run_cli_failing(capsys, 2, "run",
+                                   "--strategy", str(demo_dir / "alpha.json"),
+                                   "--corpus", str(overflow_corpus))
+        assert err.startswith(label)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpora": [{"name": "over", "corpus_file": str(overflow_corpus)}],
+            "strategies": [{"file": str(demo_dir / "alpha.json"), "corpus": "over"}]}))
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config),
+                                   "--output-dir", str(tmp_path / "out"))
+        assert err.startswith(label)
+
+    @pytest.mark.parametrize("section, key", [
+        ("corpora", "name"), ("corpora", "corpus_file"), ("strategies", "file"),
+        ("strategies", "corpus"), ("comparisons", "a"), ("comparisons", "b"),
+        ("termmaps", "a"), ("termmaps", "b")])
+    @pytest.mark.parametrize("value", [None, 5], ids=["missing", "int"])
+    def test_config_entry_key_exit_code(self, demo_dir, tmp_path, capsys, section, key,
+                                        value):
+        doc = json.loads((demo_dir / "config.json").read_text())
+        if value is None:
+            del doc[section][0][key]
+        else:
+            doc[section][0][key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(PipelineError) as exc:
+            PipelineConfig.load(config)
+        assert exc.value.kind == "config"
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config),
+                                   "--output-dir", str(tmp_path / "out"))
+        assert err.startswith("error: [config] ") and f"has no string {key!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "config file is not a JSON object"),
+        ({"corpora": {}}, "config 'corpora' is not a list"),
+        ({"strategies": "alpha.json"}, "config 'strategies' is not a list"),
+        ({"comparisons": {}}, "config 'comparisons' is not a list"),
+        ({"termmaps": None}, "config 'termmaps' is not a list"),
+        ({"output_dir": 5}, "config 'output_dir' is not a str"),
+    ], ids=["list", "corpora", "strategies", "comparisons", "termmaps", "output_dir"])
+    def test_config_file_shape_exit_code(self, tmp_path, capsys, doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config))
+        assert err.startswith(f"error: [config] {message}")
+
+    def test_config_entry_not_an_object_exit_code(self, demo_dir, tmp_path, capsys):
+        doc = json.loads((demo_dir / "config.json").read_text())
+        doc["strategies"].append("alpha.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config))
+        assert err.startswith("error: [config] strategy entry 'alpha.json' has no string")
+
+    @pytest.mark.parametrize("bundle, message", [
+        ("[]", "bundle.json is not an object"),
+        ('{"table4": [], "table5": [], "figures": []}', "no 'table3' list"),
+        ('{"table3": [], "table5": [], "figures": []}', "no 'table4' list"),
+        ('{"table3": [], "table4": [], "figures": []}', "no 'table5' list"),
+        ('{"table3": [], "table4": [], "table5": []}', "no 'figures' list"),
+        ('{"table3": {}, "table4": [], "table5": [], "figures": []}', "no 'table3' list"),
+        ('{"table3": [{}], "table4": [], "table5": [], "figures": []}',
+         "'table3' row {} lacks a column of strategy,total"),
+        ('{"table3": [], "table4": [], "table5": [[]], "figures": []}',
+         "'table5' row [] lacks a column of a,b,cov_a"),
+        ('{"table3": [', "Expecting value"),
+    ], ids=["not-object", "no-table3", "no-table4", "no-table5", "no-figures",
+            "table3-object", "table3-row-empty", "table5-row-list", "truncated"])
+    def test_report_bad_bundle_exit_code(self, tmp_path, capsys, bundle, message):
+        (tmp_path / "run" / "reports").mkdir(parents=True)
+        (tmp_path / "run" / "reports" / "bundle.json").write_text(bundle, encoding="utf-8")
+        err = self.run_cli_failing(capsys, 2, "report", "--bundle", str(tmp_path / "run"),
+                                   "--out", str(tmp_path / "md"))
+        assert err.startswith("error: [report] ") and message in err
+        assert not (tmp_path / "md").exists()
+
+    def test_strategy_bad_fields_exit_code(self, demo_dir, tmp_path, capsys):
+        doc = json.loads((demo_dir / "alpha.json").read_text())
+        doc["fields"] = ["title", "body"]
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(doc))
+        err = self.run_cli_failing(capsys, 2, "strategy", "summarize", str(path))
+        assert err.startswith("error: [strategy:alpha] fields must be a non-empty list")
 
     def test_entry_point_installed(self):
         exe = shutil.which("sdglab")

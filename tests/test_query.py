@@ -1,13 +1,15 @@
 import random
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import VOCAB, random_corpus
 from oracle import evaluate_by_scan, match_doc
 from sdglab.corpus import Corpus, PublicationRecord
-from sdglab.index import FIELDS, build_index, tokenize
+from sdglab.index import (FIELD_SHIFT, FIELDS, MAX_POSITION, PositionalIndex, build_index,
+                          tokenize)
 from sdglab.query import (And, AndNot, EvaluationError, FieldScope, Or,
                           ParseError, Phrase, Proximity, Term, Wildcard,
                           evaluate, parse_query, print_query, proximity_match)
@@ -288,3 +290,84 @@ class TestOracleEquivalence:
         index = build_index(corpus_500)
         assert evaluate(ast, index) == \
             {r.internal_id for r in corpus_500 if match_doc(ast, r)}
+
+
+# --- packed index: field and doc boundaries, fresh results ------------------
+
+def boundary_corpus():
+    # "d10" sorts before "d9", so d10's keywords are followed by d9's title
+    # in doc-number order.
+    return Corpus("b", [
+        PublicationRecord("d9", "levy reform", 2016,
+                          abstract="carbon tax plans", keywords=("sea level",)),
+        PublicationRecord("d10", "solar energy", 2016,
+                          abstract="wind power cost", keywords=("carbon tax",)),
+    ])
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("tokens", [
+        ("energy", "wind"),    # last title token, first abstract token of d10
+        ("cost", "carbon"),    # last abstract token, first keyword token of d10
+        ("tax", "levy"),       # d10's last keyword token, d9's first title token
+        ("level", "solar"),    # d9's last token, d10's first (in id-string order)
+        ("energ*", "wind*"),
+        ("tax", "lev*"),
+    ])
+    def test_no_match_across_a_boundary(self, tokens):
+        corpus = boundary_corpus()
+        index = build_index(corpus)
+        for node in (Phrase(tokens), Proximity(tokens, 1), Proximity(tokens, 4)):
+            assert evaluate(node, index) == evaluate_by_scan(node, corpus) == set(), node
+
+    @pytest.mark.parametrize("tokens, expected", [
+        (("levy", "reform"), {"d9"}),    # position 0 of d9's title
+        (("wind", "power"), {"d10"}),    # position 0 of d10's abstract
+        (("carbon", "tax"), {"d9", "d10"}),  # position 0 of a keyword and of an abstract
+        (("sea", "lev*"), {"d9"}),
+        (("lev*", "reform"), {"d9"}),
+    ])
+    def test_pattern_at_position_zero(self, tokens, expected):
+        corpus = boundary_corpus()
+        index = build_index(corpus)
+        for node in (Phrase(tokens), Proximity(tokens, 1)):
+            assert evaluate(node, index) == evaluate_by_scan(node, corpus) == expected, node
+
+    def test_shift_does_not_borrow_from_the_next_field(self):
+        # "alpha" at the last position a title can hold, "beta" at position 0
+        # of the abstract: no phrase; the same pair inside one field matches.
+        def index_of(alpha, beta):
+            return PositionalIndex(["d"], ["alpha", "beta"],
+                                   np.array([1, 1], dtype=np.int64),
+                                   np.array([alpha, beta], dtype=np.int64))
+        title, abstract = 0 << FIELD_SHIFT, 1 << FIELD_SHIFT
+        apart = index_of(title | MAX_POSITION - 1, abstract | 0)
+        together = index_of(abstract | MAX_POSITION - 2, abstract | MAX_POSITION - 1)
+        for tokens in (("alpha", "beta"), ("alph*", "beta")):
+            assert evaluate(Phrase(tokens), apart) == set()
+            assert evaluate(Proximity(tokens, 1), apart) == set()
+            assert evaluate(Phrase(tokens), together) == {"d"}
+            assert evaluate(Proximity(tokens, 1), together) == {"d"}
+
+
+class TestFreshResults:
+    @pytest.mark.parametrize("query", [
+        '"climate"', '"clim*"', '"climate change"', '"climate change"~2',
+        '"climate" AND "change"', '"climate" OR "warming"',
+        '"climate" AND NOT "prehistoric"', '[title]("climate")',
+    ])
+    def test_mutating_a_result_leaves_the_next_one_alone(self, index, query):
+        ast = parse_query(query)
+        first = evaluate(ast, index)
+        expected = set(first)
+        assert expected and all(type(m) is str for m in first)
+        first.add("zzz")
+        first.discard(next(iter(expected)))
+        second = evaluate(ast, index)
+        assert second == expected and second is not first
+
+    def test_unknown_fields_are_ignored(self, index):
+        for ast in (Term("climate"), Phrase(("climate", "change"))):
+            assert evaluate(ast, index, ("title", "body")) == \
+                evaluate(ast, index, ("title",))
+            assert evaluate(ast, index, ("body",)) == set()

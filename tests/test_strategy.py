@@ -46,6 +46,22 @@ class TestLoadStrategy:
         with pytest.raises(StrategyLoadError):
             load_strategy(strategy_doc([]))
 
+    @pytest.mark.parametrize("fields", [
+        [], ["title", "title"], ["title", "body"], ["Title"], "title", [["title"]],
+    ], ids=["empty", "duplicate", "unknown", "wrong-case", "string", "nested"])
+    def test_bad_fields_rejected(self, fields):
+        doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
+               "fields": fields}
+        with pytest.raises(StrategyLoadError, match="fields must be a non-empty list"):
+            load_strategy(doc)
+
+    def test_fields_default_and_subset(self):
+        doc = strategy_doc([{"query": '"climate"', "class": "general"}])
+        del doc["fields"]
+        assert load_strategy(doc).fields == ("title", "abstract", "keywords")
+        doc["fields"] = ["keywords", "title"]
+        assert load_strategy(doc).fields == ("keywords", "title")
+
 
 def exclusion_corpus():
     return Corpus("c", [
