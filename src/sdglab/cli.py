@@ -18,7 +18,7 @@ from .pipeline import (TABLE3_HEADER, TABLE4_HEADER, TABLE5_HEADER, PipelineConf
                        load_result_file, load_strategy, result_to_doc, run_pipeline,
                        stage, term_map, to_json, write_atomic)
 from .query import explain, parse_query, print_query
-from .strategy import run_strategy, term_class_summary
+from .strategy import check_resolution, run_strategy, term_class_summary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,6 +177,14 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def _resolution(text: str) -> float:
+    """argparse type of --resolution: a finite number > 0."""
+    try:
+        return check_resolution(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdglab",
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--result", required=True)
     p.add_argument("--assignment")
     p.add_argument("--threshold", type=float, default=0.15)
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=_resolution, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save-assignment")
     p.add_argument("--out")

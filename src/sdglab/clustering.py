@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable
 
 import networkx as nx
 
 from .corpus import Corpus
-from .strategy import ResultSet
+from .strategy import ResultSet, check_resolution, check_seed
 
 
 class AssignmentLoadError(ValueError):
@@ -66,22 +68,134 @@ def build_citation_graph(corpus: Corpus) -> CitationGraph:
 
 def cluster_citation_graph(graph: CitationGraph, resolution: float = 1.0,
                            seed: int = 0) -> ClusterAssignment:
-    """Partition the citation graph with seeded modularity-based local moving.
+    """Partition the citation graph with seeded Louvain (Blondel et al. 2008).
 
-    Deterministic for fixed (graph, resolution, seed); isolated nodes become
-    singleton clusters.
+    The partition is the one networkx's `louvain_communities(g,
+    resolution=resolution, seed=seed)` returns: `_louvain_labels` follows
+    its steps and float expressions on integer node ids. Deterministic for
+    fixed (graph, resolution, seed); isolated nodes become singleton
+    clusters. `resolution` must be a finite number > 0 and `seed` an int.
     """
+    check_resolution(resolution)
+    check_seed(seed)
     g = graph.graph
     if g.number_of_nodes() == 0:
         raise ValueError("empty graph")
-    communities = nx.community.louvain_communities(
-        g, resolution=resolution, seed=seed)
+    members: dict[int, list[str]] = {}
+    for node, label in zip(g, _louvain_labels(g, resolution, seed)):
+        members.setdefault(label, []).append(node)
     # Canonical labels: clusters ordered by their smallest member id.
-    mapping: dict[str, str] = {}
-    for i, members in enumerate(sorted(communities, key=lambda c: min(c))):
-        for node in members:
-            mapping[node] = f"c{i}"
-    return ClusterAssignment(mapping=mapping)
+    return ClusterAssignment(mapping={
+        node: f"c{i}"
+        for i, cluster in enumerate(sorted(members.values(), key=min))
+        for node in cluster})
+
+
+def _louvain_labels(g: nx.Graph, resolution: float, seed: int) -> list[int]:
+    """The final community of the i-th node of `g`, for every i, as
+    networkx 3.6.1's undirected `louvain_partitions` finds it.
+
+    Level 0 is `g` with edges added in `g.edges` order, as networkx copies
+    it; each coarser level adds edges in the previous level's edge order.
+    All sums of weights are exact for integer weights (1.0 in a citation
+    graph), so only the gain and modularity expressions, kept in networkx's
+    order, decide the bits.
+    """
+    index = {node: i for i, node in enumerate(g)}
+    adj: list[dict[int, float]] = [{} for _ in index]
+    for u, v, w in g.edges(data="weight", default=1):
+        adj[index[u]][index[v]] = adj[index[v]][index[u]] = w
+    labels = list(range(len(adj)))
+    if g.number_of_edges() == 0:
+        return labels
+    degrees = _degrees(adj)
+    deg_sum = sum(degrees)
+    m = deg_sum / 2
+    rng = random.Random(seed)
+    mod = _modularity(adj, degrees, deg_sum, resolution)
+    com, _ = _one_level(adj, degrees, m, resolution, rng)
+    while True:
+        # Renumber the non-empty communities in index order: the next level.
+        renumber = {c: i for i, c in enumerate(sorted(set(com)))}
+        com = [renumber[c] for c in com]
+        labels = [com[c] for c in labels]
+        adj = _aggregate(adj, com, len(renumber))
+        degrees = _degrees(adj)
+        new_mod = _modularity(adj, degrees, deg_sum, resolution)
+        if new_mod - mod <= 1e-7:
+            return labels
+        mod = new_mod
+        com, moved = _one_level(adj, degrees, m, resolution, rng)
+        if not moved:
+            return labels
+
+
+def _degrees(adj: list[dict[int, float]]) -> list[float]:
+    """Weighted degrees; a self-loop counts twice."""
+    return [sum(nbrs.values()) + nbrs.get(u, 0) for u, nbrs in enumerate(adj)]
+
+
+def _modularity(adj: list[dict[int, float]], degrees: list[float], deg_sum: float,
+                resolution: float) -> float:
+    """Modularity of the previous level's partition, given as this level's
+    graph: community i's internal weight is node i's self-loop."""
+    m = deg_sum / 2
+    norm = 1 / deg_sum**2
+    return sum(nbrs.get(u, 0) / m - resolution * d * d * norm
+               for u, (nbrs, d) in enumerate(zip(adj, degrees)))
+
+
+def _one_level(adj: list[dict[int, float]], degrees: list[float], m: float,
+               resolution: float, rng: random.Random) -> tuple[list[int], bool]:
+    """Move nodes, in one shuffled order, to the neighbouring community of
+    largest positive modularity gain until a pass moves none. Return each
+    node's community (a node id) and whether any node moved."""
+    node2com = list(range(len(adj)))
+    stot = list(degrees)
+    nbrs = [[(v, w) for v, w in row.items() if v != u] for u, row in enumerate(adj)]
+    order = list(range(len(adj)))
+    rng.shuffle(order)
+    two_m2 = 2 * m**2
+    moved = False
+    nb_moves = 1
+    while nb_moves > 0:
+        nb_moves = 0
+        for u in order:
+            best_mod = 0
+            best_com = own = node2com[u]
+            weights2com: defaultdict[int, float] = defaultdict(float)
+            for v, w in nbrs[u]:
+                weights2com[node2com[v]] += w
+            degree = degrees[u]
+            stot[own] -= degree
+            # Reading `own` appends it with weight 0.0 when no neighbour is in it.
+            remove_cost = (-weights2com[own] / m
+                           + resolution * (stot[own] * degree) / two_m2)
+            for c, wt in weights2com.items():
+                gain = remove_cost + wt / m - resolution * (stot[c] * degree) / two_m2
+                if gain > best_mod:
+                    best_mod = gain
+                    best_com = c
+            stot[best_com] += degree
+            if best_com != own:
+                node2com[u] = best_com
+                moved = True
+                nb_moves += 1
+    return node2com, moved
+
+
+def _aggregate(adj: list[dict[int, float]], com: list[int],
+               k: int) -> list[dict[int, float]]:
+    """The next level: one node per community, edge weights summed over the
+    level's edges in order (u ascending, v in adjacency order, each once)."""
+    out: list[dict[int, float]] = [{} for _ in range(k)]
+    for u, row in enumerate(adj):
+        cu = com[u]
+        for v, w in row.items():
+            if v >= u:
+                cv = com[v]
+                out[cu][cv] = out[cv][cu] = w + out[cu].get(cv, 0)
+    return out
 
 
 def load_cluster_assignment(source: IO[str], corpus: Corpus) -> ClusterAssignment:

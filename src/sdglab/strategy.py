@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -39,6 +40,27 @@ class ClassifiedTerm:
         object.__setattr__(self, "ast", _parse_strategy_query(self.query_text))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_resolution(value):
+    """`value`, if it is a finite number > 0; else ValueError."""
+    if not (_is_number(value) and math.isfinite(value) and value > 0):
+        raise ValueError(f"resolution must be a finite number > 0: {value!r}")
+    return value
+
+
+def check_seed(value) -> None:
+    """ValueError unless `value` is an int and not a bool."""
+    if not _is_int(value):
+        raise ValueError(f"seed must be an int: {value!r}")
+
+
 @dataclass(frozen=True)
 class EnhancementSpec:
     kind: str = "cluster_threshold"
@@ -51,8 +73,15 @@ class EnhancementSpec:
     def __post_init__(self):
         if self.kind != "cluster_threshold":
             raise ValueError(f"unknown enhancement kind: {self.kind!r}")
+        if not _is_number(self.threshold):
+            raise ValueError(f"threshold must be a number: {self.threshold!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1]: {self.threshold}")
+        check_resolution(self.resolution)
+        check_seed(self.seed)
+        if not isinstance(self.whole_corpus_shares, bool):
+            raise ValueError(f"whole_corpus_shares must be a bool: "
+                             f"{self.whole_corpus_shares!r}")
 
 
 @dataclass(frozen=True)
@@ -134,9 +163,15 @@ def load_strategy(source: IO[str] | dict) -> SearchStrategy:
         raise StrategyLoadError(f"fields must be a non-empty list of distinct names "
                                 f"from {list(FIELDS)}: {fields!r}")
     window_doc = doc.get("window", {"start": 2015, "end": 2019})
+    if not isinstance(window_doc, dict) or not all(
+            _is_int(window_doc.get(k)) for k in ("start", "end")):
+        raise StrategyLoadError(f"window must be an object with int start and end: "
+                                f"{window_doc!r}")
     enhancement = None
     if doc.get("enhancement"):
         e = doc["enhancement"]
+        if not isinstance(e, dict):
+            raise StrategyLoadError(f"enhancement must be an object: {e!r}")
         try:
             enhancement = EnhancementSpec(
                 kind=e.get("kind", "cluster_threshold"),

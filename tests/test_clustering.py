@@ -1,14 +1,16 @@
 import io
 import random
 
+import networkx as nx
 import pytest
 
-from sdglab.clustering import (AssignmentLoadError, ClusterAssignment,
+from conftest import DATA_DIR
+from sdglab.clustering import (AssignmentLoadError, CitationGraph, ClusterAssignment,
                                build_citation_graph, cluster_citation_graph,
                                enhance_by_cluster_threshold,
                                load_cluster_assignment,
                                save_cluster_assignment)
-from sdglab.corpus import Corpus, PublicationRecord
+from sdglab.corpus import Corpus, PublicationRecord, load_corpus_file
 from sdglab.strategy import ResultSet
 
 
@@ -101,6 +103,104 @@ class TestClusterCitationGraph:
             majority = max(set(labels), key=labels.count)
             correct += sum(1 for lab in labels if lab == majority)
         assert correct >= 0.95 * 40
+
+
+def networkx_assignment(g, resolution, seed) -> dict[str, str]:
+    """networkx's seeded Louvain partition with cluster_citation_graph's
+    labels: clusters numbered by their smallest member id."""
+    communities = nx.community.louvain_communities(g, resolution=resolution, seed=seed)
+    return {node: f"c{i}" for i, members in enumerate(sorted(communities, key=min))
+            for node in members}
+
+
+def shuffled_ids(rng: random.Random, n: int) -> list[str]:
+    """n distinct string ids whose order is not their sort order."""
+    return rng.sample([f"n{i:05d}" for i in range(10 * n)], n)
+
+
+def random_graph(seed: int) -> nx.Graph:
+    """Several components of random unit-weight edges, isolated nodes and,
+    for odd seeds, a few self-loops."""
+    rng = random.Random(seed)
+    g = nx.Graph()
+    ids = shuffled_ids(rng, rng.randint(30, 300))
+    g.add_nodes_from(ids)
+    cuts = sorted(rng.sample(range(1, len(ids)), 3))
+    for part in (ids[:cuts[0]], ids[cuts[0]:cuts[1]], ids[cuts[1]:cuts[2]]):
+        p = rng.choice([0.02, 0.05, 0.1, 0.3])
+        for i, u in enumerate(part):
+            for v in part[i + 1:]:
+                if rng.random() < p:
+                    g.add_edge(u, v, weight=1.0)
+    if seed % 2:
+        for u in rng.sample(ids, 3):
+            g.add_edge(u, u, weight=1.0)
+    return g  # ids[cuts[2]:] stay isolated
+
+
+def relabelled(g: nx.Graph, seed: int) -> nx.Graph:
+    """`g` with string ids in shuffled order and unit weights."""
+    ids = shuffled_ids(random.Random(seed), g.number_of_nodes())
+    g = nx.relabel_nodes(g, dict(zip(g, ids)))
+    nx.set_edge_attributes(g, 1.0, "weight")
+    return g
+
+
+ORACLE_GRAPHS = [f"random-{s}" for s in range(12)] + [
+    "ring-of-cliques", "grid", "cycle", "planted-2k", "demo-corpus_x", "demo-corpus_y",
+    "edgeless", "single-node"]
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs() -> dict[str, nx.Graph]:
+    graphs = {f"random-{s}": random_graph(s) for s in range(12)}
+    # Regular graphs: many moves tie on gain, so dict order must decide.
+    graphs["ring-of-cliques"] = relabelled(nx.ring_of_cliques(12, 5), 1)
+    graphs["grid"] = relabelled(nx.grid_2d_graph(12, 15), 2)
+    graphs["cycle"] = relabelled(nx.cycle_graph(64), 3)
+    graphs["planted-2k"] = relabelled(
+        nx.random_partition_graph([100] * 20, 0.04, 0.0005, seed=7), 4)
+    for name in ("corpus_x", "corpus_y"):
+        corpus = load_corpus_file(DATA_DIR / "demo" / f"{name}.jsonl", name=name)
+        graphs[f"demo-{name}"] = build_citation_graph(corpus).graph
+    graphs["edgeless"] = nx.empty_graph(["e3", "e1", "e2"])
+    graphs["single-node"] = nx.empty_graph(["only"])
+    assert list(graphs) == ORACLE_GRAPHS
+    return graphs
+
+
+class TestLouvainOracle:
+    """cluster_citation_graph gives networkx's seeded partition exactly."""
+
+    @pytest.mark.parametrize("name", ORACLE_GRAPHS)
+    def test_same_partition_as_networkx(self, oracle_graphs, name):
+        g = oracle_graphs[name]
+        graph = CitationGraph(graph=g, dangling_count=0)
+        mismatches = [(seed, resolution)
+                      for seed in range(5) for resolution in (0.5, 1, 2)
+                      if cluster_citation_graph(graph, resolution, seed).mapping
+                      != networkx_assignment(g, resolution, seed)]
+        assert not mismatches
+
+    def test_graphs_need_three_levels(self, oracle_graphs):
+        """The oracle graphs exercise the aggregation: some take networkx
+        three levels or more."""
+        levels = {name: sum(1 for _ in nx.community.louvain_partitions(g, seed=0))
+                  for name, g in oracle_graphs.items() if name.startswith("random-")}
+        assert sum(1 for n in levels.values() if n >= 3) >= 3, levels
+
+    @pytest.mark.parametrize("resolution", [0, -1, float("nan"), float("inf"), "1",
+                                            None, True])
+    def test_bad_resolution_rejected(self, resolution):
+        graph = build_citation_graph(triangles_corpus())
+        with pytest.raises(ValueError, match="resolution must be a finite number > 0"):
+            cluster_citation_graph(graph, resolution=resolution)
+
+    @pytest.mark.parametrize("seed", [1.5, "1", None, True])
+    def test_bad_seed_rejected(self, seed):
+        graph = build_citation_graph(triangles_corpus())
+        with pytest.raises(ValueError, match="seed must be an int"):
+            cluster_citation_graph(graph, seed=seed)
 
 
 class TestAssignmentIO:

@@ -614,6 +614,43 @@ class TestCli:
         err = self.run_cli_failing(capsys, 2, "strategy", "summarize", str(path))
         assert err.startswith("error: [strategy:alpha] fields must be a non-empty list")
 
+    @pytest.mark.parametrize("change, message", [
+        ({"resolution": "1"}, "resolution must be a finite number > 0: '1'"),
+        ({"resolution": 0}, "resolution must be a finite number > 0: 0"),
+        ({"resolution": -1}, "resolution must be a finite number > 0: -1"),
+        ({"threshold": "0.2"}, "threshold must be a number: '0.2'"),
+        ({"seed": 1.5}, "seed must be an int: 1.5"),
+        ({"whole_corpus_shares": "no"}, "whole_corpus_shares must be a bool: 'no'"),
+        ({"window": {"start": 2015}}, "window must be an object with int start and end"),
+    ], ids=["resolution-string", "resolution-zero", "resolution-negative",
+            "threshold-string", "seed-float", "shares-string", "window-no-end"])
+    def test_strategy_bad_enhancement_exit_code(self, demo_dir, tmp_path, capsys,
+                                                change, message):
+        demo = tmp_path / "demo"
+        shutil.copytree(demo_dir, demo)
+        doc = json.loads((demo / "beta.json").read_text())
+        if "window" in change:
+            doc.update(change)
+        else:
+            doc["enhancement"].update(change)
+        (demo / "beta.json").write_text(json.dumps(doc))
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config",
+                                   str(demo / "config.json"),
+                                   "--output-dir", str(tmp_path / "out"))
+        assert err.startswith(f"error: [strategy:beta] {message}")
+
+    @pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-1", "one"])
+    def test_enhance_bad_resolution_is_a_usage_error(self, demo_dir, tmp_path, capsys,
+                                                     resolution):
+        with pytest.raises(SystemExit) as exc:
+            main(["enhance", "--corpus", str(demo_dir / "corpus_x.jsonl"),
+                  "--result", str(tmp_path / "missing.json"),
+                  "--resolution", resolution])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sdglab enhance")
+        assert "argument --resolution: " in err
+
     def test_entry_point_installed(self):
         exe = shutil.which("sdglab")
         if exe is None:

@@ -62,6 +62,57 @@ class TestLoadStrategy:
         doc["fields"] = ["keywords", "title"]
         assert load_strategy(doc).fields == ("keywords", "title")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", 1.5, "seed must be an int"),
+        ("seed", "1", "seed must be an int"),
+        ("seed", True, "seed must be an int"),
+        ("resolution", "1", "resolution must be a finite number > 0"),
+        ("resolution", 0, "resolution must be a finite number > 0"),
+        ("resolution", -1, "resolution must be a finite number > 0"),
+        ("resolution", float("nan"), "resolution must be a finite number > 0"),
+        ("resolution", float("inf"), "resolution must be a finite number > 0"),
+        ("resolution", True, "resolution must be a finite number > 0"),
+        ("threshold", "0.2", "threshold must be a number"),
+        ("threshold", None, "threshold must be a number"),
+        ("threshold", True, "threshold must be a number"),
+        ("whole_corpus_shares", "no", "whole_corpus_shares must be a bool"),
+        ("whole_corpus_shares", 0, "whole_corpus_shares must be a bool"),
+    ], ids=["seed-float", "seed-string", "seed-bool", "resolution-string",
+            "resolution-zero", "resolution-negative", "resolution-nan",
+            "resolution-inf", "resolution-bool", "threshold-string", "threshold-null",
+            "threshold-bool", "shares-string", "shares-int"])
+    def test_bad_enhancement_field_rejected(self, key, value, message):
+        doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
+               "enhancement": {"kind": "cluster_threshold", key: value}}
+        with pytest.raises(StrategyLoadError, match=message):
+            load_strategy(doc)
+
+    def test_enhancement_not_an_object_rejected(self):
+        doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
+               "enhancement": ["cluster_threshold"]}
+        with pytest.raises(StrategyLoadError, match="enhancement must be an object"):
+            load_strategy(doc)
+
+    def test_valid_enhancement_fields_load(self):
+        doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
+               "enhancement": {"threshold": 0, "resolution": 2, "seed": -3,
+                               "whole_corpus_shares": True}}
+        spec = load_strategy(doc).enhancement
+        assert (spec.threshold, spec.resolution, spec.seed, spec.whole_corpus_shares) == \
+            (0, 2, -3, True)
+
+    @pytest.mark.parametrize("window", [
+        {"start": 2015}, {"end": 2019}, {"start": "2015", "end": 2019},
+        {"start": 2015, "end": 2019.0}, {"start": True, "end": 2019}, [2015, 2019],
+        "2015-2019",
+    ], ids=["no-end", "no-start", "string-start", "float-end", "bool-start", "list",
+            "string"])
+    def test_bad_window_rejected(self, window):
+        doc = strategy_doc([{"query": '"climate"', "class": "general"}])
+        doc["window"] = window
+        with pytest.raises(StrategyLoadError, match="window must be an object with int"):
+            load_strategy(doc)
+
 
 def exclusion_corpus():
     return Corpus("c", [
