@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .clustering import save_cluster_assignment
@@ -18,7 +19,8 @@ from .pipeline import (TABLE3_HEADER, TABLE4_HEADER, TABLE5_HEADER, PipelineConf
                        load_result_file, load_strategy, result_to_doc, run_pipeline,
                        stage, term_map, to_json, write_atomic)
 from .query import explain, parse_query, print_query
-from .strategy import check_resolution, run_strategy, term_class_summary
+from .strategy import check_resolution, check_threshold, run_strategy, term_class_summary
+from .termmap import check_setting
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,12 +179,15 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _resolution(text: str) -> float:
-    """argparse type of --resolution: a finite number > 0."""
-    try:
-        return check_resolution(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _checked(convert, check):
+    """An argparse type: the text converted, then passed through `check`; a
+    ValueError from either is a usage error."""
+    def parse(text: str):
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--result", required=True)
     p.add_argument("--assignment")
-    p.add_argument("--threshold", type=float, default=0.15)
-    p.add_argument("--resolution", type=_resolution, default=1.0)
+    p.add_argument("--threshold", type=_checked(float, check_threshold), default=0.15)
+    p.add_argument("--resolution", type=_checked(float, check_resolution), default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--save-assignment")
     p.add_argument("--out")
@@ -246,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--corpus-a", required=True)
     p.add_argument("--corpus-b")
-    p.add_argument("--min-occurrences", type=int, default=70)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-occurrences", default=70,
+                   type=_checked(int, partial(check_setting, "min_occurrences")))
+    p.add_argument("--seed", default=0, type=_checked(int, partial(check_setting, "layout_seed")))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_termmap)
 

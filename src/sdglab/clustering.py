@@ -10,7 +10,7 @@ from typing import IO, Iterable
 import networkx as nx
 
 from .corpus import Corpus
-from .strategy import ResultSet, check_resolution, check_seed
+from .strategy import ResultSet, check_resolution, check_seed, check_threshold
 
 
 class AssignmentLoadError(ValueError):
@@ -242,8 +242,7 @@ def enhance_by_cluster_threshold(seed_result: ResultSet,
     Seed members missing from the assignment are treated as singleton
     clusters so they are not silently dropped.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1]: {threshold}")
+    check_threshold(threshold)
     eligible_set = set(eligible) if eligible is not None else None
 
     clusters = assignment.clusters()

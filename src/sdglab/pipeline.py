@@ -24,7 +24,8 @@ from .overlap import PairwiseComparison, pairwise_compare, render_overlap_bar
 from .rounding import percent
 from .strategy import (ResultSet, SearchStrategy, load_strategy_file, run_strategy,
                        term_class_summary)
-from .termmap import TermMap, TermMapConfig, build_term_map, export_term_map
+from .termmap import (SETTING_MINIMUMS, TermMap, TermMapConfig, build_term_map,
+                      export_term_map)
 
 log = logging.getLogger("sdglab.pipeline")
 
@@ -33,7 +34,6 @@ TABLE4_HEADER = "strategy,general,policy,technical,total"
 TABLE5_HEADER = ("a,b,cov_a,meth_a,overlap,meth_b,cov_b,"
                  "cov_a_pct,meth_a_pct,overlap_pct,meth_b_pct,cov_b_pct")
 TERMMAP_FORMATS = ("json", "graphml", "html")
-TERMMAP_SETTINGS = ("min_occurrences", "max_ngram", "layout_seed", "layout_iterations")
 
 
 class PipelineError(Exception):
@@ -173,14 +173,21 @@ def compare(result_a: ResultSet, coverage_a, result_b: ResultSet, coverage_b,
     return row, svg, sidecar
 
 
+def termmap_config(settings) -> TermMapConfig:
+    """The TermMapConfig of a termmap entry's `config` object: the settings of
+    SETTING_MINIMUMS it holds, TermMapConfig's defaults for the rest; other
+    keys are ignored. ValueError when it is not an object or holds a bad value."""
+    if not isinstance(settings, dict):
+        raise ValueError(f"termmap config is not an object: {settings!r}")
+    return TermMapConfig(**{k: settings[k] for k in SETTING_MINIMUMS if k in settings})
+
+
 def term_map(result_a: ResultSet, corpus_a: Corpus, result_b: ResultSet,
              corpus_b: Corpus, settings: dict) -> tuple[TermMap, dict[str, str]]:
-    """Contrast term map of two results, over their members in id order.
-
-    `settings` may set any of TERMMAP_SETTINGS; the rest keep TermMapConfig's
-    defaults. Returns the map and its export in each of TERMMAP_FORMATS.
-    """
-    config = TermMapConfig(**{k: settings[k] for k in TERMMAP_SETTINGS if k in settings})
+    """Contrast term map of two results, over their members in id order,
+    with `termmap_config(settings)`. Returns the map and its export in each
+    of TERMMAP_FORMATS."""
+    config = termmap_config(settings)
     docs_a = [corpus_a[m] for m in sorted(result_a.members)]
     docs_b = [corpus_b[m] for m in sorted(result_b.members)]
     tm = build_term_map(result_a.strategy_name, docs_a, result_b.strategy_name, docs_b,
@@ -254,6 +261,12 @@ class PipelineConfig:
                     "config", f"strategy references undefined corpus "
                     f"{s['corpus']!r}", kind="config")
             strategy_names.add(Path(s["file"]).stem)
+        for pair in self.termmaps:
+            try:
+                termmap_config(pair.get("config", {}))
+            except ValueError as exc:
+                raise PipelineError("config", f"termmap {pair['a']}__{pair['b']}: {exc}",
+                                    kind="config") from exc
         for pair in self.comparisons + self.termmaps:
             a, b = pair["a"], pair["b"]
             if a == b:

@@ -55,6 +55,15 @@ def check_resolution(value):
     return value
 
 
+def check_threshold(value):
+    """`value`, if it is a number in [0, 1]; else ValueError."""
+    if not _is_number(value):
+        raise ValueError(f"threshold must be a number: {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1]: {value}")
+    return value
+
+
 def check_seed(value) -> None:
     """ValueError unless `value` is an int and not a bool."""
     if not _is_int(value):
@@ -73,10 +82,7 @@ class EnhancementSpec:
     def __post_init__(self):
         if self.kind != "cluster_threshold":
             raise ValueError(f"unknown enhancement kind: {self.kind!r}")
-        if not _is_number(self.threshold):
-            raise ValueError(f"threshold must be a number: {self.threshold!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1]: {self.threshold}")
+        check_threshold(self.threshold)
         check_resolution(self.resolution)
         check_seed(self.seed)
         if not isinstance(self.whole_corpus_shares, bool):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -23,6 +22,20 @@ _MID = (0xF7, 0xF7, 0xF7)
 _RED = (0xB2, 0x18, 0x2B)
 
 
+# The int settings of a term map and the least value each may take.
+SETTING_MINIMUMS = {"min_occurrences": 1, "max_ngram": 1, "layout_seed": 0,
+                    "layout_iterations": 0}
+
+
+def check_setting(name: str, value):
+    """`value`, if it is an int (not a bool) no less than SETTING_MINIMUMS[name];
+    else ValueError."""
+    low = SETTING_MINIMUMS[name]
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
+        raise ValueError(f"{name} must be an int >= {low}: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TermMapConfig:
     min_occurrences: int = 70
@@ -32,8 +45,8 @@ class TermMapConfig:
     layout_iterations: int = 150
 
     def __post_init__(self):
-        if self.min_occurrences < 1:
-            raise ValueError("min_occurrences must be >= 1")
+        for name in SETTING_MINIMUMS:
+            check_setting(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -70,16 +83,18 @@ def contrast_score(occ_a: int, occ_b: int) -> float:
 
 
 def _doc_ngrams(record, config: TermMapConfig) -> set[str]:
-    """All retained-candidate n-grams of a record's title and abstract."""
+    """All retained-candidate n-grams of a record's title and abstract: the
+    runs of 1..max_ngram tokens whose first and last tokens are not stopwords."""
     grams: set[str] = set()
     for text in (record.title, record.abstract):
         tokens = [tok for tok, _ in tokenize(text)]
-        for n in range(1, config.max_ngram + 1):
-            for i in range(len(tokens) - n + 1):
-                gram = tokens[i:i + n]
-                if gram[0] in config.stoplist or gram[-1] in config.stoplist:
-                    continue
-                grams.add(" ".join(gram))
+        kept = [tok not in config.stoplist for tok in tokens]
+        starts = [i for i, keep in enumerate(kept) if keep]
+        grams.update([tokens[i] for i in starts])
+        for n in range(2, min(config.max_ngram, len(tokens)) + 1):
+            last = len(tokens) - n
+            grams.update([" ".join(tokens[i:i + n]) for i in starts
+                          if i <= last and kept[i + n - 1]])
     return grams
 
 
@@ -88,12 +103,12 @@ def _tally_terms(gram_sets_a: Iterable[Iterable[str]],
                  config: TermMapConfig) -> list[TermStats]:
     occ_a = Counter(chain.from_iterable(gram_sets_a))
     occ_b = Counter(chain.from_iterable(gram_sets_b))
-    stats = []
-    for term in sorted(occ_a.keys() | occ_b.keys()):
-        a, b = occ_a[term], occ_b[term]
-        if a + b >= config.min_occurrences:
-            stats.append(TermStats(term=term, occ_a=a, occ_b=b))
-    return stats
+    total = occ_a.copy()
+    total.update(occ_b)
+    retained = sorted(term for term, count in total.items()
+                      if count >= config.min_occurrences)
+    return [TermStats(term=term, occ_a=occ_a[term], occ_b=occ_b[term])
+            for term in retained]
 
 
 def _count_edges(terms: list[TermStats],
@@ -145,18 +160,27 @@ def layout_map(edges: list[tuple[str, str, int]], terms: list[TermStats],
     k = 1.0 / np.sqrt(n)
     temp = 0.1
     cooling = temp / (config.layout_iterations + 1)
+    # Planar (2, n) coordinates, pair arrays indexed [coord, j, i] with
+    # d[:, j, i] = pos[i] - pos[j]; adj is symmetric. The floats are those
+    # of the (n, n, 2) form pos[:, None] - pos[None, :] with np.linalg.norm:
+    # sqrt(dx*dx + dy*dy) is what norm computes over a length-2 axis, and a
+    # sum over axis 1 of (2, n, n) adds j row by row as it did over axis 1 of
+    # (n, n, 2). A sum over the contiguous axis (pairwise) or one fused
+    # (repulse - attract) product would change the last bits.
+    p = pos.T.copy()
     for _ in range(config.layout_iterations):
-        delta = pos[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(delta, axis=-1)
+        d = p[:, None, :] - p[:, :, None]
+        dist = np.sqrt(d[0] * d[0] + d[1] * d[1])
         np.fill_diagonal(dist, 1.0)
         dist = np.maximum(dist, 1e-9)
-        unit = delta / dist[..., None]
-        repulse = (k * k / dist)[..., None] * unit
-        attract = (adj * dist / k)[..., None] * unit
+        unit = d / dist
+        repulse = (k * k / dist) * unit
+        attract = (adj * dist / k) * unit
         disp = repulse.sum(axis=1) - attract.sum(axis=1)
-        length = np.maximum(np.linalg.norm(disp, axis=-1, keepdims=True), 1e-9)
-        pos += disp / length * np.minimum(length, temp)
+        length = np.maximum(np.sqrt(disp[0] * disp[0] + disp[1] * disp[1]), 1e-9)
+        p += disp / length * np.minimum(length, temp)
         temp = max(temp - cooling, 1e-4)
+    pos = p.T
 
     lo, hi = pos.min(axis=0), pos.max(axis=0)
     span = np.where(hi - lo > 1e-12, hi - lo, 1.0)
@@ -255,31 +279,47 @@ def load_term_map(text: str) -> TermMap:
                    edges=edges, coordinates=coords, config=config)
 
 
+_GRAPHML_KEYS = (("occ_a", "node", "int"), ("occ_b", "node", "int"),
+                 ("score", "node", "double"), ("x", "node", "double"),
+                 ("y", "node", "double"), ("weight", "edge", "int"))
+
+
+def _xml_attr(text: str) -> str:
+    """An attribute value escaped as xml.etree.ElementTree escapes it."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("\r", "&#13;").replace("\n", "&#10;")
+            .replace("\t", "&#09;"))
+
+
 def _export_graphml(term_map: TermMap) -> str:
-    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    for key_id, attr, target, kind in (
-            ("occ_a", "occ_a", "node", "int"),
-            ("occ_b", "occ_b", "node", "int"),
-            ("score", "score", "node", "double"),
-            ("x", "x", "node", "double"),
-            ("y", "y", "node", "double"),
-            ("weight", "weight", "edge", "int")):
-        ET.SubElement(root, "key", id=key_id, attrib={
-            "attr.name": attr, "attr.type": kind, "for": target})
-    graph = ET.SubElement(root, "graph", id="termmap", edgedefault="undirected")
-    for t in term_map.terms:
-        node = ET.SubElement(graph, "node", id=t.term)
-        x, y = term_map.coordinates[t.term]
-        for key, value in (("occ_a", t.occ_a), ("occ_b", t.occ_b),
-                           ("score", t.score), ("x", x), ("y", y)):
-            data = ET.SubElement(node, "data", key=key)
-            data.text = repr(value) if isinstance(value, float) else str(value)
-    for i, (u, v, w) in enumerate(term_map.edges):
-        edge = ET.SubElement(graph, "edge", id=f"e{i}", source=u, target=v)
-        data = ET.SubElement(edge, "data", key="weight")
-        data.text = str(w)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+    """GraphML text, character for character as xml.etree.ElementTree writes
+    the same tree after ET.indent (declaration, two-space indent, " />" on
+    empty elements, attributes in insertion order)."""
+    lines = ["<?xml version='1.0' encoding='utf-8'?>",
+             '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">']
+    lines += [f'  <key attr.name="{key}" attr.type="{kind}" for="{target}" id="{key}" />'
+              for key, target, kind in _GRAPHML_KEYS]
+    graph = '  <graph id="termmap" edgedefault="undirected"'
+    if not (term_map.terms or term_map.edges):
+        lines.append(graph + " />")
+    else:
+        lines.append(graph + ">")
+        for t in term_map.terms:
+            x, y = term_map.coordinates[t.term]
+            lines += [f'    <node id="{_xml_attr(t.term)}">',
+                      f'      <data key="occ_a">{t.occ_a}</data>',
+                      f'      <data key="occ_b">{t.occ_b}</data>',
+                      f'      <data key="score">{t.score!r}</data>',
+                      f'      <data key="x">{x!r}</data>',
+                      f'      <data key="y">{y!r}</data>',
+                      "    </node>"]
+        for i, (u, v, w) in enumerate(term_map.edges):
+            lines += [f'    <edge id="e{i}" source="{_xml_attr(u)}" target="{_xml_attr(v)}">',
+                      f'      <data key="weight">{w}</data>',
+                      "    </edge>"]
+        lines.append("  </graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"
 
 
 def _export_html(term_map: TermMap) -> str:

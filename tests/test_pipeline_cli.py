@@ -639,6 +639,57 @@ class TestCli:
                                    "--output-dir", str(tmp_path / "out"))
         assert err.startswith(f"error: [strategy:beta] {message}")
 
+    @pytest.mark.parametrize("config, message", [
+        ({"min_occurrences": 5, "layout_iterations": -1},
+         "layout_iterations must be an int >= 0: -1"),
+        ({"min_occurrences": 5, "layout_iterations": 2.5},
+         "layout_iterations must be an int >= 0: 2.5"),
+        ({"min_occurrences": 5, "layout_seed": 1.5}, "layout_seed must be an int >= 0: 1.5"),
+        ({"min_occurrences": 5, "layout_seed": -1}, "layout_seed must be an int >= 0: -1"),
+        ({"min_occurrences": 5, "max_ngram": "3"}, "max_ngram must be an int >= 1: '3'"),
+        ({"min_occurrences": 5, "max_ngram": 0}, "max_ngram must be an int >= 1: 0"),
+        ({"min_occurrences": "5"}, "min_occurrences must be an int >= 1: '5'"),
+        ({"min_occurrences": 0}, "min_occurrences must be an int >= 1: 0"),
+        ("x", "termmap config is not an object: 'x'"),
+    ], ids=["iterations-negative", "iterations-float", "seed-float", "seed-negative",
+            "ngram-string", "ngram-zero", "occurrences-string", "occurrences-zero",
+            "not-an-object"])
+    def test_termmap_bad_config_exit_code(self, demo_dir, tmp_path, capsys, config,
+                                          message):
+        doc = json.loads((demo_dir / "config.json").read_text())
+        doc["termmaps"][1]["config"] = config
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(path),
+                                   "--output-dir", str(tmp_path / "out"))
+        assert err.startswith(f"error: [config] termmap beta__delta: {message}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, argument", [
+        (["termmap", "--min-occurrences", "0"], "--min-occurrences"),
+        (["termmap", "--min-occurrences", "1.5"], "--min-occurrences"),
+        (["termmap", "--seed", "-1"], "--seed"),
+        (["termmap", "--seed", "x"], "--seed"),
+        (["enhance", "--threshold", "2"], "--threshold"),
+        (["enhance", "--threshold", "-0.1"], "--threshold"),
+        (["enhance", "--threshold", "nan"], "--threshold"),
+        (["enhance", "--threshold", "high"], "--threshold"),
+    ], ids=["occurrences-zero", "occurrences-float", "seed-negative", "seed-word",
+            "threshold-two", "threshold-negative", "threshold-nan", "threshold-word"])
+    def test_bad_setting_is_a_usage_error(self, demo_dir, tmp_path, capsys, argv,
+                                          argument):
+        command, *option = argv
+        required = {"termmap": ["--a", "a.json", "--b", "b.json", "--corpus-a",
+                                str(demo_dir / "corpus_x.jsonl"), "--out", str(tmp_path)],
+                    "enhance": ["--corpus", str(demo_dir / "corpus_x.jsonl"),
+                                "--result", str(tmp_path / "missing.json")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: sdglab {command}")
+        assert f"argument {argument}: " in err
+
     @pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-1", "one"])
     def test_enhance_bad_resolution_is_a_usage_error(self, demo_dir, tmp_path, capsys,
                                                      resolution):

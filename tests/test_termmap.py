@@ -1,10 +1,16 @@
 import math
 import random
+import xml.etree.ElementTree as ET
+from collections import Counter
+from itertools import chain
 
+import numpy as np
 import pytest
 
 from sdglab.corpus import PublicationRecord
-from sdglab.termmap import (TermMap, TermMapConfig, TermStats, build_term_map,
+from sdglab.index import tokenize
+from sdglab.termmap import (DEFAULT_STOPLIST, TermMap, TermMapConfig, TermStats,
+                            _doc_ngrams, _tally_terms, build_term_map,
                             contrast_score, cooccurrence_edges, export_term_map,
                             extract_terms, layout_map, load_term_map,
                             score_color)
@@ -286,3 +292,233 @@ class TestExports:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             export_term_map(sample_map(), "pdf")
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the (n, n, 2) layout with np.linalg.norm, the
+# n-gram loop that joins every candidate, the tally that sorts every gram and
+# the ElementTree GraphML writer. The module's versions must give the same
+# floats, sets, lists and text.
+
+
+def reference_layout(edges, terms, config):
+    names = [t.term for t in terms]
+    n = len(names)
+    if n == 1:
+        return {names[0]: (0.5, 0.5)}
+    idx = {name: i for i, name in enumerate(names)}
+    rng = np.random.default_rng(config.layout_seed)
+    pos = rng.random((n, 2))
+    adj = np.zeros((n, n))
+    max_w = max((w for _, _, w in edges), default=1)
+    for u, v, w in edges:
+        if u in idx and v in idx:
+            adj[idx[u], idx[v]] = adj[idx[v], idx[u]] = w / max_w
+    k = 1.0 / np.sqrt(n)
+    temp = 0.1
+    cooling = temp / (config.layout_iterations + 1)
+    for _ in range(config.layout_iterations):
+        delta = pos[:, None, :] - pos[None, :, :]
+        dist = np.linalg.norm(delta, axis=-1)
+        np.fill_diagonal(dist, 1.0)
+        dist = np.maximum(dist, 1e-9)
+        unit = delta / dist[..., None]
+        repulse = (k * k / dist)[..., None] * unit
+        attract = (adj * dist / k)[..., None] * unit
+        disp = repulse.sum(axis=1) - attract.sum(axis=1)
+        length = np.maximum(np.linalg.norm(disp, axis=-1, keepdims=True), 1e-9)
+        pos += disp / length * np.minimum(length, temp)
+        temp = max(temp - cooling, 1e-4)
+    lo, hi = pos.min(axis=0), pos.max(axis=0)
+    span = np.where(hi - lo > 1e-12, hi - lo, 1.0)
+    pos = (pos - lo) / span
+    pos = np.where((hi - lo) > 1e-12, pos, 0.5)
+    return {name: (float(x), float(y)) for name, (x, y) in zip(names, pos)}
+
+
+def reference_doc_ngrams(record, config):
+    grams = set()
+    for text in (record.title, record.abstract):
+        tokens = [tok for tok, _ in tokenize(text)]
+        for n in range(1, config.max_ngram + 1):
+            for i in range(len(tokens) - n + 1):
+                gram = tokens[i:i + n]
+                if gram[0] in config.stoplist or gram[-1] in config.stoplist:
+                    continue
+                grams.add(" ".join(gram))
+    return grams
+
+
+def reference_tally(gram_sets_a, gram_sets_b, config):
+    occ_a = Counter(chain.from_iterable(gram_sets_a))
+    occ_b = Counter(chain.from_iterable(gram_sets_b))
+    stats = []
+    for term in sorted(occ_a.keys() | occ_b.keys()):
+        a, b = occ_a[term], occ_b[term]
+        if a + b >= config.min_occurrences:
+            stats.append(TermStats(term=term, occ_a=a, occ_b=b))
+    return stats
+
+
+def reference_graphml(term_map):
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    for key_id, attr, target, kind in (
+            ("occ_a", "occ_a", "node", "int"),
+            ("occ_b", "occ_b", "node", "int"),
+            ("score", "score", "node", "double"),
+            ("x", "x", "node", "double"),
+            ("y", "y", "node", "double"),
+            ("weight", "weight", "edge", "int")):
+        ET.SubElement(root, "key", id=key_id, attrib={
+            "attr.name": attr, "attr.type": kind, "for": target})
+    graph = ET.SubElement(root, "graph", id="termmap", edgedefault="undirected")
+    for t in term_map.terms:
+        node = ET.SubElement(graph, "node", id=t.term)
+        x, y = term_map.coordinates[t.term]
+        for key, value in (("occ_a", t.occ_a), ("occ_b", t.occ_b),
+                           ("score", t.score), ("x", x), ("y", y)):
+            data = ET.SubElement(node, "data", key=key)
+            data.text = repr(value) if isinstance(value, float) else str(value)
+    for i, (u, v, w) in enumerate(term_map.edges):
+        edge = ET.SubElement(graph, "edge", id=f"e{i}", source=u, target=v)
+        data = ET.SubElement(edge, "data", key="weight")
+        data.text = str(w)
+    ET.indent(root)
+    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+
+
+def random_layout_input(seed, n, edgeless):
+    """`n` terms in shuffled name order and, unless `edgeless`, about 3n
+    weighted edges, some with a term outside the map."""
+    rng = random.Random(seed)
+    names = [f"t{i:03d}" for i in range(n)]
+    rng.shuffle(names)
+    terms = [TermStats(name, 1, 1) for name in names]
+    edges = []
+    if not edgeless:
+        for _ in range(3 * n):
+            u, v = sorted(rng.sample(names + ["absent"], 2))
+            edges.append((u, v, rng.randint(1, 60)))
+    return edges, terms
+
+
+class TestLayoutOracle:
+    @pytest.mark.parametrize("n, iterations, edgeless", [
+        (2, 150, False), (2, 1, True), (3, 150, False), (3, 150, True), (3, 0, False),
+        (17, 150, False), (171, 150, False), (171, 150, True), (171, 1, False),
+        (171, 0, False), (300, 150, False), (300, 150, True)])
+    def test_bit_identical_to_reference(self, n, iterations, edgeless):
+        edges, terms = random_layout_input(n, n, edgeless)
+        config = TermMapConfig(min_occurrences=1, layout_seed=n,
+                               layout_iterations=iterations)
+        got = layout_map(edges, terms, config)
+        want = reference_layout(edges, terms, config)
+        assert list(got) == list(want)
+        assert np.array_equal(np.array(list(got.values())),
+                              np.array(list(want.values())))
+
+    def test_random_sizes_bit_identical(self):
+        rng = random.Random(5)
+        for case in range(12):
+            n = rng.randint(2, 220)
+            edges, terms = random_layout_input(case, n, case % 4 == 0)
+            config = TermMapConfig(min_occurrences=1, layout_seed=case,
+                                   layout_iterations=rng.choice([1, 30, 150]))
+            got = layout_map(edges, terms, config)
+            want = reference_layout(edges, terms, config)
+            assert np.array_equal(np.array(list(got.values())),
+                                  np.array(list(want.values())))
+
+
+NGRAM_WORDS = ["climate", "carbon", "energy", "ökologie", "naïve", "İstanbul",
+               "東京", "co2", "the", "of", "and", "in", "to", "risk_trend", "x-ray"]
+
+
+def random_text(rng, stop_only=False):
+    words = sorted(DEFAULT_STOPLIST) if stop_only else NGRAM_WORDS
+    return rng.choice(["", ".,;"]) if rng.random() < 0.15 else \
+        " ".join(rng.choices(words, k=rng.randint(1, 14)))
+
+
+def random_ngram_docs(seed, count):
+    rng = random.Random(seed)
+    return [doc(f"d{i}", random_text(rng, stop_only=rng.random() < 0.2),
+                random_text(rng, stop_only=rng.random() < 0.2)) for i in range(count)]
+
+
+class TestNgramOracle:
+    @pytest.mark.parametrize("max_ngram", [1, 2, 3, 4])
+    def test_doc_ngrams_equal_reference(self, max_ngram):
+        docs = random_ngram_docs(max_ngram, 300)
+        for stoplist in (DEFAULT_STOPLIST, frozenset(), frozenset({"climate", "東京"})):
+            config = TermMapConfig(min_occurrences=1, max_ngram=max_ngram,
+                                   stoplist=stoplist)
+            for d in docs:
+                assert _doc_ngrams(d, config) == reference_doc_ngrams(d, config)
+
+    def test_stopword_only_and_empty_texts_have_no_grams(self):
+        config = TermMapConfig(min_occurrences=1, max_ngram=4)
+        assert _doc_ngrams(doc("a", "the of and", "in to"), config) == set()
+        assert _doc_ngrams(doc("b", "", ""), config) == set()
+
+    @pytest.mark.parametrize("min_occurrences", [1, 2, 5, 40])
+    def test_tally_equals_reference(self, min_occurrences):
+        config = TermMapConfig(min_occurrences=min_occurrences, max_ngram=3)
+        grams_a = [_doc_ngrams(d, config) for d in random_ngram_docs(11, 120)]
+        grams_b = [_doc_ngrams(d, config) for d in random_ngram_docs(12, 90)]
+        want = reference_tally(grams_a, grams_b, config)
+        assert _tally_terms(iter(grams_a), iter(grams_b), config) == want
+        assert _tally_terms(grams_b, grams_a, config) == \
+            reference_tally(grams_b, grams_a, config)
+        assert _tally_terms([], grams_b, config) == reference_tally([], grams_b, config)
+
+
+def hand_built_map(names, edges):
+    terms = [TermStats(name, i + 1, 2 * i) for i, name in enumerate(names)]
+    coords = {name: (i / 7, 1.0 - i / 3) for i, name in enumerate(names)}
+    return TermMap("first", "second", terms, edges, coords,
+                   TermMapConfig(min_occurrences=1))
+
+
+class TestGraphmlOracle:
+    SPECIAL = ["a & b", "<tag>", 'say "hi"', "line\nbreak", "tab\there", "cr\rlf",
+               "it's", "ökologie 東京", "&amp;"]
+
+    @pytest.mark.parametrize("term_map", [
+        hand_built_map(SPECIAL, [(u, v, i + 1) for i, (u, v) in
+                                 enumerate(zip(SPECIAL, SPECIAL[1:]))]),
+        hand_built_map(["solo"], []),
+        hand_built_map([], []),
+        hand_built_map([], [("a<", "b>", 3)]),
+    ], ids=["special-characters", "one-term", "empty", "edges-only"])
+    def test_text_equals_elementtree(self, term_map):
+        assert export_term_map(term_map, "graphml") == reference_graphml(term_map)
+
+    def test_built_maps_equal_elementtree(self):
+        term_map = sample_map()
+        assert export_term_map(term_map, "graphml") == reference_graphml(term_map)
+        config = TermMapConfig(min_occurrences=3, max_ngram=2)
+        built = build_term_map("a", random_ngram_docs(1, 80), "b",
+                               random_ngram_docs(2, 80), config)
+        assert built.terms and built.edges
+        assert export_term_map(built, "graphml") == reference_graphml(built)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name, value", [
+        ("min_occurrences", 0), ("min_occurrences", -1), ("min_occurrences", True),
+        ("min_occurrences", 1.5), ("min_occurrences", "5"), ("min_occurrences", None),
+        ("max_ngram", 0), ("max_ngram", "3"), ("max_ngram", 2.5), ("max_ngram", True),
+        ("layout_seed", -1), ("layout_seed", 1.5), ("layout_seed", "0"),
+        ("layout_seed", False), ("layout_iterations", -1), ("layout_iterations", 2.5),
+        ("layout_iterations", "150"), ("layout_iterations", None)])
+    def test_bad_setting_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= [01]: "):
+            TermMapConfig(**{name: value})
+
+    def test_least_values_accepted(self):
+        config = TermMapConfig(min_occurrences=1, max_ngram=1, layout_seed=0,
+                               layout_iterations=0)
+        term_map = build_term_map("a", repeated_docs("climate carbon", 2, "a"), "b", [],
+                                  config)
+        assert [t.term for t in term_map.terms] == ["carbon", "climate"]
