@@ -140,7 +140,8 @@ def cmd_termmap(args) -> int:
     tm, exports = term_map(
         load_result_file(args.a, corpus_a), corpus_a,
         load_result_file(args.b, corpus_b), corpus_b,
-        {"min_occurrences": args.min_occurrences, "layout_seed": args.seed})
+        {"min_occurrences": args.min_occurrences, "max_ngram": args.max_ngram,
+         "layout_seed": args.seed, "layout_iterations": args.layout_iterations})
     out = Path(args.out)
     for fmt, text in exports.items():
         write_atomic(out / f"termmap.{fmt}", text)
@@ -253,7 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-b")
     p.add_argument("--min-occurrences", default=70,
                    type=_checked(int, partial(check_setting, "min_occurrences")))
+    p.add_argument("--max-ngram", default=3,
+                   type=_checked(int, partial(check_setting, "max_ngram")))
     p.add_argument("--seed", default=0, type=_checked(int, partial(check_setting, "layout_seed")))
+    p.add_argument("--layout-iterations", default=150,
+                   type=_checked(int, partial(check_setting, "layout_iterations")))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_termmap)
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import base64
 import json
 import re
+from array import array
 from bisect import bisect_left
-from itertools import chain
-from typing import IO
+from collections import defaultdict
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -15,6 +16,9 @@ from .corpus import Corpus
 
 # Unicode alphanumeric runs; underscore counts as a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# The same runs in lowercased ASCII text, where they are exactly [a-z0-9]+;
+# the narrower class matches faster.
+_ASCII_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 TITLE, ABSTRACT, KEYWORDS = "title", "abstract", "keywords"
 FIELDS = (TITLE, ABSTRACT, KEYWORDS)
@@ -41,21 +45,46 @@ _INDEX_KEYS = (("doc_count", int), ("doc_ids", list), ("tokens", list),
 _B64_CHUNK = 3 << 18
 
 
+def words(text: str) -> list[str]:
+    """The lowercase alphanumeric runs of text, in order.
+
+    ASCII text is lowered whole, which maps letters to letters and nothing
+    else. Other text is lowered token by token: lowering can turn one code
+    point into two (`'İ'.lower()` ends in a combining mark), which would
+    split a token if done before the split.
+    """
+    if text.isascii():
+        return _ASCII_TOKEN_RE.findall(text.lower())
+    return [tok.lower() for tok in _TOKEN_RE.findall(text)]
+
+
+def token_ids() -> defaultdict[str, int]:
+    """An empty token -> id dict that gives a missing token the next id, so
+    ids follow the order in which tokens are first looked up."""
+    slot: defaultdict[str, int] = defaultdict()
+    slot.default_factory = slot.__len__
+    return slot
+
+
 def tokenize(text: str) -> list[tuple[str, int]]:
     """Split text into lowercase alphanumeric runs with 0-based positions."""
-    return [(tok.lower(), i) for i, tok in enumerate(_TOKEN_RE.findall(text))]
+    return [(tok, i) for i, tok in enumerate(words(text))]
+
+
+def _keyword_runs(keywords: tuple[str, ...] | list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(position of the first token, tokens) of each keyword: each keyword
+    starts KEYWORD_GAP positions after the previous keyword's tokens end."""
+    base = 0
+    for kw in keywords:
+        toks = words(kw)
+        yield base, toks
+        base += len(toks) + KEYWORD_GAP
 
 
 def tokenize_keywords(keywords: tuple[str, ...] | list[str]) -> list[tuple[str, int]]:
     """Tokenize a keyword list as one stream with a position gap between keywords."""
-    stream = []
-    base = 0
-    for kw in keywords:
-        toks = tokenize(kw)
-        for tok, pos in toks:
-            stream.append((tok, base + pos))
-        base += len(toks) + KEYWORD_GAP
-    return stream
+    return [(tok, base + i) for base, toks in _keyword_runs(keywords)
+            for i, tok in enumerate(toks)]
 
 
 def field_token_stream(record, field: str) -> list[tuple[str, int]]:
@@ -66,6 +95,16 @@ def field_token_stream(record, field: str) -> list[tuple[str, int]]:
     if field == KEYWORDS:
         return tokenize_keywords(record.keywords)
     raise ValueError(f"unknown field: {field}")
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array."""
+    if len(values) < 2:
+        return values
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 class PositionalIndex:
@@ -147,29 +186,46 @@ def build_index(corpus: Corpus) -> PositionalIndex:
     """Index the title, abstract and keywords fields of every record.
 
     Docs are visited in id order, fields in FIELDS order and positions in
-    increasing order, so each token's codes come out increasing with no sort.
+    increasing order, so the codes come out increasing in stream order. Each
+    run of tokens (a title, an abstract, a keyword) adds its token ids to one
+    int32 stream, and the code of the token at place i of the stream is its
+    run's shift plus i. One stable argsort of the ids, renumbered in sorted
+    token order, lists the places token by token, each token's places (and
+    so its codes) still increasing.
     Raises ValueError for a position at or past MAX_POSITION.
     """
     doc_order = sorted(corpus.records)
-    raw: dict[str, list[int]] = {}
+    slot = token_ids()
+    ids = array("i")
+    shifts: list[int] = []  # first code of a run minus its place in the stream
+    lengths: list[int] = []
     for num, doc in enumerate(doc_order):
         rec = corpus.records[doc]
-        for f, fld in enumerate(FIELDS):
-            stream = field_token_stream(rec, fld)
-            if stream and stream[-1][1] >= MAX_POSITION:
-                raise ValueError(f"record {doc!r} field {fld!r}: position "
-                                 f"{stream[-1][1]} is not below 2**{FIELD_SHIFT}")
-            base = num << DOC_SHIFT | f << FIELD_SHIFT
-            for tok, pos in stream:
-                codes = raw.get(tok)
-                if codes is None:
-                    raw[tok] = [base | pos]
-                else:
-                    codes.append(base | pos)
-    tokens = sorted(raw)
-    runs = [raw[tok] for tok in tokens]
-    counts = np.fromiter(map(len, runs), np.int64, len(runs))
-    codes = np.fromiter(chain.from_iterable(runs), np.int64, int(counts.sum()))
+        runs = ([(0, words(rec.title))], [(0, words(rec.abstract))],
+                _keyword_runs(rec.keywords))
+        for f, field_runs in enumerate(runs):
+            head = num << DOC_SHIFT | f << FIELD_SHIFT
+            last = -1
+            for start, toks in field_runs:
+                if toks:
+                    shifts.append(head + start - len(ids))
+                    lengths.append(len(toks))
+                    ids.extend(map(slot.__getitem__, toks))
+                    last = start + len(toks) - 1
+            if last >= MAX_POSITION:
+                raise ValueError(f"record {doc!r} field {FIELDS[f]!r}: position "
+                                 f"{last} is not below 2**{FIELD_SHIFT}")
+    tokens = sorted(slot)
+    rank = np.empty(len(tokens), np.int32)
+    rank[np.fromiter(map(slot.__getitem__, tokens), np.int32, len(tokens))] = \
+        np.arange(len(tokens), dtype=np.int32)
+    keys = rank[np.frombuffer(ids, np.int32)]
+    del ids
+    counts = np.bincount(keys, minlength=len(tokens)).astype(np.int64, copy=False)
+    order = np.argsort(keys, kind="stable")
+    del keys
+    codes = np.repeat(np.array(shifts, np.int64), lengths)[order]
+    codes += order
     return PositionalIndex(doc_order, tokens, counts, codes)
 
 

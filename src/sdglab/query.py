@@ -8,7 +8,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .index import DOC_SHIFT, FIELD_SHIFT, FIELDS, POS_MASK, PositionalIndex
+from .index import (DOC_SHIFT, FIELD_SHIFT, FIELDS, POS_MASK, PositionalIndex,
+                    sorted_distinct)
 
 
 class ParseError(ValueError):
@@ -408,16 +409,6 @@ def _in_fields(values: np.ndarray, fields: tuple[int, ...], shift: int) -> np.nd
     return values[keep]
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a sorted array."""
-    if len(values) < 2:
-        return values
-    keep = np.empty(len(values), dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
 def _members(needles: np.ndarray, haystack: np.ndarray) -> np.ndarray:
     """For each needle, whether the sorted `haystack` holds it."""
     if not len(haystack):
@@ -442,7 +433,7 @@ def _phrase_docs(tokens: tuple[str, ...], index: PositionalIndex,
     # A shift that borrows across a field puts the start past the last
     # position a whole phrase can begin at.
     starts = starts[(starts & POS_MASK) <= POS_MASK - (len(tokens) - 1)]
-    return _distinct(starts >> DOC_SHIFT).tolist()
+    return sorted_distinct(starts >> DOC_SHIFT).tolist()
 
 
 def _proximity_docs(tokens: tuple[str, ...], window: int, index: PositionalIndex,
@@ -452,7 +443,7 @@ def _proximity_docs(tokens: tuple[str, ...], window: int, index: PositionalIndex
     arrays = [_pattern_codes(p, index) for p in tokens]
     keys = None
     for arr in arrays:
-        k = _distinct(arr >> FIELD_SHIFT)
+        k = sorted_distinct(arr >> FIELD_SHIFT)
         keys = _in_fields(k, fields, 0) if keys is None else keys[_members(keys, k)]
         if not len(keys):
             return []
@@ -476,7 +467,7 @@ def _leaf_docs(ast: QueryAst, index: PositionalIndex, fields: tuple[int, ...]) -
     """Doc numbers of a Term, Wildcard, Phrase or Proximity node."""
     if isinstance(ast, Term):
         codes = _in_fields(index.token_codes(ast.token), fields, FIELD_SHIFT)
-        return _distinct(codes >> DOC_SHIFT).tolist()
+        return sorted_distinct(codes >> DOC_SHIFT).tolist()
     if isinstance(ast, Wildcard):
         _check_stem(ast.stem)
         codes = _in_fields(index.prefix_codes(ast.stem), fields, FIELD_SHIFT)

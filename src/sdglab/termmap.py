@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain, combinations
+from array import array
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 import numpy as np
 
-from .index import tokenize
+from .index import sorted_distinct, token_ids, words
 
 DEFAULT_STOPLIST = frozenset("""
 a an and are as at be but by for from has have in is it its of on or that the
@@ -82,56 +82,171 @@ def contrast_score(occ_a: int, occ_b: int) -> float:
     return (occ_b - occ_a) / (occ_a + occ_b)
 
 
-def _doc_ngrams(record, config: TermMapConfig) -> set[str]:
-    """All retained-candidate n-grams of a record's title and abstract: the
-    runs of 1..max_ngram tokens whose first and last tokens are not stopwords."""
-    grams: set[str] = set()
-    for text in (record.title, record.abstract):
-        tokens = [tok for tok, _ in tokenize(text)]
-        kept = [tok not in config.stoplist for tok in tokens]
-        starts = [i for i, keep in enumerate(kept) if keep]
-        grams.update([tokens[i] for i in starts])
-        for n in range(2, min(config.max_ngram, len(tokens)) + 1):
-            last = len(tokens) - n
-            grams.update([" ".join(tokens[i:i + n]) for i in starts
-                          if i <= last and kept[i + n - 1]])
-    return grams
+# Term-pair codes gathered before one bincount adds them to the edge counts.
+_PAIR_CHUNK = 1 << 20
 
 
-def _tally_terms(gram_sets_a: Iterable[Iterable[str]],
-                 gram_sets_b: Iterable[Iterable[str]],
-                 config: TermMapConfig) -> list[TermStats]:
-    occ_a = Counter(chain.from_iterable(gram_sets_a))
-    occ_b = Counter(chain.from_iterable(gram_sets_b))
-    total = occ_a.copy()
-    total.update(occ_b)
-    retained = sorted(term for term, count in total.items()
-                      if count >= config.min_occurrences)
-    return [TermStats(term=term, occ_a=occ_a[term], occ_b=occ_b[term])
-            for term in retained]
+class _DocGrams:
+    """The retained-candidate n-grams of each doc's title and abstract, as
+    integer keys: the runs of 1..max_ngram tokens inside one text whose first
+    and last tokens are not stopwords.
 
+    Tokens get ids in order of first sight. A run of one token is keyed by
+    its id; a run of n tokens by rank(key of its first n-1 tokens) * V + id
+    of its last, with V the number of token ids and rank the place of a key
+    among the distinct keys of its length, so keys stay below T * V for T
+    tokens whatever max_ngram is. Level n holds `keys[n-1]`, the distinct
+    keys of every n-token run inside one text, and `pairs[n-1]`, the
+    distinct (gram rank * doc count + doc number) codes of the retained
+    candidates, in increasing order. Distinct values come from a sort, not
+    `np.unique`: numpy 2.4 finds them by hashing, which took about 15 times
+    as long as the sort on 100k int64 values.
+    """
 
-def _count_edges(terms: list[TermStats],
-                 gram_sets: Iterable[Iterable[str]]) -> list[tuple[str, str, int]]:
-    retained = {t.term for t in terms}
-    weights = Counter(chain.from_iterable(
-        combinations(sorted(retained.intersection(grams)), 2)
-        for grams in gram_sets))
-    return [(u, v, w) for (u, v), w in sorted(weights.items())]
+    def __init__(self, docs: list, config: TermMapConfig):
+        self.doc_count = len(docs)
+        slot = token_ids()
+        ids = array("i")
+        lengths = []
+        for d in docs:
+            for text in (d.title, d.abstract):
+                toks = words(text)
+                lengths.append(len(toks))
+                ids.extend(map(slot.__getitem__, toks))
+        self.vocab, self.slot = list(slot), slot
+        tok = np.frombuffer(ids, np.int32).astype(np.int64)
+        del ids
+        # Text number per token, padded with -1 so no run ends past the last text.
+        text = np.concatenate([np.repeat(np.arange(len(lengths)), lengths),
+                               np.full(config.max_ngram, -1)])
+        kept = ~np.fromiter((t in config.stoplist for t in self.vocab), bool,
+                            len(self.vocab))[tok]
+        # Every id occurs, so the distinct one-token keys are 0..V-1 and a
+        # token's rank is its id.
+        self.keys = [np.arange(len(self.vocab))]
+        self.pairs: list[np.ndarray] = []
+        start, rank = np.arange(len(tok)), tok
+        for n in range(1, config.max_ngram + 1):
+            if n > 1:
+                inside = text[start + (n - 1)] == text[start]
+                start = start[inside]
+                key = rank[inside] * len(self.vocab) + tok[start + (n - 1)]
+                del rank, inside
+                self.keys.append(sorted_distinct(np.sort(key)))
+                rank = np.searchsorted(self.keys[-1], key)
+                del key
+            cand = kept[start] & kept[start + (n - 1)]
+            self.pairs.append(sorted_distinct(np.sort(rank[cand] * self.doc_count
+                                                    + (text[start[cand]] >> 1))))
+
+    def tally(self, n_a: int, min_occurrences: int) -> list[TermStats]:
+        """Document frequency of each gram in docs 0..n_a-1 and in the rest,
+        for the grams whose two counts add up to min_occurrences or more."""
+        found = []
+        for n, pairs in enumerate(self.pairs, 1):
+            gram, doc = np.divmod(pairs, self.doc_count)
+            size = len(self.keys[n - 1])
+            occ_a = np.bincount(gram[doc < n_a], minlength=size)
+            occ_b = np.bincount(gram[doc >= n_a], minlength=size)
+            kept = np.flatnonzero(occ_a + occ_b >= min_occurrences)
+            found += zip(self._strings(n, kept), occ_a[kept].tolist(),
+                         occ_b[kept].tolist())
+        return [TermStats(term, a, b) for term, a, b in sorted(found)]
+
+    def _strings(self, n: int, ranks: np.ndarray) -> list[str]:
+        """The text of the level-n grams of the given ranks."""
+        columns = []
+        key = self.keys[n - 1][ranks]
+        for level in range(n - 1, 0, -1):
+            prefix, last = np.divmod(key, len(self.vocab))
+            columns.append(last.tolist())
+            key = self.keys[level - 1][prefix]
+        columns.append(key.tolist())
+        vocab = self.vocab
+        return [" ".join(map(vocab.__getitem__, toks)) for toks in zip(*columns[::-1])]
+
+    def _places(self, names: list[str]) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(n, ranks, places): the ranks of the level-n grams that `names`
+        spell and the places of those names in `names`, for each level; a
+        name that spells no run is left out."""
+        by_level: list[list[tuple[int, list[int]]]] = [[] for _ in self.keys]
+        for i, name in enumerate(names):
+            toks = name.split(" ")
+            if len(toks) <= len(self.keys) and all(t in self.slot for t in toks):
+                by_level[len(toks) - 1].append((i, [self.slot[t] for t in toks]))
+        found = []
+        for n, group in enumerate(by_level, 1):
+            if not group or not len(self.keys[n - 1]):
+                continue
+            places = np.array([i for i, _ in group])
+            toks = np.array([t for _, t in group], np.int64)
+            key, spelled = toks[:, 0], np.ones(len(group), bool)
+            for level, distinct in enumerate(self.keys[:n], 1):
+                rank = np.minimum(np.searchsorted(distinct, key), len(distinct) - 1)
+                spelled &= distinct[rank] == key
+                if level < n:
+                    key = rank * len(self.vocab) + toks[:, level]
+            found.append((n, rank[spelled], places[spelled]))
+        return found
+
+    def edges(self, names: list[str], mask: np.ndarray | None = None
+              ) -> list[tuple[str, str, int]]:
+        """(u, v, number of docs holding both) for each pair u < v of `names`
+        that shares a doc, in (u, v) order; `names` must be sorted and
+        distinct. Counts over the docs where `mask` is set, or over all.
+
+        With the (doc, name) pairs sorted, the names of a doc are one run,
+        increasing; the entries k apart within a run give each pair u < v of
+        the doc once, as the code u * len(names) + v, for k = 1, 2, ... until
+        no run is longer than k. The codes are tallied by bincount, in
+        integers; increasing codes are (u, v) order. BLAS is not used: its
+        threads spin after a call and slow the layout that runs next."""
+        docs, places = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for n, ranks, place_of_rank in self._places(names):
+            name_of = np.full(len(self.keys[n - 1]), -1)
+            name_of[ranks] = place_of_rank
+            gram, doc = np.divmod(self.pairs[n - 1], self.doc_count)
+            place = name_of[gram]
+            held = place >= 0 if mask is None else (place >= 0) & mask[doc]
+            docs.append(doc[held])
+            places.append(place[held])
+        size = len(names)
+        doc, place = np.divmod(np.sort(np.concatenate(docs) * size
+                                       + np.concatenate(places)), size)
+        counts = np.zeros(size * size, np.int64)
+        chunk: list[np.ndarray] = []
+        k = 1
+        while True:
+            same = doc[k:] == doc[:-k]
+            done = not same.any()
+            if not done:
+                chunk.append(place[:-k][same] * size + place[k:][same])
+            if chunk and (done or sum(map(len, chunk)) >= _PAIR_CHUNK):
+                counts += np.bincount(np.concatenate(chunk), minlength=len(counts))
+                chunk = []
+            if done:
+                break
+            k += 1
+        codes = np.flatnonzero(counts)
+        weights = counts[codes].tolist()
+        return [(names[u], names[v], w) for u, v, w in
+                zip(*(part.tolist() for part in np.divmod(codes, size)), weights)]
 
 
 def extract_terms(docs_a: Iterable, docs_b: Iterable,
                   config: TermMapConfig) -> list[TermStats]:
     """Document-frequency tally of 1..max_ngram grams over titles+abstracts,
     retaining terms whose combined count reaches min_occurrences."""
-    return _tally_terms((_doc_ngrams(d, config) for d in docs_a),
-                        (_doc_ngrams(d, config) for d in docs_b), config)
+    docs = list(docs_a)
+    n_a = len(docs)
+    docs += docs_b
+    return _DocGrams(docs, config).tally(n_a, config.min_occurrences)
 
 
 def cooccurrence_edges(terms: list[TermStats], docs: Iterable,
                        config: TermMapConfig) -> list[tuple[str, str, int]]:
     """Edges weighted by the number of documents containing both terms."""
-    return _count_edges(terms, (_doc_ngrams(d, config) for d in docs))
+    return _DocGrams(list(docs), config).edges(sorted({t.term for t in terms}))
 
 
 def layout_map(edges: list[tuple[str, str, int]], terms: list[TermStats],
@@ -193,21 +308,16 @@ def build_term_map(name_a: str, docs_a, name_b: str, docs_b,
                    config: TermMapConfig | None = None) -> TermMap:
     """`extract_terms` over both sets and `cooccurrence_edges` over their
     union by internal_id (a later doc replaces an earlier one with its id),
-    with each doc's n-grams extracted once.
-
-    A doc's grams are kept as a tuple whose strings are shared across docs
-    through `canon`; per-doc sets of private strings take more memory.
-    """
+    with each doc tokenized once."""
     config = config or TermMapConfig()
     docs = list(docs_a)
     n_a = len(docs)
     docs += docs_b
-    canon: dict[str, str] = {}
-    gram_sets = [tuple(canon.setdefault(g, g) for g in _doc_ngrams(d, config))
-                 for d in docs]
-    terms = _tally_terms(gram_sets[:n_a], gram_sets[n_a:], config)
-    combined = {d.internal_id: grams for d, grams in zip(docs, gram_sets)}
-    edges = _count_edges(terms, combined.values())
+    grams = _DocGrams(docs, config)
+    terms = grams.tally(n_a, config.min_occurrences)
+    latest = np.zeros(len(docs), bool)
+    latest[list({d.internal_id: i for i, d in enumerate(docs)}.values())] = True
+    edges = grams.edges([t.term for t in terms], latest)
     coords = layout_map(edges, terms, config) if terms else {}
     return TermMap(name_a=name_a, name_b=name_b, terms=terms, edges=edges,
                    coordinates=coords, config=config)
@@ -237,28 +347,41 @@ def export_term_map(term_map: TermMap, fmt: str) -> str:
     raise ValueError(f"unknown format: {fmt!r}")
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of rendered items, laid out as json.dumps(indent=2) lays
+    out an array whose key line starts with `indent`."""
+    if not items:
+        return "[]"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]"
+
+
 def _export_json(term_map: TermMap) -> str:
-    doc = {
-        "name_a": term_map.name_a,
-        "name_b": term_map.name_b,
-        "config": {
-            "min_occurrences": term_map.config.min_occurrences,
-            "max_ngram": term_map.config.max_ngram,
-            "stoplist": sorted(term_map.config.stoplist),
-            "layout_seed": term_map.config.layout_seed,
-            "layout_iterations": term_map.config.layout_iterations,
-        },
-        "terms": [
-            {"term": t.term, "occ_a": t.occ_a, "occ_b": t.occ_b,
-             "score": t.score,
-             "x": term_map.coordinates[t.term][0],
-             "y": term_map.coordinates[t.term][1]}
-            for t in term_map.terms
-        ],
-        "edges": [{"source": u, "target": v, "weight": w}
-                  for u, v, w in term_map.edges],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The text json.dumps(doc, indent=2, sort_keys=True) + "\n" gives for the
+    map's document (keys in sorted order), written directly: strings go
+    through json's ASCII string encoder and floats through json.dumps."""
+    quote, config = encode_basestring_ascii, term_map.config
+    terms = []
+    for t in term_map.terms:
+        x, y = term_map.coordinates[t.term]
+        terms.append(f'{{\n      "occ_a": {t.occ_a},\n      "occ_b": {t.occ_b},\n'
+                     f'      "score": {json.dumps(t.score)},\n      "term": {quote(t.term)},\n'
+                     f'      "x": {json.dumps(x)},\n      "y": {json.dumps(y)}\n    }}')
+    edges = [f'{{\n      "source": {quote(u)},\n      "target": {quote(v)},\n'
+             f'      "weight": {w}\n    }}' for u, v, w in term_map.edges]
+    stoplist = [quote(word) for word in sorted(config.stoplist)]
+    return ("{\n"
+            '  "config": {\n'
+            f'    "layout_iterations": {config.layout_iterations},\n'
+            f'    "layout_seed": {config.layout_seed},\n'
+            f'    "max_ngram": {config.max_ngram},\n'
+            f'    "min_occurrences": {config.min_occurrences},\n'
+            f'    "stoplist": {_json_array(stoplist, "    ")}\n'
+            "  },\n"
+            f'  "edges": {_json_array(edges, "  ")},\n'
+            f'  "name_a": {quote(term_map.name_a)},\n'
+            f'  "name_b": {quote(term_map.name_b)},\n'
+            f'  "terms": {_json_array(terms, "  ")}\n'
+            "}\n")
 
 
 def load_term_map(text: str) -> TermMap:

@@ -10,10 +10,10 @@ import pytest
 
 from conftest import random_corpus
 from sdglab.corpus import Corpus, PublicationRecord, load_corpus_file
-from sdglab.index import (FIELDS, INDEX_MAGIC, INDEX_VERSION, KEYWORD_GAP,
+from sdglab.index import (_TOKEN_RE, FIELDS, INDEX_MAGIC, INDEX_VERSION, KEYWORD_GAP,
                           MAX_POSITION, PositionalIndex, build_index, field_token_stream,
                           load_index, save_index, tokenize, tokenize_keywords,
-                          wildcard_expand)
+                          wildcard_expand, words)
 
 
 def run_count_oracle(text: str) -> int:
@@ -58,6 +58,37 @@ class TestTokenize:
         positions = dict((tok, pos) for tok, pos in stream)
         assert positions["change"] - positions["climate"] == 1
         assert positions["policy"] - positions["change"] > 50
+
+
+# Pieces of mixed text: ASCII words and capitals, letters whose lowercase is
+# longer or another letter (İ, ẞ, Ω), CJK, digits, underscores and separators.
+WORD_PIECES = ["Climate", "CO2", "x_y", "_", "İstanbul", "İ", "STRAẞE", "ẞ", "Ω",
+               "ΩMEGA", "東京", "数据库", "2019", "a1b2", "-", " ", "  ", "/", "é", "Été",
+               "naïve", "\t", "\n", "—", "ǅ"]
+
+
+class TestWords:
+    def test_equals_lowering_each_token(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            text = "".join(rng.choices(WORD_PIECES, k=rng.randint(0, 12)))
+            assert words(text) == [tok.lower() for tok in _TOKEN_RE.findall(text)]
+
+    def test_every_ascii_character(self):
+        for code in range(128):
+            text = f"Ab{chr(code)}9{chr(code)}{chr(code)}Z"
+            assert words(text) == [tok.lower() for tok in _TOKEN_RE.findall(text)]
+
+    def test_dotted_capital_i_stays_one_token(self):
+        # "İ".lower() is "i" plus a combining dot, which is not alphanumeric
+        assert words("İstanbul") == ["i\u0307stanbul"]
+        assert words("ISTANBUL") == ["istanbul"]
+
+    def test_tokenize_is_words_enumerated(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            text = "".join(rng.choices(WORD_PIECES, k=rng.randint(0, 12)))
+            assert tokenize(text) == [(tok, i) for i, tok in enumerate(words(text))]
 
 
 def two_doc_corpus():
@@ -207,6 +238,16 @@ class TestPositions:
         assert field_positions(postings, "energy", "b", "keywords") == ()
         assert field_positions(postings, "energy", "a", "title") == ()
         assert "absent" not in postings
+
+    @pytest.mark.parametrize("empty", ["—", "", "_ -"])
+    def test_keyword_without_tokens_still_advances_the_gap(self, empty):
+        keywords = ("climate change", empty, "policy", empty)
+        corpus = Corpus("c", [PublicationRecord("a", "t", 2016, keywords=keywords)])
+        postings = build_index(corpus).postings
+        assert field_positions(postings, "policy", "a", "keywords") == \
+            (2 + KEYWORD_GAP + KEYWORD_GAP,)
+        assert tokenize_keywords(keywords) == \
+            [("climate", 0), ("change", 1), ("policy", 2 + 2 * KEYWORD_GAP)]
 
     def test_equals_linear_scan(self):
         corpus = random_corpus(47, 150)

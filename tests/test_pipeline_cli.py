@@ -508,6 +508,29 @@ class TestCli:
         for fmt in ("json", "graphml", "html"):
             assert (cli / "termmap" / f"termmap.{fmt}").read_bytes() == \
                 (pipe / "termmaps" / "alpha__gamma" / f"termmap.{fmt}").read_bytes()
+        # non-default n-gram length and layout iterations, from the config and
+        # from the options
+        doc = json.loads((demo_dir / "config.json").read_text())
+        for entry in doc["corpora"]:
+            for key in ("corpus_file", "coverage_file"):
+                entry[key] = str(demo_dir / entry[key])
+        for entry in doc["strategies"]:
+            entry["file"] = str(demo_dir / entry["file"])
+        doc["termmaps"][0]["config"].update(max_ngram=2, layout_iterations=40)
+        (tmp_path / "settings.json").write_text(json.dumps(doc))
+        run_pipeline(PipelineConfig.load(tmp_path / "settings.json",
+                                         output_dir=tmp_path / "settings"))
+        assert self.run_cli("termmap", *results,
+                            "--corpus-a", str(demo_dir / "corpus_x.jsonl"),
+                            "--corpus-b", str(demo_dir / "corpus_y.jsonl"),
+                            "--min-occurrences", "5", "--seed", "11", "--max-ngram", "2",
+                            "--layout-iterations", "40",
+                            "--out", str(cli / "settings")) == 0
+        for fmt in ("json", "graphml", "html"):
+            text = (cli / "settings" / f"termmap.{fmt}").read_bytes()
+            assert text == (tmp_path / "settings" / "termmaps" / "alpha__gamma" /
+                            f"termmap.{fmt}").read_bytes()
+            assert text != (cli / "termmap" / f"termmap.{fmt}").read_bytes()
 
     @pytest.fixture()
     def overflow_corpus(self, tmp_path):
@@ -670,11 +693,16 @@ class TestCli:
         (["termmap", "--min-occurrences", "1.5"], "--min-occurrences"),
         (["termmap", "--seed", "-1"], "--seed"),
         (["termmap", "--seed", "x"], "--seed"),
+        (["termmap", "--max-ngram", "0"], "--max-ngram"),
+        (["termmap", "--max-ngram", "2.5"], "--max-ngram"),
+        (["termmap", "--layout-iterations", "-1"], "--layout-iterations"),
+        (["termmap", "--layout-iterations", "many"], "--layout-iterations"),
         (["enhance", "--threshold", "2"], "--threshold"),
         (["enhance", "--threshold", "-0.1"], "--threshold"),
         (["enhance", "--threshold", "nan"], "--threshold"),
         (["enhance", "--threshold", "high"], "--threshold"),
     ], ids=["occurrences-zero", "occurrences-float", "seed-negative", "seed-word",
+            "ngram-zero", "ngram-float", "iterations-negative", "iterations-word",
             "threshold-two", "threshold-negative", "threshold-nan", "threshold-word"])
     def test_bad_setting_is_a_usage_error(self, demo_dir, tmp_path, capsys, argv,
                                           argument):

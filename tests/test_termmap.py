@@ -1,19 +1,20 @@
+import json
 import math
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
 from sdglab.corpus import PublicationRecord
 from sdglab.index import tokenize
+from sdglab import termmap
 from sdglab.termmap import (DEFAULT_STOPLIST, TermMap, TermMapConfig, TermStats,
-                            _doc_ngrams, _tally_terms, build_term_map,
-                            contrast_score, cooccurrence_edges, export_term_map,
-                            extract_terms, layout_map, load_term_map,
-                            score_color)
+                            build_term_map, contrast_score, cooccurrence_edges,
+                            export_term_map, extract_terms, layout_map,
+                            load_term_map, score_color)
 
 
 def doc(rid, title, abstract=""):
@@ -296,9 +297,10 @@ class TestExports:
 
 # ---------------------------------------------------------------------------
 # Reference implementations: the (n, n, 2) layout with np.linalg.norm, the
-# n-gram loop that joins every candidate, the tally that sorts every gram and
-# the ElementTree GraphML writer. The module's versions must give the same
-# floats, sets, lists and text.
+# n-gram loop that joins every candidate, the tally that sorts every gram, the
+# edge count over pairs of sorted gram strings, the ElementTree GraphML writer
+# and json.dumps of the map's document. The module's versions must give the
+# same floats, lists and text.
 
 
 def reference_layout(edges, terms, config):
@@ -358,6 +360,33 @@ def reference_tally(gram_sets_a, gram_sets_b, config):
         if a + b >= config.min_occurrences:
             stats.append(TermStats(term=term, occ_a=a, occ_b=b))
     return stats
+
+
+def reference_edges(terms, gram_sets):
+    retained = {t.term for t in terms}
+    weights = Counter(chain.from_iterable(
+        combinations(sorted(retained.intersection(grams)), 2) for grams in gram_sets))
+    return [(u, v, w) for (u, v), w in sorted(weights.items())]
+
+
+def reference_json(term_map):
+    config = term_map.config
+    doc = {
+        "name_a": term_map.name_a,
+        "name_b": term_map.name_b,
+        "config": {
+            "min_occurrences": config.min_occurrences,
+            "max_ngram": config.max_ngram,
+            "stoplist": sorted(config.stoplist),
+            "layout_seed": config.layout_seed,
+            "layout_iterations": config.layout_iterations,
+        },
+        "terms": [{"term": t.term, "occ_a": t.occ_a, "occ_b": t.occ_b, "score": t.score,
+                   "x": term_map.coordinates[t.term][0],
+                   "y": term_map.coordinates[t.term][1]} for t in term_map.terms],
+        "edges": [{"source": u, "target": v, "weight": w} for u, v, w in term_map.edges],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def reference_graphml(term_map):
@@ -446,6 +475,10 @@ def random_ngram_docs(seed, count):
                 random_text(rng, stop_only=rng.random() < 0.2)) for i in range(count)]
 
 
+def reference_grams(docs, config):
+    return [reference_doc_ngrams(d, config) for d in docs]
+
+
 class TestNgramOracle:
     @pytest.mark.parametrize("max_ngram", [1, 2, 3, 4])
     def test_doc_ngrams_equal_reference(self, max_ngram):
@@ -454,23 +487,79 @@ class TestNgramOracle:
             config = TermMapConfig(min_occurrences=1, max_ngram=max_ngram,
                                    stoplist=stoplist)
             for d in docs:
-                assert _doc_ngrams(d, config) == reference_doc_ngrams(d, config)
+                assert extract_terms([d], [], config) == \
+                    [TermStats(g, 1, 0) for g in sorted(reference_doc_ngrams(d, config))]
 
     def test_stopword_only_and_empty_texts_have_no_grams(self):
         config = TermMapConfig(min_occurrences=1, max_ngram=4)
-        assert _doc_ngrams(doc("a", "the of and", "in to"), config) == set()
-        assert _doc_ngrams(doc("b", "", ""), config) == set()
+        docs = [doc("a", "the of and", "in to"), doc("b", "", ""), doc("c", ".,;", "_")]
+        assert extract_terms(docs, docs, config) == []
+        assert cooccurrence_edges([TermStats("the", 1, 1)], docs, config) == []
 
     @pytest.mark.parametrize("min_occurrences", [1, 2, 5, 40])
     def test_tally_equals_reference(self, min_occurrences):
         config = TermMapConfig(min_occurrences=min_occurrences, max_ngram=3)
-        grams_a = [_doc_ngrams(d, config) for d in random_ngram_docs(11, 120)]
-        grams_b = [_doc_ngrams(d, config) for d in random_ngram_docs(12, 90)]
+        docs_a, docs_b = random_ngram_docs(11, 120), random_ngram_docs(12, 90)
+        grams_a, grams_b = reference_grams(docs_a, config), reference_grams(docs_b, config)
         want = reference_tally(grams_a, grams_b, config)
-        assert _tally_terms(iter(grams_a), iter(grams_b), config) == want
-        assert _tally_terms(grams_b, grams_a, config) == \
+        assert extract_terms(iter(docs_a), iter(docs_b), config) == want
+        assert extract_terms(docs_b, docs_a, config) == \
             reference_tally(grams_b, grams_a, config)
-        assert _tally_terms([], grams_b, config) == reference_tally([], grams_b, config)
+        assert extract_terms([], docs_b, config) == reference_tally([], grams_b, config)
+
+
+class TestEdgeOracle:
+    @pytest.mark.parametrize("max_ngram", [1, 2, 3, 5])
+    def test_cooccurrence_edges_equal_reference(self, max_ngram):
+        docs = random_ngram_docs(20 + max_ngram, 200)
+        for stoplist in (DEFAULT_STOPLIST, frozenset(), frozenset({"climate", "東京"})):
+            config = TermMapConfig(min_occurrences=2, max_ngram=max_ngram,
+                                   stoplist=stoplist)
+            terms = extract_terms(docs, [], config)
+            assert len(terms) > 10
+            assert cooccurrence_edges(terms, docs, config) == \
+                reference_edges(terms, reference_grams(docs, config))
+
+    def test_terms_given_in_any_form(self):
+        # unsorted and repeated terms, terms the docs never spell as a kept
+        # gram (stop-bounded, capitals, double spaces, longer than max_ngram,
+        # a hyphen no token holds) and a doc listed twice
+        docs = random_ngram_docs(5, 120)
+        config = TermMapConfig(min_occurrences=1, max_ngram=2)
+        found = extract_terms(docs, [], config)
+        names = [t.term for t in found[::-3]] + [
+            found[0].term, "the climate", "climate the", "Climate", "climate  carbon",
+            "", " ", "absent", "x-ray", "carbon energy climate", "ökologie"]
+        terms = [TermStats(name, 1, 1) for name in names]
+        docs += docs[:7]
+        assert cooccurrence_edges(terms, docs, config) == \
+            reference_edges(terms, reference_grams(docs, config))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+    def test_counts_over_pair_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(termmap, "_PAIR_CHUNK", chunk)
+        docs = random_ngram_docs(6, 150)
+        config = TermMapConfig(min_occurrences=3, max_ngram=2)
+        terms = extract_terms(docs, [], config)
+        assert cooccurrence_edges(terms, docs, config) == \
+            reference_edges(terms, reference_grams(docs, config))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_build_term_map_equals_reference(self, seed):
+        # ids d0..d99 sit on both sides, and d3 twice on side a with its own
+        # text: edges count the last doc of each id
+        rng = random.Random(seed)
+        docs_a = random_ngram_docs(30 + seed, 140)
+        docs_a.append(doc("d3", random_text(rng), random_text(rng)))
+        docs_b = random_ngram_docs(40 + seed, 100)
+        config = TermMapConfig(min_occurrences=1 + seed, max_ngram=1 + seed % 4,
+                               layout_iterations=5)
+        term_map = build_term_map("a", docs_a, "b", docs_b, config)
+        terms = reference_tally(reference_grams(docs_a, config),
+                                reference_grams(docs_b, config), config)
+        latest = {d.internal_id: reference_doc_ngrams(d, config) for d in docs_a + docs_b}
+        assert term_map.terms == terms
+        assert term_map.edges == reference_edges(terms, latest.values())
 
 
 def hand_built_map(names, edges):
@@ -502,6 +591,54 @@ class TestGraphmlOracle:
                                random_ngram_docs(2, 80), config)
         assert built.terms and built.edges
         assert export_term_map(built, "graphml") == reference_graphml(built)
+
+
+def random_json_map(seed):
+    """A hand-built map with names holding escapes, non-ASCII and astral
+    characters, odd floats and int coordinates, and a random stoplist."""
+    rng = random.Random(seed)
+    pieces = ["climate", "ökologie", "東京", "a\"b", "back\\slash", "\n", "\t", "\x00",
+              "\x1f", "\u2028", "𝄞", "é", "/", " ", "<&>"]
+    names = sorted({"".join(rng.choices(pieces, k=rng.randint(1, 3)))
+                    for _ in range(rng.randint(0, 12))})
+    floats = [0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324, 1e-300, 1e300, 2.5e-7, 12345678.9, 0, 1]
+    terms = [TermStats(name, rng.randint(0, 9), rng.randint(1, 9)) for name in names]
+    coords = {name: (rng.choice(floats + [rng.random()]), rng.choice(floats))
+              for name in names}
+    edges = [(u, v, rng.randint(1, 10**6))
+             for u, v in combinations(names, 2) if rng.random() < 0.5]
+    stoplist = frozenset(rng.sample(pieces, rng.randint(0, 5)))
+    config = TermMapConfig(min_occurrences=rng.randint(1, 99), max_ngram=rng.randint(1, 6),
+                           stoplist=stoplist, layout_seed=rng.randint(0, 99),
+                           layout_iterations=rng.randint(0, 300))
+    return TermMap(rng.choice(pieces), rng.choice(pieces), terms, edges, coords, config)
+
+
+class TestJsonOracle:
+    @pytest.mark.parametrize("term_map", [
+        hand_built_map(TestGraphmlOracle.SPECIAL,
+                       [(u, v, i + 1) for i, (u, v) in enumerate(
+                           zip(TestGraphmlOracle.SPECIAL, TestGraphmlOracle.SPECIAL[1:]))]),
+        hand_built_map(["solo"], []),
+        hand_built_map([], []),
+        hand_built_map([], [("a<", "b>", 3)]),
+    ], ids=["special-characters", "one-term", "empty", "edges-only"])
+    def test_text_equals_json_dumps(self, term_map):
+        assert export_term_map(term_map, "json") == reference_json(term_map)
+
+    def test_random_maps_equal_json_dumps(self):
+        for seed in range(200):
+            term_map = random_json_map(seed)
+            assert export_term_map(term_map, "json") == reference_json(term_map)
+
+    @pytest.mark.parametrize("stoplist", [frozenset(), frozenset({"ökologie", "東京", "x"})])
+    def test_built_maps_equal_json_dumps(self, stoplist):
+        config = TermMapConfig(min_occurrences=3, max_ngram=2, stoplist=stoplist)
+        built = build_term_map("ä", random_ngram_docs(1, 80), "b", random_ngram_docs(2, 80),
+                               config)
+        assert built.terms and built.edges
+        assert export_term_map(built, "json") == reference_json(built)
+        assert export_term_map(sample_map(), "json") == reference_json(sample_map())
 
 
 class TestConfigValidation:
