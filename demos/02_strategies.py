@@ -6,7 +6,7 @@ Run: python3 demos/02_strategies.py
 from importlib.resources import files
 
 from sdglab import (ingest_corpus, build_index, load_strategy_file,
-                    run_strategy, term_class_summary, doi_share)
+                    run_strategy, term_class_summary)
 
 data = files("sdglab") / "data"
 
@@ -27,4 +27,4 @@ index = build_index(corpus)
 strategy = load_strategy_file(demo / "alpha.json")
 result = run_strategy(strategy, index, corpus)
 print(f"strategy {strategy.name!r} on {corpus.name}: "
-      f"{len(result)} records, DOI share {doi_share(result):.3f}")
+      f"{len(result)} records, DOI share {result.doi_record_count / len(result):.3f}")

@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .corpus import (Corpus, PublicationRecord, YearWindow, doi_share,
-                     filter_window, ingest_corpus, load_corpus_file,
-                     load_coverage_file, normalize_doi)
+from .corpus import (Corpus, PublicationRecord, YearWindow, ingest_corpus,
+                     load_corpus_file, load_coverage_file, normalize_doi)
 from .index import PositionalIndex, build_index, tokenize, wildcard_expand
 from .query import evaluate, explain, parse_query, print_query, proximity_match
 from .strategy import (ClassifiedTerm, ResultSet, SearchStrategy, load_strategy,

@@ -175,17 +175,3 @@ def serialize_corpus(corpus: Corpus, sink: IO[str]) -> None:
         }
         sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
-
-def filter_window(records: Iterable[PublicationRecord],
-                  window: YearWindow) -> set[PublicationRecord]:
-    return {r for r in records if window.contains(r.year)}
-
-
-def doi_share(result) -> float:
-    """Fraction of result-set members that carry a DOI.
-
-    Counts records, not distinct DOIs, mirroring per-database totals.
-    """
-    if not result.members:
-        raise ValueError("empty result set")
-    return result.doi_record_count / len(result.members)

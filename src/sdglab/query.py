@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -360,7 +361,8 @@ def _window_match(sets: list[set[int]], span_bound: int) -> bool:
         return False
     candidates = sorted(set().union(*sets))
     for lo in candidates:
-        window = [s & set(range(lo, lo + span_bound + 1)) for s in sets]
+        hi = lo + span_bound
+        window = [{p for p in s if lo <= p <= hi} for s in sets]
         if all(window) and _distinct_assignment(window):
             return True
     return False
@@ -436,29 +438,63 @@ def _phrase_docs(tokens: tuple[str, ...], index: PositionalIndex,
     return sorted_distinct(starts >> DOC_SHIFT).tolist()
 
 
+def _disjoint(patterns) -> bool:
+    """True if no token matches two of the distinct `patterns`: a stem
+    (a pattern ending in "*") overlaps every other pattern it prefixes."""
+    bodies = [p.rstrip("*") for p in patterns]
+    return not any(p.endswith("*") and q.startswith(b)
+                   for i, (p, b) in enumerate(zip(patterns, bodies))
+                   for j, q in enumerate(bodies) if i != j)
+
+
 def _proximity_docs(tokens: tuple[str, ...], window: int, index: PositionalIndex,
                     fields: tuple[int, ...]) -> list[int]:
-    """Doc numbers with a (doc, field) key, code >> FIELD_SHIFT, that every
-    pattern occurs in and whose positions there pass `_window_match`."""
-    arrays = [_pattern_codes(p, index) for p in tokens]
+    """Doc numbers with a window inside one (doc, field) key (code >>
+    FIELD_SHIFT), spanning at most bound = len(tokens) - 1 + window
+    positions, that holds each pattern at as many distinct positions as the
+    query repeats it. No key is wider than POS_MASK, so neither is `bound`.
+
+    Only keys that every pattern occurs in are searched; when there are none
+    the search ends there. Each occurrence of a pattern in such a key starts
+    a window whose limit is min(start + bound, start | POS_MASK), the latter
+    being the last code of the start's key. A start is kept when, for each
+    distinct pattern that the query holds r times, the r-th occurrence at or
+    after the start is at most the limit. When no token can match two of the
+    distinct patterns (`_disjoint`), their occurrences are distinct, so a
+    kept start is a match. Otherwise only the keys of kept starts go on to
+    `_window_match`, which gives each pattern its own positions.
+    """
+    counts = Counter(tokens)
+    arrays = [_pattern_codes(p, index) for p in counts]
     keys = None
     for arr in arrays:
         k = sorted_distinct(arr >> FIELD_SHIFT)
         keys = _in_fields(k, fields, 0) if keys is None else keys[_members(keys, k)]
         if not len(keys):
             return []
-    bound = len(tokens) - 1 + window
-    slices = [(arr & POS_MASK,
-               np.searchsorted(arr, keys << FIELD_SHIFT).tolist(),
-               np.searchsorted(arr, keys + 1 << FIELD_SHIFT).tolist())
-              for arr in arrays]
+    bound = min(len(tokens) - 1 + window, POS_MASK)
+    starts = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+    starts = starts[_members(starts >> FIELD_SHIFT, keys)]
+    limits = np.minimum(starts + bound, starts | POS_MASK)
+    keep = None
+    for arr, r in zip(arrays, counts.values()):
+        # occurrences of the pattern from the start to the limit, at least r
+        covered = np.searchsorted(arr, limits, side="right") - r >= \
+            np.searchsorted(arr, starts)
+        keep = covered if keep is None else np.logical_and(keep, covered, out=keep)
+    starts = np.sort(starts[keep])
+    if _disjoint(list(counts)):
+        return sorted_distinct(starts >> DOC_SHIFT).tolist()
     matched = []
-    for c, key in enumerate(keys.tolist()):
+    for key in sorted_distinct(starts >> FIELD_SHIFT).tolist():
         doc = key >> DOC_SHIFT - FIELD_SHIFT
         if matched and matched[-1] == doc:
             continue
-        if _window_match([set(pos[lo[c]:hi[c]].tolist()) for pos, lo, hi in slices],
-                         bound):
+        lo, hi = key << FIELD_SHIFT, key + 1 << FIELD_SHIFT
+        sets = {p: set((arr[np.searchsorted(arr, lo):np.searchsorted(arr, hi)]
+                        & POS_MASK).tolist())
+                for p, arr in zip(counts, arrays)}
+        if _window_match([sets[p] for p in tokens], bound):
             matched.append(doc)
     return matched
 
@@ -471,7 +507,7 @@ def _leaf_docs(ast: QueryAst, index: PositionalIndex, fields: tuple[int, ...]) -
     if isinstance(ast, Wildcard):
         _check_stem(ast.stem)
         codes = _in_fields(index.prefix_codes(ast.stem), fields, FIELD_SHIFT)
-        return np.unique(codes >> DOC_SHIFT).tolist()
+        return sorted_distinct(np.sort(codes >> DOC_SHIFT)).tolist()
     if isinstance(ast, Phrase):
         return _phrase_docs(ast.tokens, index, fields)
     return _proximity_docs(ast.tokens, ast.window, index, fields)

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdglab.corpus import (Corpus, IngestError, PublicationRecord, YearWindow,
-                           doi_share, filter_window, ingest_corpus,
-                           load_coverage_file, normalize_doi, serialize_corpus)
-from sdglab.strategy import ResultSet
+                           ingest_corpus, load_coverage_file, normalize_doi,
+                           serialize_corpus)
+from sdglab.index import build_index
+from sdglab.rounding import percent
+from sdglab.strategy import ClassifiedTerm, ResultSet, SearchStrategy, run_strategy
 
 
 def make_lines(records):
@@ -111,16 +113,24 @@ class TestIngest:
 
 
 class TestFilterWindow:
+    """The year window `run_strategy` applies to the matched records."""
+
     def records_for_years(self, years):
         return [PublicationRecord(f"r{i}", "t", y) for i, y in enumerate(years)]
 
+    def filter_window(self, records, window):
+        corpus = Corpus("c", records)
+        strategy = SearchStrategy("s", (ClassifiedTerm('"t"', "general"),), window=window)
+        result = run_strategy(strategy, build_index(corpus), corpus)
+        return {corpus[m] for m in result.members}
+
     def test_boundaries_inclusive(self):
         recs = self.records_for_years([2014, 2015, 2019, 2020])
-        kept = filter_window(recs, YearWindow(2015, 2019))
+        kept = self.filter_window(recs, YearWindow(2015, 2019))
         assert {r.year for r in kept} == {2015, 2019}
 
     def test_empty_input(self):
-        assert filter_window([], YearWindow(2015, 2019)) == set()
+        assert self.filter_window([], YearWindow(2015, 2019)) == set()
 
     def test_matches_linear_scan_oracle(self):
         rng = random.Random(3)
@@ -128,14 +138,15 @@ class TestFilterWindow:
                                        for _ in range(500)])
         window = YearWindow(2015, 2019)
         expected = {r for r in recs if 2015 <= r.year <= 2019}
-        assert filter_window(recs, window) == expected
+        assert self.filter_window(recs, window) == expected
 
     def test_subset_and_idempotent(self):
         recs = self.records_for_years([2013, 2016, 2018, 2025])
         window = YearWindow(2015, 2019)
-        once = filter_window(recs, window)
+        once = self.filter_window(recs, window)
         assert once <= set(recs)
-        assert filter_window(once, window) == once
+        assert self.filter_window(sorted(once, key=lambda r: r.internal_id),
+                                  window) == once
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -151,26 +162,24 @@ def result_with_doi_counts(with_doi: int, total: int) -> ResultSet:
     return ResultSet("s", corpus, {r.internal_id for r in records})
 
 
-def stub_result(with_doi: int, total: int):
-    # ResultSet-shaped stand-in for table-scale counts
-    from types import SimpleNamespace
-    return SimpleNamespace(members=range(total), doi_record_count=with_doi)
-
-
 class TestDoiShare:
+    """The Table 3 DOI share as `run_pipeline` reports it:
+    percent(doi_record_count, members), over an empty result 0.0."""
+
     def test_elsevier_row(self):
-        share = doi_share(stub_result(195734, 214369))
-        assert abs(share - 0.913) < 0.0005
+        assert percent(195734, 214369) == 91.3
 
     def test_dimensions_row(self):
-        share = doi_share(stub_result(203447, 205190))
-        assert abs(share - 0.992) < 0.0005
+        assert percent(203447, 205190) == 99.2
 
     def test_no_dois(self):
-        assert doi_share(result_with_doi_counts(0, 10)) == 0.0
+        result = result_with_doi_counts(0, 10)
+        assert percent(result.doi_record_count, len(result.members)) == 0.0
 
     def test_empty_result_errors(self):
+        # the share of an empty result is undefined: run_pipeline writes 0.0
+        # without calling percent
         corpus = Corpus("c", [PublicationRecord("a", "t", 2016)])
         empty = ResultSet("s", corpus, set())
-        with pytest.raises(ValueError, match="empty result set"):
-            doi_share(empty)
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            percent(empty.doi_record_count, len(empty.members))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import VOCAB, random_corpus
 from oracle import evaluate_by_scan, match_doc
 from sdglab.corpus import Corpus, PublicationRecord
-from sdglab.index import (FIELD_SHIFT, FIELDS, MAX_POSITION, PositionalIndex, build_index,
-                          tokenize)
+from sdglab.index import (DOC_SHIFT, FIELD_SHIFT, FIELDS, MAX_POSITION, PositionalIndex,
+                          build_index, tokenize)
 from sdglab.query import (And, AndNot, EvaluationError, FieldScope, Or,
                           ParseError, Phrase, Proximity, Term, Wildcard,
                           evaluate, parse_query, print_query, proximity_match)
@@ -135,8 +135,15 @@ class TestProximityMatch:
 
     def test_repeated_tokens_match_in_polynomial_time(self):
         # 13 copies of one token cannot take 12 distinct positions; a
-        # backtracking search tries about 12! assignments before saying so
+        # backtracking search tries about 12! assignments before saying so.
+        # A wide window must cost no more than a narrow one: "clim* climate"
+        # overlaps, so its evaluation checks positions like proximity_match.
         stream = tokenize("w " * 12)
+        corpus = Corpus("c", [
+            PublicationRecord("far", "climate " + "x " * 50 + "climatic", 2016),
+            PublicationRecord("once", "climate policy", 2016),
+        ])
+        index = build_index(corpus)
 
         def too_slow(signum, frame):
             raise TimeoutError
@@ -144,13 +151,16 @@ class TestProximityMatch:
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         try:
-            matched = proximity_match(("w",) * 13, 1, stream)
+            matched = (proximity_match(("w",) * 13, 1, stream),
+                       proximity_match(("w",) * 13, 10**7, stream),
+                       proximity_match(("w",) * 12, 10**7, stream),
+                       evaluate(parse_query('"clim* climate"~10000000'), index))
         except TimeoutError:
             matched = "still running after 1 s"
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
-        assert matched is False
+        assert matched == (False, False, True, {"far"})
         assert proximity_match(("w",) * 12, 1, stream)
         assert proximity_match(("w", "w"), 1, tokenize("w w"))
 
@@ -275,6 +285,45 @@ class TestOracleEquivalence:
             assert evaluate(node, index, fields) == \
                 evaluate_by_scan(node, corpus_500, fields), node
 
+    @pytest.mark.parametrize("tokens", [
+        ("climate", "climate"),                # a repeated pattern
+        ("wind", "wind", "wind"),
+        ("clim*", "climate"),                  # a stem prefixing a token
+        ("carbon*", "carbon", "emission"),
+        ("se*", "sea", "level"),
+        ("cl*", "clim*", "climate"),           # stems prefixing each other
+        ("wa*", "warming", "wa*"),
+        ("sea", "level", "sea", "level"),
+        ("climate", "change", "warming", "carbon"),
+        ("gas", "greenhouse", "renew*"),
+    ])
+    def test_proximity_with_repeats_and_overlapping_patterns(self, corpus_500, tokens):
+        index = build_index(corpus_500)
+        subsets = [FIELDS, ("title",), FIELDS, ("abstract", "keywords"), FIELDS,
+                   ("title", "keywords"), ("abstract",)]
+        hits = 0
+        for window, fields in zip((1, 2, 3, 4, 5, 40, 10**7), subsets):
+            node = Proximity(tokens, window)
+            found = evaluate(node, index, fields)
+            assert found == evaluate_by_scan(node, corpus_500, fields), (node, fields)
+            hits += bool(found)
+        assert hits
+
+    def test_random_proximity_with_repeats_and_overlaps(self, corpus_500):
+        index = build_index(corpus_500)
+        rng = random.Random(13)
+
+        def pattern(word):
+            return word if rng.random() < 0.6 else word[:rng.randint(2, len(word))] + "*"
+
+        for _ in range(100):
+            words = rng.sample(VOCAB, 2)
+            tokens = tuple(pattern(rng.choice(words)) for _ in range(rng.randint(2, 4)))
+            node = Proximity(tokens, rng.choice([1, 2, 3, 4, 5, 40, 10**7]))
+            fields = tuple(f for f in FIELDS if rng.random() < 0.7) or FIELDS
+            assert evaluate(node, index, fields) == \
+                evaluate_by_scan(node, corpus_500, fields), (node, fields)
+
     def test_boolean_set_laws(self, corpus_500):
         index = build_index(corpus_500)
         rng = random.Random(5)
@@ -348,6 +397,31 @@ class TestBoundaries:
             assert evaluate(Proximity(tokens, 1), apart) == set()
             assert evaluate(Phrase(tokens), together) == {"d"}
             assert evaluate(Proximity(tokens, 1), together) == {"d"}
+
+    def test_window_stops_at_the_end_of_its_key(self):
+        # The occurrence that would complete alpha's window lies past the end
+        # of alpha's (doc, field): in the next field, or in the next doc,
+        # whose title starts 2**22 + 2 codes after alpha's last keyword
+        # position. Each key also holds a "beta" further back, so the key is
+        # shared and one "beta" is too few for the repeated pattern.
+        title, abstract, keywords = (f << FIELD_SHIFT for f in range(3))
+        last = MAX_POSITION - 1
+
+        def index_of(alpha, beta):
+            return PositionalIndex(["d0", "d1"], ["alpha", "beta"],
+                                   np.array([len(alpha), len(beta)], dtype=np.int64),
+                                   np.array(alpha + beta, dtype=np.int64))
+        next_field = index_of([title | last - 1], [title | 0, abstract | 0])
+        next_record = index_of([keywords | last - 1], [keywords | 0, 1 << DOC_SHIFT])
+        together = index_of([title | last - 1], [title | 0, title | last])
+        for tokens in (("alpha", "beta"), ("alph*", "beta"), ("beta", "alpha", "beta")):
+            assert evaluate(Proximity(tokens, 1), next_field) == set(), tokens
+        for tokens in (("alpha", "beta", "beta"), ("alph*", "beta", "beta")):
+            assert evaluate(Proximity(tokens, 1), together) == set(), tokens
+            assert evaluate(Proximity(tokens, 10**7), together) == {"d0"}, tokens
+            assert evaluate(Proximity(tokens, 10**7), next_record) == set(), tokens
+        for tokens in (("alpha", "beta"), ("alph*", "beta")):
+            assert evaluate(Proximity(tokens, 1), together) == {"d0"}, tokens
 
 
 class TestFreshResults:
