@@ -13,13 +13,14 @@ from pathlib import Path
 from .clustering import save_cluster_assignment
 from .corpus import Corpus, load_coverage_file
 from .index import PositionalIndex, load_index, save_index
+from .overlap import check_sample_size
 from .pipeline import (TABLE3_HEADER, TABLE4_HEADER, TABLE5_HEADER, PipelineConfig,
                        PipelineError, ReportBundle, atomic_file, cluster_assignment,
                        compare, emit_report, enhance, index_corpus, ingest,
                        load_result_file, load_strategy, result_to_doc, run_pipeline,
                        stage, term_map, to_json, write_atomic)
 from .query import explain, parse_query, print_query
-from .strategy import check_resolution, check_threshold, run_strategy, term_class_summary
+from .strategy import run_strategy, term_class_summary
 from .termmap import check_setting
 
 EXIT_OK = 0
@@ -105,11 +106,15 @@ def cmd_run(args) -> int:
 def cmd_enhance(args) -> int:
     corpus = ingest(args.corpus)
     result = load_result_file(args.result, corpus)
-    assignment = cluster_assignment(corpus, args.resolution, args.seed, args.assignment)
-    if args.save_assignment and not args.assignment:
-        with open(args.save_assignment, "w", encoding="utf-8") as fh:
+    strategy = load_strategy(args.strategy)
+    if strategy.enhancement is None:
+        raise PipelineError(f"strategy:{Path(args.strategy).stem}", "has no enhancement",
+                            kind="config")
+    assignment = cluster_assignment(corpus, strategy.enhancement)
+    if args.save_assignment:
+        with atomic_file(Path(args.save_assignment)) as fh:
             save_cluster_assignment(assignment, fh)
-    enhanced, report = enhance(result, assignment, args.threshold, corpus)
+    enhanced, report = enhance(result, assignment, strategy, corpus)
     _emit(to_json(result_to_doc(enhanced)), args.out)
     print(f"clusters included: {len(report.included_clusters)}, "
           f"excluded: {len(report.excluded_clusters)}, "
@@ -229,10 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enhance", help="apply the cluster-threshold enhancement")
     p.add_argument("--corpus", required=True)
     p.add_argument("--result", required=True)
-    p.add_argument("--assignment")
-    p.add_argument("--threshold", type=_checked(float, check_threshold), default=0.15)
-    p.add_argument("--resolution", type=_checked(float, check_resolution), default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--strategy", required=True)
     p.add_argument("--save-assignment")
     p.add_argument("--out")
     p.set_defaults(func=cmd_enhance)
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coverage-a", required=True)
     p.add_argument("--coverage-b", required=True)
     p.add_argument("--out")
-    p.add_argument("--sample", type=int, default=10)
+    p.add_argument("--sample", type=_checked(int, check_sample_size), default=10)
     p.add_argument("--full-dois", action="store_true")
     p.set_defaults(func=cmd_compare)
 

@@ -90,6 +90,13 @@ def pairwise_compare(result_a, coverage_b, result_b, coverage_a,
     )
 
 
+def check_sample_size(value):
+    """`value`, if it is None or a number >= 0; else ValueError."""
+    if value is not None and value < 0:
+        raise ValueError(f"sample size must be >= 0: {value!r}")
+    return value
+
+
 def render_overlap_bar(comparison: PairwiseComparison,
                        width: int = 800, height: int = 60,
                        sample_size: int | None = 10) -> tuple[str, str]:
@@ -98,6 +105,7 @@ def render_overlap_bar(comparison: PairwiseComparison,
     Zero-width segments are omitted from the SVG but kept in the JSON with
     count 0. Output is deterministic.
     """
+    check_sample_size(sample_size)
     counts = comparison.counts
     shares = comparison.shares
     total = comparison.denominator or 1
@@ -127,9 +135,7 @@ def render_overlap_bar(comparison: PairwiseComparison,
                 "name": name,
                 "count": counts[name],
                 "share_pct": shares[name],
-                "sample_dois": sorted(comparison.segment_sets()[name])[:sample_size]
-                if sample_size is not None
-                else sorted(comparison.segment_sets()[name]),
+                "sample_dois": sorted(comparison.segment_sets()[name])[:sample_size],
             }
             for name in SEGMENT_ORDER
         ],

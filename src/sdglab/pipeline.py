@@ -18,12 +18,12 @@ from . import __version__
 from .clustering import (ClusterAssignment, EnhancementReport, build_citation_graph,
                          cluster_citation_graph, enhance_by_cluster_threshold,
                          load_cluster_assignment)
-from .corpus import Corpus, YearWindow, load_corpus_file
+from .corpus import Corpus, load_corpus_file
 from .index import PositionalIndex, build_index
 from .overlap import PairwiseComparison, pairwise_compare, render_overlap_bar
 from .rounding import percent
-from .strategy import (ResultSet, SearchStrategy, load_strategy_file, run_strategy,
-                       term_class_summary)
+from .strategy import (EnhancementSpec, ResultSet, SearchStrategy, load_strategy_file,
+                       run_strategy, term_class_summary)
 from .termmap import (SETTING_MINIMUMS, TermMap, TermMapConfig, build_term_map,
                       export_term_map)
 
@@ -103,41 +103,40 @@ def load_result_file(path, corpus: Corpus | None = None) -> ResultSet:
 ClusteringKey = tuple[str, float, int]  # (corpus name, resolution, seed)
 
 
-def cluster_assignment(corpus: Corpus, resolution: float = 1.0, seed: int = 0,
-                       source=None,
+def cluster_assignment(corpus: Corpus, spec: EnhancementSpec, resolve=Path,
                        clusterings: dict[ClusteringKey, ClusterAssignment] | None = None,
                        ) -> ClusterAssignment:
-    """The assignment file `source`, or when it is None seeded Louvain on
-    the citation graph of `corpus`, looked up in `clusterings` and added on a
+    """The assignment `spec` names: the file `resolve(spec.assignment_source)`,
+    a bad one being a config error, or for "computed" seeded Louvain on the
+    citation graph of `corpus`, looked up in `clusterings` and added on a
     miss: enhancements that share a corpus, resolution and seed share one."""
-    if source is not None:
-        with open(source, encoding="utf-8") as fh:
+    if spec.assignment_source != "computed":
+        path = resolve(spec.assignment_source)
+        with stage(f"assignment:{path}", "config"), open(path, encoding="utf-8") as fh:
             return load_cluster_assignment(fh, corpus)
     clusterings = {} if clusterings is None else clusterings
-    key = (corpus.name, resolution, seed)
+    key = (corpus.name, spec.resolution, spec.seed)
     if key in clusterings:
         log.info("clustering %s resolution=%s seed=%s: reused", *key)
         return clusterings[key]
     assignment = cluster_citation_graph(build_citation_graph(corpus),
-                                        resolution=resolution, seed=seed)
+                                        resolution=spec.resolution, seed=spec.seed)
     clusterings[key] = assignment
     log.info("clustering %s resolution=%s seed=%s: computed, %d clusters",
              *key, assignment.cluster_count)
     return assignment
 
 
-def enhance(result: ResultSet, assignment: ClusterAssignment, threshold: float,
-            corpus: Corpus, window: YearWindow | None = None,
-            whole_corpus_shares: bool = False) -> tuple[ResultSet, EnhancementReport]:
-    """Cluster-threshold enhancement, cut to `window` when one is given:
-    cluster shares count the records in the window (the whole corpus with
-    `whole_corpus_shares`), and only members in the window are kept."""
-    if window is None:
-        return enhance_by_cluster_threshold(result, assignment, threshold, corpus)
-    in_window = {r.internal_id for r in corpus if window.contains(r.year)}
+def enhance(result: ResultSet, assignment: ClusterAssignment, strategy: SearchStrategy,
+            corpus: Corpus) -> tuple[ResultSet, EnhancementReport]:
+    """Cluster-threshold enhancement by `strategy.enhancement`, cut to the
+    strategy's window: cluster shares count the records in the window (the whole
+    corpus with `whole_corpus_shares`), and only members in the window are kept."""
+    spec = strategy.enhancement
+    in_window = {r.internal_id for r in corpus if strategy.window.contains(r.year)}
     enhanced, report = enhance_by_cluster_threshold(
-        result, assignment, threshold, corpus,
-        eligible=None if whole_corpus_shares else in_window)
+        result, assignment, spec.threshold, corpus,
+        eligible=None if spec.whole_corpus_shares else in_window)
     return ResultSet(enhanced.strategy_name, corpus, enhanced.members & in_window), report
 
 
@@ -254,13 +253,14 @@ class PipelineConfig:
             raise PipelineError("config", "duplicate corpus names", kind="config")
         if not self.corpora:
             raise PipelineError("config", "no corpora defined", kind="config")
-        strategy_names = set()
         for s in self.strategies:
             if s["corpus"] not in corpus_names:
                 raise PipelineError(
                     "config", f"strategy references undefined corpus "
                     f"{s['corpus']!r}", kind="config")
-            strategy_names.add(Path(s["file"]).stem)
+        strategy_names = [Path(s["file"]).stem for s in self.strategies]
+        if len(set(strategy_names)) != len(strategy_names):
+            raise PipelineError("config", "duplicate strategy names", kind="config")
         for pair in self.termmaps:
             try:
                 termmap_config(pair.get("config", {}))
@@ -309,10 +309,6 @@ def write_atomic(path: Path, content: str) -> None:
         fh.write(content)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Execute every configured stage in dependency order.
 
@@ -320,6 +316,11 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     tables and figures.
     """
     out = config.output_dir
+    written: list[Path] = []  # the files this run writes, in the manifest
+
+    def write(path: Path, text: str) -> None:
+        write_atomic(path, text)
+        written.append(path)
 
     corpora: dict[str, Corpus] = {}
     indexes = {}
@@ -342,20 +343,16 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         corpus = corpora[s["corpus"]]
         with stage(f"run:{name}"):
             result = run_strategy(strategy, indexes[s["corpus"]], corpus)
-            spec = strategy.enhancement
-            if spec is not None:
-                assignment = cluster_assignment(
-                    corpus, spec.resolution, spec.seed,
-                    None if spec.assignment_source == "computed"
-                    else config.resolve(spec.assignment_source), clusterings)
-                result, report = enhance(result, assignment, spec.threshold, corpus,
-                                         strategy.window, spec.whole_corpus_shares)
-                write_atomic(out / "results" / name / "enhancement.json",
-                             to_json(asdict(report)))
+            if strategy.enhancement is not None:
+                assignment = cluster_assignment(corpus, strategy.enhancement,
+                                                config.resolve, clusterings)
+                result, report = enhance(result, assignment, strategy, corpus)
+                write(out / "results" / name / "enhancement.json",
+                      to_json(asdict(report)))
         log.info("run %s: %d members", name, len(result))
         results[name] = result
         result_corpus[name] = s["corpus"]
-        write_atomic(out / "results" / name / "result.json", to_json(result_to_doc(result)))
+        write(out / "results" / name / "result.json", to_json(result_to_doc(result)))
         share_pct = percent(result.doi_record_count, len(result.members)) \
             if result.members else 0.0
         table3.append({"strategy": name, "total": len(result.members),
@@ -374,8 +371,8 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                                         results[b], corpora[result_corpus[b]].coverage)
         table5.append(row)
         pair_dir = out / "comparisons" / f"{a}__{b}"
-        write_atomic(pair_dir / "overlap.svg", svg)
-        write_atomic(pair_dir / "overlap.json", sidecar)
+        write(pair_dir / "overlap.svg", svg)
+        write(pair_dir / "overlap.json", sidecar)
         figures.append(str((pair_dir / "overlap.svg").relative_to(out)))
 
     for pair in config.termmaps:
@@ -386,14 +383,14 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                                   pair.get("config", {}))
         map_dir = out / "termmaps" / f"{a}__{b}"
         for fmt, text in exports.items():
-            write_atomic(map_dir / f"termmap.{fmt}", text)
+            write(map_dir / f"termmap.{fmt}", text)
             figures.append(str((map_dir / f"termmap.{fmt}").relative_to(out)))
 
     bundle = ReportBundle(table3=table3, table4=table4, table5=table5,
                           figures=figures, manifest={})
-    emit_report(bundle, "csv", out / "reports")
-    emit_report(bundle, "markdown", out / "reports")
-    write_atomic(out / "reports" / "bundle.json", to_json({
+    written += emit_report(bundle, "csv", out / "reports")
+    written += emit_report(bundle, "markdown", out / "reports")
+    write(out / "reports" / "bundle.json", to_json({
         "table3": table3, "table4": table4, "table5": table5,
         "figures": figures,
     }))
@@ -403,19 +400,13 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             json.dumps(config.raw, sort_keys=True).encode()).hexdigest(),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "outputs": {},
+        "outputs": {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in sorted(written)},
     }
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            manifest["outputs"][str(path.relative_to(out))] = _sha256(path)
     write_atomic(out / "manifest.json", to_json(manifest))
     bundle.manifest = manifest
     log.info("report: %d files", len(manifest["outputs"]) + 1)
     return bundle
-
-
-def _csv_value(value) -> str:
-    return f"{value}"
 
 
 def emit_report(bundle: ReportBundle, fmt: str, out_dir: Path) -> list[Path]:
@@ -429,12 +420,12 @@ def emit_report(bundle: ReportBundle, fmt: str, out_dir: Path) -> list[Path]:
     for name, (header, rows) in tables.items():
         if fmt == "csv":
             lines = [",".join(header)]
-            lines += [",".join(_csv_value(row[h]) for h in header) for row in rows]
+            lines += [",".join(str(row[h]) for h in header) for row in rows]
             path = Path(out_dir) / f"{name}.csv"
         elif fmt == "markdown":
             lines = ["| " + " | ".join(header) + " |",
                      "|" + "|".join("---" for _ in header) + "|"]
-            lines += ["| " + " | ".join(_csv_value(row[h]) for h in header) + " |"
+            lines += ["| " + " | ".join(str(row[h]) for h in header) + " |"
                       for row in rows]
             path = Path(out_dir) / f"{name}.md"
         else:

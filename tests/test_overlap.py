@@ -2,6 +2,7 @@ import json
 import random
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdglab.overlap import (SEGMENT_ORDER, decompose_surplus, match_by_doi,
@@ -223,3 +224,13 @@ class TestRenderOverlapBar:
     def test_byte_identical_rerender(self):
         comparison = self.comparison()
         assert render_overlap_bar(comparison) == render_overlap_bar(comparison)
+
+    def test_sample_size(self):
+        comparison = self.comparison()
+        for size, expect in ((0, lambda n: 0), (3, lambda n: min(n, 3)),
+                             (None, lambda n: n)):
+            data = json.loads(render_overlap_bar(comparison, sample_size=size)[1])
+            assert [len(s["sample_dois"]) for s in data["segments"]] == \
+                [expect(s["count"]) for s in data["segments"]]
+        with pytest.raises(ValueError, match="sample size must be >= 0: -1"):
+            render_overlap_bar(comparison, sample_size=-1)

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sdglab import pipeline
-from sdglab.cli import main
+from sdglab.cli import build_parser, main
 from sdglab.pipeline import PipelineConfig, PipelineError, run_pipeline
 
 # sha256 of every demo pipeline output, as the manifest records them.
@@ -119,6 +121,30 @@ class TestRunPipeline:
         assert set(manifest["outputs"]) == files
         for digest in manifest["outputs"].values():
             assert len(digest) == 64
+
+    def test_manifest_lists_only_this_runs_files(self, demo_config):
+        out = demo_config.output_dir
+        for stale in ("comparisons/old__pair/overlap.svg", "notes.txt",
+                      "extra/table3.csv"):
+            (out / stale).parent.mkdir(parents=True, exist_ok=True)
+            (out / stale).write_text("left over\n")
+        assert run_pipeline(demo_config).manifest["outputs"] == DEMO_OUTPUTS
+        assert (out / "notes.txt").read_text() == "left over\n"
+
+    def test_duplicate_strategy_names_rejected(self, demo_dir, tmp_path, capsys):
+        doc = json.loads((demo_dir / "config.json").read_text())
+        doc["strategies"].append({"file": "other/alpha.json", "corpus": "corpus_y"})
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(PipelineError) as exc:
+            PipelineConfig.load(config)
+        assert exc.value.kind == "config"
+        assert str(exc.value) == "[config] duplicate strategy names"
+        assert main(["pipeline", "--config", str(config),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: [config] duplicate strategy names\n"
+        assert not (tmp_path / "out").exists()
 
     def test_undefined_corpus_rejected_before_work(self, demo_dir, tmp_path):
         doc = json.loads((demo_dir / "config.json").read_text())
@@ -269,7 +295,7 @@ class TestEnhancedWindow:
                    ("o1", 2016, "energy model", ["o2", "o3"]),
                    ("o2", 2016, "energy storage", ["o3"]),
                    ("o3", 2016, "solar energy", ["o1"])]
-        corpus_file = tmp_path / "corpus.jsonl"
+        corpus_file = tmp_path / "c.jsonl"
         corpus_file.write_text("".join(
             json.dumps({"id": rid, "year": year, "title": title, "refs": refs}) + "\n"
             for rid, year, title, refs in records))
@@ -283,6 +309,14 @@ class TestEnhancedWindow:
         assert json.loads((results / "result.json").read_text())["members"] == ["w1", "w2"]
         report = json.loads((results / "enhancement.json").read_text())
         assert list(report["included_clusters"].values()) == [pytest.approx(share)]
+        # the CLI's run then enhance is the pipeline's step, byte for byte
+        strategy_file = tmp_path / "s.json"
+        seed, cli = tmp_path / "seed.json", tmp_path / "cli.json"
+        assert main(["run", "--strategy", str(strategy_file), "--corpus", str(corpus_file),
+                     "--out", str(seed)]) == 0
+        assert main(["enhance", "--corpus", str(corpus_file), "--result", str(seed),
+                     "--strategy", str(strategy_file), "--out", str(cli)]) == 0
+        assert cli.read_bytes() == (results / "result.json").read_bytes()
 
 
 def index_text(drop: str | None = None, **changes) -> str:
@@ -444,10 +478,69 @@ class TestCli:
         enhanced = tmp_path / "beta_enhanced.json"
         assert self.run_cli(
             "enhance", "--corpus", str(demo_dir / "corpus_x.jsonl"),
-            "--result", str(res), "--threshold", "0.15",
+            "--result", str(res), "--strategy", str(demo_dir / "beta.json"),
             "--out", str(enhanced)) == 0
         doc = json.loads(enhanced.read_text())
-        assert doc["members"]
+        assert len(doc["members"]) == 29
+        assert "clusters included: 1, excluded: 4" in capsys.readouterr().err
+
+    def test_saved_assignment_round_trip(self, demo_dir, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        corpus = str(demo_dir / "corpus_x.jsonl")
+        assert self.run_cli("run", "--strategy", str(demo_dir / "beta.json"),
+                            "--corpus", corpus, "--out", "seed.json") == 0
+        assert self.run_cli("enhance", "--corpus", corpus, "--result", "seed.json",
+                            "--strategy", str(demo_dir / "beta.json"),
+                            "--save-assignment", "beta.tsv", "--out", "computed.json") == 0
+        doc = json.loads((demo_dir / "beta.json").read_text())
+        # a relative source resolves against the working directory, not the
+        # strategy file's directory
+        doc["enhancement"]["assignment_source"] = "beta.tsv"
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "beta.json").write_text(json.dumps(doc))
+        assert self.run_cli("enhance", "--corpus", corpus, "--result", "seed.json",
+                            "--strategy", str(Path("sub") / "beta.json"),
+                            "--out", "loaded.json") == 0
+        assert (tmp_path / "loaded.json").read_bytes() == \
+            (tmp_path / "computed.json").read_bytes()
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("nosuch\tc1\n", 2, "line 1: unknown internal_id 'nosuch'"),
+        ("x0000 c1\n", 2, "line 1: expected id<TAB>cluster_id"),
+        (None, 3, "No such file or directory"),
+    ], ids=["unknown-id", "no-tab", "missing"])
+    def test_bad_assignment_file_exit_code(self, demo_dir, tmp_path, capsys, text, code,
+                                           message):
+        assignment = tmp_path / "assignment.tsv"
+        if text is not None:
+            assignment.write_text(text)
+        doc = json.loads((demo_dir / "beta.json").read_text())
+        doc["enhancement"]["assignment_source"] = str(assignment)
+        strategy, seed = tmp_path / "beta.json", tmp_path / "seed.json"
+        strategy.write_text(json.dumps(doc))
+        corpus = str(demo_dir / "corpus_x.jsonl")
+        assert self.run_cli("run", "--strategy", str(strategy), "--corpus", corpus,
+                            "--out", str(seed)) == 0
+        label = f"error: [assignment:{assignment}] "
+        err = self.run_cli_failing(capsys, code, "enhance", "--corpus", corpus,
+                                   "--result", str(seed), "--strategy", str(strategy))
+        assert err.startswith(label) and message in err
+        config = write_config(tmp_path / "pipe", demo_dir / "corpus_x.jsonl", [doc])
+        err = self.run_cli_failing(capsys, code, "pipeline", "--config", str(config))
+        assert err.startswith(label) and message in err
+
+    def test_enhance_strategy_without_enhancement_exit_code(self, demo_dir, tmp_path,
+                                                            capsys):
+        seed = tmp_path / "alpha.json"
+        assert self.run_cli("run", "--strategy", str(demo_dir / "alpha.json"),
+                            "--corpus", str(demo_dir / "corpus_x.jsonl"),
+                            "--out", str(seed)) == 0
+        err = self.run_cli_failing(
+            capsys, 2, "enhance", "--corpus", str(demo_dir / "corpus_x.jsonl"),
+            "--result", str(seed), "--strategy", str(demo_dir / "alpha.json"),
+            "--out", str(tmp_path / "enhanced.json"))
+        assert err == "error: [strategy:alpha] has no enhancement\n"
+        assert not (tmp_path / "enhanced.json").exists()
 
     @pytest.fixture()
     def gamma_result(self, demo_dir, tmp_path):
@@ -462,7 +555,8 @@ class TestCli:
                                                         capsys, gamma_result):
         err = self.run_cli_failing(
             capsys, 2, "enhance", "--corpus", str(demo_dir / "corpus_x.jsonl"),
-            "--result", str(gamma_result), "--out", str(tmp_path / "enhanced.json"))
+            "--result", str(gamma_result), "--strategy", str(demo_dir / "beta.json"),
+            "--out", str(tmp_path / "enhanced.json"))
         assert f"error: [result:{gamma_result}] members not in corpus" in err
         assert not (tmp_path / "enhanced.json").exists()
 
@@ -492,6 +586,15 @@ class TestCli:
                                 "--out", str(cli / f"{name}.json")) == 0
             assert (cli / f"{name}.json").read_bytes() == \
                 (pipe / "results" / name / "result.json").read_bytes()
+        assert self.run_cli("run", "--strategy", str(demo_dir / "beta.json"),
+                            "--corpus", str(demo_dir / "corpus_x.jsonl"),
+                            "--out", str(cli / "beta_seed.json")) == 0
+        assert self.run_cli("enhance", "--corpus", str(demo_dir / "corpus_x.jsonl"),
+                            "--result", str(cli / "beta_seed.json"),
+                            "--strategy", str(demo_dir / "beta.json"),
+                            "--out", str(cli / "beta.json")) == 0
+        assert (cli / "beta.json").read_bytes() == \
+            (pipe / "results" / "beta" / "result.json").read_bytes()
         results = ("--a", str(cli / "alpha.json"), "--b", str(cli / "gamma.json"))
         assert self.run_cli("compare", *results,
                             "--coverage-a", str(demo_dir / "coverage_x.txt"),
@@ -697,38 +800,24 @@ class TestCli:
         (["termmap", "--max-ngram", "2.5"], "--max-ngram"),
         (["termmap", "--layout-iterations", "-1"], "--layout-iterations"),
         (["termmap", "--layout-iterations", "many"], "--layout-iterations"),
-        (["enhance", "--threshold", "2"], "--threshold"),
-        (["enhance", "--threshold", "-0.1"], "--threshold"),
-        (["enhance", "--threshold", "nan"], "--threshold"),
-        (["enhance", "--threshold", "high"], "--threshold"),
+        (["compare", "--sample", "-1"], "--sample"),
+        (["compare", "--sample", "2.5"], "--sample"),
     ], ids=["occurrences-zero", "occurrences-float", "seed-negative", "seed-word",
             "ngram-zero", "ngram-float", "iterations-negative", "iterations-word",
-            "threshold-two", "threshold-negative", "threshold-nan", "threshold-word"])
+            "sample-negative", "sample-float"])
     def test_bad_setting_is_a_usage_error(self, demo_dir, tmp_path, capsys, argv,
                                           argument):
         command, *option = argv
         required = {"termmap": ["--a", "a.json", "--b", "b.json", "--corpus-a",
                                 str(demo_dir / "corpus_x.jsonl"), "--out", str(tmp_path)],
-                    "enhance": ["--corpus", str(demo_dir / "corpus_x.jsonl"),
-                                "--result", str(tmp_path / "missing.json")]}[command]
+                    "compare": ["--a", "a.json", "--b", "b.json", "--coverage-a",
+                                "x.txt", "--coverage-b", "y.txt"]}[command]
         with pytest.raises(SystemExit) as exc:
             main([command, *required, *option])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: sdglab {command}")
         assert f"argument {argument}: " in err
-
-    @pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-1", "one"])
-    def test_enhance_bad_resolution_is_a_usage_error(self, demo_dir, tmp_path, capsys,
-                                                     resolution):
-        with pytest.raises(SystemExit) as exc:
-            main(["enhance", "--corpus", str(demo_dir / "corpus_x.jsonl"),
-                  "--result", str(tmp_path / "missing.json"),
-                  "--resolution", resolution])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: sdglab enhance")
-        assert "argument --resolution: " in err
 
     def test_entry_point_installed(self):
         exe = shutil.which("sdglab")
@@ -747,3 +836,24 @@ def test_benchmark_imports_resolve():
     proc = subprocess.run([sys.executable, "-c", "import measure"], cwd=root, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_synopsis_matches_parser():
+    """Each `sdglab <cmd>` entry of the README's CLI synopsis names exactly
+    the options `build_parser()` gives that subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        usage = line.split("#")[0]
+        if usage.startswith("sdglab "):
+            command = usage.split()[1]
+            synopsis[command] = set()
+        synopsis[command] |= set(re.findall(r"--[a-z][a-z-]*", usage))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {command: {option for action in parser._actions
+                         for option in action.option_strings
+                         if option.startswith("--") and option != "--help"}
+               for command, parser in subparsers.choices.items()}
+    assert synopsis == options

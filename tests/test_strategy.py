@@ -75,12 +75,16 @@ class TestLoadStrategy:
         ("threshold", "0.2", "threshold must be a number"),
         ("threshold", None, "threshold must be a number"),
         ("threshold", True, "threshold must be a number"),
+        ("threshold", 2, r"threshold must be in \[0, 1\]"),
+        ("threshold", -0.1, r"threshold must be in \[0, 1\]"),
+        ("threshold", float("nan"), r"threshold must be in \[0, 1\]"),
         ("whole_corpus_shares", "no", "whole_corpus_shares must be a bool"),
         ("whole_corpus_shares", 0, "whole_corpus_shares must be a bool"),
     ], ids=["seed-float", "seed-string", "seed-bool", "resolution-string",
             "resolution-zero", "resolution-negative", "resolution-nan",
             "resolution-inf", "resolution-bool", "threshold-string", "threshold-null",
-            "threshold-bool", "shares-string", "shares-int"])
+            "threshold-bool", "threshold-two", "threshold-negative", "threshold-nan",
+            "shares-string", "shares-int"])
     def test_bad_enhancement_field_rejected(self, key, value, message):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "enhancement": {"kind": "cluster_threshold", key: value}}
