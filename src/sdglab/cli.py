@@ -96,7 +96,7 @@ def _load_index_for(path: str, corpus: Corpus) -> PositionalIndex:
 
 
 def cmd_run(args) -> int:
-    corpus = ingest(args.corpus, coverage_file=args.coverage)
+    corpus = ingest(args.corpus)
     strategy = load_strategy(args.strategy)
     index = _load_index_for(args.index, corpus) if args.index else index_corpus(corpus)
     _emit(to_json(result_to_doc(run_strategy(strategy, index, corpus))), args.out)
@@ -109,6 +109,10 @@ def cmd_enhance(args) -> int:
     strategy = load_strategy(args.strategy)
     if strategy.enhancement is None:
         raise PipelineError(f"strategy:{Path(args.strategy).stem}", "has no enhancement",
+                            kind="config")
+    if result.strategy_name != strategy.name:
+        raise PipelineError(f"result:{args.result}", f"is a result of strategy "
+                            f"{result.strategy_name!r}, not of {strategy.name!r}",
                             kind="config")
     assignment = cluster_assignment(corpus, strategy.enhancement)
     if args.save_assignment:
@@ -226,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a strategy against a corpus")
     p.add_argument("--strategy", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--coverage")
     p.add_argument("--index")
     p.add_argument("--out")
     p.set_defaults(func=cmd_run)

@@ -5,9 +5,7 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import IO, Iterable
-
-import networkx as nx
+from typing import IO, Iterable, Sequence
 
 from .corpus import Corpus
 from .strategy import ResultSet, check_resolution, check_seed, check_threshold
@@ -18,17 +16,31 @@ class AssignmentLoadError(ValueError):
 
 
 @dataclass
+class Adjacency:
+    """An undirected graph on nodes 0..n-1, as Louvain runs on it: node i is
+    `ids[i]`, and `adj[i]` maps each neighbour of i to the edge's weight (a
+    self-loop is i in `adj[i]`)."""
+    ids: list[str]
+    adj: list[dict[int, float]]
+
+    def number_of_edges(self) -> int:
+        return sum(v >= u for u, row in enumerate(self.adj) for v in row)
+
+
+@dataclass
 class CitationGraph:
-    graph: nx.Graph
+    graph: Adjacency
     dangling_count: int
 
     @property
     def nodes(self):
-        return set(self.graph.nodes)
+        return set(self.graph.ids)
 
     @property
     def edges(self):
-        return {frozenset(e) for e in self.graph.edges}
+        ids = self.graph.ids
+        return {frozenset((ids[u], ids[v]))
+                for u, row in enumerate(self.graph.adj) for v in row if v >= u}
 
 
 @dataclass(frozen=True)
@@ -50,20 +62,24 @@ def build_citation_graph(corpus: Corpus) -> CitationGraph:
     """Undirected edge for every reference whose target exists in the corpus.
 
     Reciprocal citations collapse to one edge; references to ids outside the
-    corpus are dropped and counted.
+    corpus are dropped and counted, self-references skipped. Node i is the
+    i-th record. Neighbours are keyed as in the graph networkx's Louvain
+    runs on, its edge-by-edge copy of the citation graph: edges `(u, v)`
+    with `v >= u`, u ascending, v in the order u first met it.
     """
-    g = nx.Graph()
-    g.add_nodes_from(corpus.records)
+    index = {rid: i for i, rid in enumerate(corpus.records)}
+    met: list[dict[int, float]] = [{} for _ in index]
     dangling = 0
-    for rec in corpus:
+    for u, rec in enumerate(corpus):
         for ref in rec.references:
-            if ref == rec.internal_id:
-                continue
-            if ref in corpus:
-                g.add_edge(rec.internal_id, ref, weight=1.0)
-            else:
+            v = index.get(ref)
+            if v is None:
                 dangling += 1
-    return CitationGraph(graph=g, dangling_count=dangling)
+            elif v != u:
+                met[u][v] = met[v][u] = 1.0
+    n = len(index)
+    # Regrouping by the identity partition re-keys `met` in edge order.
+    return CitationGraph(Adjacency(list(index), _aggregate(met, range(n), n)), dangling)
 
 
 def cluster_citation_graph(graph: CitationGraph, resolution: float = 1.0,
@@ -79,10 +95,10 @@ def cluster_citation_graph(graph: CitationGraph, resolution: float = 1.0,
     check_resolution(resolution)
     check_seed(seed)
     g = graph.graph
-    if g.number_of_nodes() == 0:
+    if not g.ids:
         raise ValueError("empty graph")
     members: dict[int, list[str]] = {}
-    for node, label in zip(g, _louvain_labels(g, resolution, seed)):
+    for node, label in zip(g.ids, _louvain_labels(g.adj, resolution, seed)):
         members.setdefault(label, []).append(node)
     # Canonical labels: clusters ordered by their smallest member id.
     return ClusterAssignment(mapping={
@@ -91,22 +107,19 @@ def cluster_citation_graph(graph: CitationGraph, resolution: float = 1.0,
         for node in cluster})
 
 
-def _louvain_labels(g: nx.Graph, resolution: float, seed: int) -> list[int]:
-    """The final community of the i-th node of `g`, for every i, as
-    networkx 3.6.1's undirected `louvain_partitions` finds it.
+def _louvain_labels(adj: list[dict[int, float]], resolution: float,
+                    seed: int) -> list[int]:
+    """The final community of node i of `adj`, for every i, as networkx
+    3.6.1's undirected `louvain_partitions` finds it on the same graph.
 
-    Level 0 is `g` with edges added in `g.edges` order, as networkx copies
-    it; each coarser level adds edges in the previous level's edge order.
-    All sums of weights are exact for integer weights (1.0 in a citation
-    graph), so only the gain and modularity expressions, kept in networkx's
-    order, decide the bits.
+    Level 0 is `adj` with its neighbours keyed as networkx keys the copy of
+    a graph it makes (see `build_citation_graph`); each coarser level adds
+    edges in the previous level's edge order. All sums of weights are exact
+    for integer weights (1.0 in a citation graph), so only the gain and
+    modularity expressions, kept in networkx's order, decide the bits.
     """
-    index = {node: i for i, node in enumerate(g)}
-    adj: list[dict[int, float]] = [{} for _ in index]
-    for u, v, w in g.edges(data="weight", default=1):
-        adj[index[u]][index[v]] = adj[index[v]][index[u]] = w
     labels = list(range(len(adj)))
-    if g.number_of_edges() == 0:
+    if not any(adj):
         return labels
     degrees = _degrees(adj)
     deg_sum = sum(degrees)
@@ -184,7 +197,7 @@ def _one_level(adj: list[dict[int, float]], degrees: list[float], m: float,
     return node2com, moved
 
 
-def _aggregate(adj: list[dict[int, float]], com: list[int],
+def _aggregate(adj: list[dict[int, float]], com: Sequence[int],
                k: int) -> list[dict[int, float]]:
     """The next level: one node per community, edge weights summed over the
     level's edges in order (u ascending, v in adjacency order, each once)."""

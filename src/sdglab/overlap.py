@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from html import escape
 
 from .rounding import percent
 
@@ -113,7 +114,8 @@ def render_overlap_bar(comparison: PairwiseComparison,
              f'width="{width}" height="{height + 40}" '
              f'viewBox="0 0 {width} {height + 40}">',
              f'<text x="4" y="16" font-size="14" font-family="sans-serif">'
-             f'{comparison.name_a} vs {comparison.name_b}</text>']
+             f'{escape(comparison.name_a, quote=False)} vs '
+             f'{escape(comparison.name_b, quote=False)}</text>']
     x = 0.0
     for name in SEGMENT_ORDER:
         w = width * counts[name] / total

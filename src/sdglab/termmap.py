@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from html import escape
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -448,6 +449,7 @@ def _export_graphml(term_map: TermMap) -> str:
 def _export_html(term_map: TermMap) -> str:
     """Single self-contained HTML page: bubbles sized by combined count,
     colored blue (first set) to red (second set)."""
+    name_a, name_b = (escape(name, quote=False) for name in (term_map.name_a, term_map.name_b))
     width, height = 900, 640
     max_total = max((t.total for t in term_map.terms), default=1)
     bubbles = []
@@ -467,11 +469,11 @@ def _export_html(term_map: TermMap) -> str:
 <html>
 <head>
 <meta charset="utf-8">
-<title>Term map: {term_map.name_a} vs {term_map.name_b}</title>
+<title>Term map: {name_a} vs {name_b}</title>
 <style>body {{ font-family: sans-serif; margin: 1em; }}</style>
 </head>
 <body>
-<h1>{term_map.name_a} (blue) vs {term_map.name_b} (red)</h1>
+<h1>{name_a} (blue) vs {name_b} (red)</h1>
 <svg width="{width}" height="{height}" viewBox="0 0 {width} {height}">
 {chr(10).join(bubbles)}
 </svg>

@@ -5,8 +5,8 @@ import networkx as nx
 import pytest
 
 from conftest import DATA_DIR
-from sdglab.clustering import (AssignmentLoadError, CitationGraph, ClusterAssignment,
-                               build_citation_graph, cluster_citation_graph,
+from sdglab.clustering import (Adjacency, AssignmentLoadError, CitationGraph,
+                               ClusterAssignment, build_citation_graph, cluster_citation_graph,
                                enhance_by_cluster_threshold,
                                load_cluster_assignment,
                                save_cluster_assignment)
@@ -45,6 +45,74 @@ class TestBuildCitationGraph:
                 if target != rid and target in refs:
                     expected.add(frozenset({rid, target}))
         assert graph.edges == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_adjacency_as_networkx_build(self, seed):
+        """Ids, neighbour key order and dangling count of the networkx build
+        copied edge by edge, which Louvain's tie-breaks depend on."""
+        corpus = tangled_corpus(seed)
+        g, dangling = networkx_citation_graph(corpus)
+        expected = from_networkx(g).graph
+        built = build_citation_graph(corpus)
+        assert built.graph.ids == expected.ids == list(corpus.records)
+        assert keyed_rows(built.graph) == keyed_rows(expected)
+        assert built.dangling_count == dangling
+        assert built.graph.number_of_edges() == g.number_of_edges()
+
+
+def networkx_citation_graph(corpus: Corpus) -> tuple[nx.Graph, int]:
+    """The citation graph as networkx builds it, and its dangling count: the
+    reference for build_citation_graph."""
+    g = nx.Graph()
+    g.add_nodes_from(corpus.records)
+    dangling = 0
+    for rec in corpus:
+        for ref in rec.references:
+            if ref == rec.internal_id:
+                continue
+            if ref in corpus:
+                g.add_edge(rec.internal_id, ref, weight=1.0)
+            else:
+                dangling += 1
+    return g, dangling
+
+
+def from_networkx(g: nx.Graph) -> CitationGraph:
+    """`g` as the adjacency Louvain runs on, copied edge by edge in `g.edges`
+    order as networkx's Louvain copies it; self-loops are kept."""
+    index = {node: i for i, node in enumerate(g)}
+    adj: list[dict[int, float]] = [{} for _ in index]
+    for u, v, w in g.edges(data="weight", default=1):
+        adj[index[u]][index[v]] = adj[index[v]][index[u]] = w
+    return CitationGraph(Adjacency(list(g), adj), dangling_count=0)
+
+
+def tangled_corpus(seed: int) -> Corpus:
+    """Records in shuffled id order citing each other at random, with
+    reciprocal, repeated, self and dangling references."""
+    rng = random.Random(seed)
+    ids = shuffled_ids(rng, rng.randint(1, 150))
+    refs: dict[str, list[str]] = {rid: [] for rid in ids}
+    for rid in ids:
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.random()
+            if kind < 0.6:
+                target = rng.choice(ids)
+            elif kind < 0.75:
+                target = rid
+            else:
+                target = f"ghost{rng.randint(0, 9)}"
+            refs[rid].append(target)
+            if target in refs and rng.random() < 0.3:
+                refs[target].append(rid)
+        if refs[rid] and rng.random() < 0.3:
+            refs[rid].append(rng.choice(refs[rid]))
+    return Corpus("c", [record(rid, refs[rid]) for rid in ids])
+
+
+def keyed_rows(adjacency: Adjacency) -> list[list[tuple[int, float]]]:
+    """Each node's neighbours and weights in key order."""
+    return [list(row.items()) for row in adjacency.adj]
 
 
 def triangles_corpus():
@@ -152,7 +220,10 @@ ORACLE_GRAPHS = [f"random-{s}" for s in range(12)] + [
 
 
 @pytest.fixture(scope="module")
-def oracle_graphs() -> dict[str, nx.Graph]:
+def oracle_graphs() -> dict[str, tuple[nx.Graph, CitationGraph]]:
+    """Each oracle graph for networkx and as cluster_citation_graph takes it:
+    the demo corpora's by the networkx build and by build_citation_graph,
+    the others through from_networkx."""
     graphs = {f"random-{s}": random_graph(s) for s in range(12)}
     # Regular graphs: many moves tie on gain, so dict order must decide.
     graphs["ring-of-cliques"] = relabelled(nx.ring_of_cliques(12, 5), 1)
@@ -160,13 +231,15 @@ def oracle_graphs() -> dict[str, nx.Graph]:
     graphs["cycle"] = relabelled(nx.cycle_graph(64), 3)
     graphs["planted-2k"] = relabelled(
         nx.random_partition_graph([100] * 20, 0.04, 0.0005, seed=7), 4)
+    demo = {}
     for name in ("corpus_x", "corpus_y"):
         corpus = load_corpus_file(DATA_DIR / "demo" / f"{name}.jsonl", name=name)
-        graphs[f"demo-{name}"] = build_citation_graph(corpus).graph
+        graphs[f"demo-{name}"] = networkx_citation_graph(corpus)[0]
+        demo[f"demo-{name}"] = build_citation_graph(corpus)
     graphs["edgeless"] = nx.empty_graph(["e3", "e1", "e2"])
     graphs["single-node"] = nx.empty_graph(["only"])
     assert list(graphs) == ORACLE_GRAPHS
-    return graphs
+    return {name: (g, demo.get(name) or from_networkx(g)) for name, g in graphs.items()}
 
 
 class TestLouvainOracle:
@@ -174,8 +247,7 @@ class TestLouvainOracle:
 
     @pytest.mark.parametrize("name", ORACLE_GRAPHS)
     def test_same_partition_as_networkx(self, oracle_graphs, name):
-        g = oracle_graphs[name]
-        graph = CitationGraph(graph=g, dangling_count=0)
+        g, graph = oracle_graphs[name]
         mismatches = [(seed, resolution)
                       for seed in range(5) for resolution in (0.5, 1, 2)
                       if cluster_citation_graph(graph, resolution, seed).mapping
@@ -186,7 +258,7 @@ class TestLouvainOracle:
         """The oracle graphs exercise the aggregation: some take networkx
         three levels or more."""
         levels = {name: sum(1 for _ in nx.community.louvain_partitions(g, seed=0))
-                  for name, g in oracle_graphs.items() if name.startswith("random-")}
+                  for name, (g, _) in oracle_graphs.items() if name.startswith("random-")}
         assert sum(1 for n in levels.values() if n >= 3) >= 3, levels
 
     @pytest.mark.parametrize("resolution", [0, -1, float("nan"), float("inf"), "1",

@@ -1,5 +1,6 @@
 import json
 import random
+import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import pytest
@@ -220,6 +221,14 @@ class TestRenderOverlapBar:
         data = json.loads(sidecar)
         assert len(data["segments"]) == 5
         assert {s["count"] for s in data["segments"]} == {0, 1}
+
+    def test_names_escaped_as_xml_text(self):
+        comparison = pairwise_compare(result("R&D", {"x"}), {"x"}, result("<b>", {"x"}), {"x"})
+        svg, sidecar = render_overlap_bar(comparison)
+        root = ET.fromstring(svg)
+        assert root.find("{http://www.w3.org/2000/svg}text").text == "R&D vs <b>"
+        assert "R&amp;D vs &lt;b&gt;</text>" in svg
+        assert (json.loads(sidecar)["a"], json.loads(sidecar)["b"]) == ("R&D", "<b>")
 
     def test_byte_identical_rerender(self):
         comparison = self.comparison()

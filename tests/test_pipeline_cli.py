@@ -542,6 +542,48 @@ class TestCli:
         assert err == "error: [strategy:alpha] has no enhancement\n"
         assert not (tmp_path / "enhanced.json").exists()
 
+    def test_enhance_result_of_another_strategy_exit_code(self, demo_dir, tmp_path,
+                                                          capsys):
+        seed = tmp_path / "alpha.json"
+        assert self.run_cli("run", "--strategy", str(demo_dir / "alpha.json"),
+                            "--corpus", str(demo_dir / "corpus_x.jsonl"),
+                            "--out", str(seed)) == 0
+        err = self.run_cli_failing(
+            capsys, 2, "enhance", "--corpus", str(demo_dir / "corpus_x.jsonl"),
+            "--result", str(seed), "--strategy", str(demo_dir / "beta.json"),
+            "--save-assignment", str(tmp_path / "beta.tsv"),
+            "--out", str(tmp_path / "enhanced.json"))
+        assert err == (f"error: [result:{seed}] is a result of strategy 'alpha', "
+                       f"not of 'beta'\n")
+        assert not (tmp_path / "enhanced.json").exists()
+        assert not (tmp_path / "beta.tsv").exists()
+
+    def test_strategy_name_not_its_stem_exit_code(self, demo_dir, tmp_path, capsys):
+        """A copy of alpha.json still named alpha would be reported as
+        alpha_v2 in Table 3 and as alpha in Table 5 and the figures."""
+        copy = tmp_path / "alpha_v2.json"
+        shutil.copyfile(demo_dir / "alpha.json", copy)
+        message = "error: [strategy:alpha_v2] name 'alpha' is not the file stem 'alpha_v2'\n"
+        assert self.run_cli_failing(capsys, 2, "strategy", "summarize", str(copy)) == message
+        assert self.run_cli_failing(
+            capsys, 2, "run", "--strategy", str(copy),
+            "--corpus", str(demo_dir / "corpus_x.jsonl")) == message
+        doc = json.loads((demo_dir / "config.json").read_text())
+        for entry in doc["strategies"]:
+            entry["file"] = str(copy if entry["file"] == "alpha.json"
+                                else demo_dir / entry["file"])
+        for entry in doc["corpora"]:
+            for key in ("corpus_file", "coverage_file"):
+                entry[key] = str(demo_dir / entry[key])
+        for pair in doc["comparisons"] + doc.get("termmaps", []):
+            for key in ("a", "b"):
+                pair[key] = {"alpha": "alpha_v2"}.get(pair[key], pair[key])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config),
+                                    "--output-dir", str(tmp_path / "out")) == message
+        assert not (tmp_path / "out").exists()
+
     @pytest.fixture()
     def gamma_result(self, demo_dir, tmp_path):
         """A result of the demo strategy gamma on corpus_y."""
@@ -836,6 +878,24 @@ def test_benchmark_imports_resolve():
     proc = subprocess.run([sys.executable, "-c", "import measure"], cwd=root, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_imports_no_networkx(demo_dir, tmp_path):
+    """networkx is only the tests' clustering reference: importing sdglab and
+    its CLI and running the demo pipeline load no networkx module."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = ("import json, sys\n"
+              "import sdglab, sdglab.cli\n"
+              "code = sdglab.cli.main(['pipeline', '--config', sys.argv[1],\n"
+              "                        '--output-dir', sys.argv[2]])\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m.split('.')[0] == 'networkx')]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(demo_dir / "config.json"),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_readme_cli_synopsis_matches_parser():

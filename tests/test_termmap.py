@@ -3,6 +3,7 @@ import math
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -284,6 +285,11 @@ class TestExports:
         html = export_term_map(sample_map(), "html")
         assert "http" not in html.split("xmlns")[0]  # no external fetches
         assert "<script src" not in html
+
+    def test_html_names_escaped(self):
+        html = export_term_map(replace(sample_map(), name_a="R&D", name_b="<b>"), "html")
+        assert "<title>Term map: R&amp;D vs &lt;b&gt;</title>" in html
+        assert "<h1>R&amp;D (blue) vs &lt;b&gt; (red)</h1>" in html
 
     def test_score_color_scale(self):
         assert score_color(-1.0) == "#2166ac"
