@@ -3,7 +3,7 @@
 Run: python3 demos/01_query_basics.py
 """
 
-from sdglab import (PublicationRecord, Corpus, build_index,
+from sdglab import (PublicationRecord, Corpus, index_corpus,
                     parse_query, print_query, explain, evaluate)
 
 corpus = Corpus("demo", [
@@ -15,7 +15,7 @@ corpus = Corpus("demo", [
     PublicationRecord("p5", "Carbon accounting for industry", 2019,
                       abstract="A review of carbon audit practice."),
 ])
-index = build_index(corpus)
+index = index_corpus(corpus)
 
 examples = [
     '"climate change"',                     # exact phrase

@@ -7,47 +7,37 @@ to the current directory)
 from importlib.resources import files
 from pathlib import Path
 
-from sdglab import (ingest_corpus, build_index, load_strategy_file,
-                    run_strategy, load_coverage_file,
-                    build_citation_graph, cluster_citation_graph,
-                    enhance_by_cluster_threshold,
-                    pairwise_compare, render_overlap_bar)
+from sdglab import (ingest, index_corpus, load_strategy, run_strategy,
+                    cluster_assignment, enhance, compare)
 
 demo = files("sdglab") / "data" / "demo"
 
-
-def load(name):
-    with (demo / f"corpus_{name}.jsonl").open(encoding="utf-8") as fh:
-        corpus = ingest_corpus(fh, name=f"corpus_{name}")
-    return corpus, build_index(corpus)
-
-
-corpus_x, index_x = load("x")
-corpus_y, index_y = load("y")
+corpus_x = ingest(demo / "corpus_x.jsonl", coverage_file=demo / "coverage_x.txt")
+corpus_y = ingest(demo / "corpus_y.jsonl", coverage_file=demo / "coverage_y.txt")
+index_x, index_y = index_corpus(corpus_x), index_corpus(corpus_y)
 
 # Enhancement: start from keyword matches, pull in whole citation clusters
-# once at least 15% of a cluster is already in the seed set.
-seed = run_strategy(load_strategy_file(demo / "beta.json"), index_x, corpus_x)
-graph = build_citation_graph(corpus_x)
-assignment = cluster_citation_graph(graph, seed=7)
-enhanced, report = enhance_by_cluster_threshold(seed, assignment, 0.15, corpus_x)
+# once at least 15% of a cluster is already in the seed set. beta.json sets
+# the threshold and the Louvain seed, and its year window cuts the result.
+beta = load_strategy(demo / "beta.json")
+seed = run_strategy(beta, index_x, corpus_x)
+assignment = cluster_assignment(corpus_x, beta.enhancement)
+enhanced, report = enhance(seed, assignment, beta, corpus_x)
 print(f"seed set: {len(seed)} records; enhanced: {len(enhanced)} records")
 print(f"clusters qualifying: {len(report.included_clusters)}; "
       f"seed members lost to sub-threshold clusters: {report.seed_members_lost}")
 print()
 
-# Overlap: same pair of strategies on the two corpora, decomposed into the
-# five segments (coverage surplus / method surplus / overlap, both sides).
-res_a = run_strategy(load_strategy_file(demo / "gamma.json"), index_x, corpus_x)
-res_b = run_strategy(load_strategy_file(demo / "gamma.json"), index_y, corpus_y)
-cov_x = load_coverage_file(demo / "coverage_x.txt")
-cov_y = load_coverage_file(demo / "coverage_y.txt")
-comparison = pairwise_compare(res_a, cov_y, res_b, cov_x)
-shares = comparison.shares
-for segment, count in comparison.counts.items():
-    print(f"{segment:22s} {count:4d}  ({shares[segment]}%)")
+# Overlap: same strategy on the two corpora, decomposed into the five
+# segments (coverage surplus / method surplus / overlap, both sides); each
+# side's surplus is split by the other database's coverage.
+gamma = load_strategy(demo / "gamma.json")
+res_x = run_strategy(gamma, index_x, corpus_x)
+res_y = run_strategy(gamma, index_y, corpus_y)
+row, svg, sidecar = compare(res_x, corpus_x.coverage, res_y, corpus_y.coverage)
+for segment in ("cov_a", "meth_a", "overlap", "meth_b", "cov_b"):
+    print(f"{segment:8s} {row[segment]:4d}  ({row[segment + '_pct']}%)")
 
-svg, sidecar = render_overlap_bar(comparison)
 Path("overlap.svg").write_text(svg)
 Path("overlap.json").write_text(sidecar)
 print("\nwrote overlap.svg and overlap.json")

@@ -1,38 +1,45 @@
 """Contrast term maps and the one-shot pipeline.
 
 Run: python3 demos/04_termmap_and_pipeline.py  (writes termmap.html and a
-pipeline_out/ directory next to the current directory)
+pipeline_out/ directory to the current directory)
 """
 
 from importlib.resources import files
 from pathlib import Path
 
-from sdglab import (ingest_corpus, TermMapConfig, build_term_map,
-                    export_term_map)
-from sdglab.pipeline import PipelineConfig, run_pipeline
+from sdglab import (ingest, index_corpus, load_strategy, run_strategy, term_map,
+                    PipelineConfig, run_pipeline)
 
 demo = files("sdglab") / "data" / "demo"
 
-with (demo / "corpus_x.jsonl").open(encoding="utf-8") as fh:
-    corpus_x = ingest_corpus(fh, name="corpus_x")
-with (demo / "corpus_y.jsonl").open(encoding="utf-8") as fh:
-    corpus_y = ingest_corpus(fh, name="corpus_y")
+
+def run(strategy_file, corpus_file):
+    corpus = ingest(demo / corpus_file)
+    return run_strategy(load_strategy(demo / strategy_file), index_corpus(corpus),
+                        corpus), corpus
+
+
+alpha, corpus_x = run("alpha.json", "corpus_x.jsonl")
+gamma, corpus_y = run("gamma.json", "corpus_y.jsonl")
 
 # Terms colored by which side uses them more: blue = first set, red = second.
-config = TermMapConfig(min_occurrences=5, layout_seed=11)
-term_map = build_term_map("corpus_x", list(corpus_x.records.values()),
-                          "corpus_y", list(corpus_y.records.values()), config)
-Path("termmap.html").write_text(export_term_map(term_map, "html"))
-extremes = sorted(term_map.terms, key=lambda t: t.score)
-print(f"{len(term_map.terms)} terms retained")
-print(f"most corpus_x-leaning: {extremes[0].term!r} (score {extremes[0].score:+.2f})")
-print(f"most corpus_y-leaning: {extremes[-1].term!r} (score {extremes[-1].score:+.2f})")
+tm, exports = term_map(alpha, corpus_x, gamma, corpus_y,
+                       {"min_occurrences": 5, "layout_seed": 11})
+Path("termmap.html").write_text(exports["html"], encoding="utf-8")
+extremes = sorted(tm.terms, key=lambda t: t.score)
+print(f"{len(tm.terms)} terms retained")
+print(f"most alpha-leaning: {extremes[0].term!r} (score {extremes[0].score:+.2f})")
+print(f"most gamma-leaning: {extremes[-1].term!r} (score {extremes[-1].score:+.2f})")
 print("wrote termmap.html")
 print()
 
-# The pipeline runs everything above from one config file, deterministically.
+# The pipeline runs everything above from one config file, deterministically;
+# its alpha/gamma term map is the one drawn above.
 out = Path("pipeline_out")
 bundle = run_pipeline(PipelineConfig.load(demo / "config.json", output_dir=out))
 print(f"pipeline: {len(bundle.table3)} strategies, "
       f"{len(bundle.table5)} comparisons -> {out}/")
 print((out / "reports" / "table5.csv").read_text().strip())
+same = (out / "termmaps" / "alpha__gamma" / "termmap.html").read_text(encoding="utf-8") \
+    == exports["html"]
+print(f"pipeline's alpha__gamma term map equals the one above: {same}")

@@ -48,9 +48,10 @@ def _emit(text: str, out) -> None:
 def cmd_ingest(args) -> int:
     corpus = ingest(args.corpus, args.name, args.coverage)
     years = sorted({r.year for r in corpus})
+    span = f"years {years[0]}-{years[-1]}, " if years else ""
     print(f"{corpus.name}: {len(corpus)} records, "
           f"{sum(1 for r in corpus if r.doi)} with DOI, "
-          f"years {years[0]}-{years[-1]}, coverage {len(corpus.coverage)} DOIs")
+          f"{span}coverage {len(corpus.coverage)} DOIs")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi:")
 
@@ -120,33 +120,28 @@ def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
         raise IngestError(f"line {lineno}: {exc}") from exc
 
 
-def ingest_corpus(source: IO[str], name: str = "corpus",
-                  coverage: Iterable[str] | None = None) -> Corpus:
-    """Read a JSON-lines corpus file: one record object per line."""
-    records = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        rec = _parse_record(obj, lineno)
-        if rec.internal_id in seen:
-            raise IngestError(f"line {lineno}: duplicate internal_id: {rec.internal_id}")
-        seen.add(rec.internal_id)
-        records.append(rec)
-    return Corpus(name=name, records=records, coverage=coverage)
-
-
 def load_corpus_file(path, name: str | None = None,
                      coverage_path=None) -> Corpus:
-    """Load a corpus file, named `name` or else by the file's stem."""
+    """Read a JSON-lines corpus file, one record object per line, named
+    `name` or else by the file's stem."""
     coverage = load_coverage_file(coverage_path) if coverage_path else None
+    records = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
-        return ingest_corpus(fh, name=name or Path(path).stem, coverage=coverage)
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            rec = _parse_record(obj, lineno)
+            if rec.internal_id in seen:
+                raise IngestError(f"line {lineno}: duplicate internal_id: {rec.internal_id}")
+            seen.add(rec.internal_id)
+            records.append(rec)
+    return Corpus(name=name or Path(path).stem, records=records, coverage=coverage)
 
 
 def load_coverage_file(path) -> set[str]:
@@ -158,20 +153,3 @@ def load_coverage_file(path) -> set[str]:
             if doi:
                 dois.add(doi)
     return dois
-
-
-def serialize_corpus(corpus: Corpus, sink: IO[str]) -> None:
-    """Write a corpus back to the one-record-per-line JSON format."""
-    for rec in corpus:
-        obj = {
-            "id": rec.internal_id,
-            "doi": rec.doi,
-            "title": rec.title,
-            "abstract": rec.abstract,
-            "keywords": list(rec.keywords),
-            "year": rec.year,
-            "doc_type": rec.document_type,
-            "refs": list(rec.references),
-        }
-        sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
-

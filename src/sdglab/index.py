@@ -229,17 +229,6 @@ def build_index(corpus: Corpus) -> PositionalIndex:
     return PositionalIndex(doc_order, tokens, counts, codes)
 
 
-def wildcard_expand(pattern: str, index: PositionalIndex) -> set[str]:
-    """Expand a terminal-wildcard pattern to all vocabulary tokens with the stem prefix."""
-    if not pattern.endswith("*"):
-        raise ValueError(f"wildcard pattern must end with '*': {pattern!r}")
-    stem = pattern[:-1]
-    if not stem:
-        raise ValueError("unbounded wildcard")
-    lo, hi = index.prefix_range(stem)
-    return set(index.sorted_vocabulary[lo:hi])
-
-
 def _write_base64(sink: IO[str], array: np.ndarray) -> None:
     data = memoryview(array.astype("<i8", copy=False)).cast("B")
     for i in range(0, len(data), _B64_CHUNK):

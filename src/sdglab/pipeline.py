@@ -90,12 +90,8 @@ def index_corpus(corpus: Corpus) -> PositionalIndex:
 def load_strategy(path) -> SearchStrategy:
     """Load a strategy file; a bad one, or one whose `name` is not its file
     stem, is a config error labelled by the stem."""
-    stem = Path(path).stem
-    with stage(f"strategy:{stem}", "config"):
-        strategy = load_strategy_file(path)
-        if strategy.name != stem:
-            raise ValueError(f"name {strategy.name!r} is not the file stem {stem!r}")
-        return strategy
+    with stage(f"strategy:{Path(path).stem}", "config"):
+        return load_strategy_file(path)
 
 
 def load_result_file(path, corpus: Corpus | None = None) -> ResultSet:

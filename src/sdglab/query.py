@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -139,6 +138,14 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
 # ---------------------------------------------------------------------------
 # Parser: OR is loosest, then AND, then AND NOT; parentheses group.
 
+# How deep a query may nest: at most MAX_DEPTH parentheses (a field scope's
+# included) open at once, and at most MAX_DEPTH operators (AND, OR, each link
+# of an AND NOT chain, field scope) on any path down its tree. Parsing,
+# printing, explaining and evaluating recurse once or a few times per level,
+# so a query within the limit stays far inside Python's recursion limit. The
+# printed form of a query nests no deeper than its tree, so it parses again.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -164,11 +171,31 @@ class _Parser:
     def parse(self):
         if not self.tokens:
             raise ParseError("empty query", 0)
+        # Each open parenthesis and each operator takes a token of its own,
+        # so a query of at most MAX_DEPTH tokens is within the limit.
+        deep = len(self.tokens) > MAX_DEPTH
+        if deep:
+            self.check_parentheses()
         ast = self.parse_or()
         if self.pos < len(self.tokens):
             kind, _, off = self.peek()
             raise ParseError(f"unexpected {kind!r}", off)
+        if deep and _height(ast) > MAX_DEPTH:
+            raise ParseError(f"query nests more than {MAX_DEPTH} operators deep", 0)
         return ast
+
+    def check_parentheses(self) -> None:
+        """ParseError at the first parenthesis opened MAX_DEPTH deep, before
+        the parse recurses into it."""
+        opened = 0
+        for kind, _, offset in self.tokens:
+            if kind == "(":
+                opened += 1
+                if opened > MAX_DEPTH:
+                    raise ParseError(f"query nests more than {MAX_DEPTH} "
+                                     f"parentheses deep", offset)
+            elif kind == ")":
+                opened -= 1
 
     def parse_or(self):
         children = [self.parse_and()]
@@ -269,8 +296,26 @@ def parse_query(text: str) -> QueryAst:
     a quoted string followed by ~N is a proximity expression; a trailing "*"
     makes a prefix wildcard; infix AND / OR / AND NOT with precedence
     AND NOT > AND > OR; parentheses group; [field,...](...) scopes fields.
+    A query that nests deeper than MAX_DEPTH levels raises ParseError.
     """
     return _Parser(text).parse()
+
+
+def _height(ast: QueryAst) -> int:
+    """The number of operators on the deepest path down the tree, found
+    without recursion."""
+    deepest, stack = 0, [(ast, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, (And, Or)):
+            stack.extend((child, depth + 1) for child in node.children)
+        elif isinstance(node, AndNot):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, FieldScope):
+            stack.append((node.child, depth + 1))
+        else:
+            deepest = max(deepest, depth)
+    return deepest
 
 
 def print_query(ast: QueryAst) -> str:
@@ -327,18 +372,6 @@ def explain(ast: QueryAst, indent: int = 0) -> str:
 # Positional matching
 
 
-def _token_position_sets(tokens: Iterable[str],
-                         stream: list[tuple[str, int]]) -> list[set[int]]:
-    sets = []
-    for pattern in tokens:
-        if pattern.endswith("*"):
-            stem = pattern[:-1]
-            sets.append({pos for tok, pos in stream if tok.startswith(stem)})
-        else:
-            sets.append({pos for tok, pos in stream if tok == pattern})
-    return sets
-
-
 def _distinct_assignment(sets: list[set[int]]) -> bool:
     """True if every set can take its own position (a bipartite matching
     saturating the sets), found by augmenting paths in polynomial time."""
@@ -357,6 +390,8 @@ def _distinct_assignment(sets: list[set[int]]) -> bool:
 
 
 def _window_match(sets: list[set[int]], span_bound: int) -> bool:
+    """True if some window of positions lo..lo + span_bound gives every set
+    its own position."""
     if any(not s for s in sets):
         return False
     candidates = sorted(set().union(*sets))
@@ -366,19 +401,6 @@ def _window_match(sets: list[set[int]], span_bound: int) -> bool:
         if all(window) and _distinct_assignment(window):
             return True
     return False
-
-
-def proximity_match(phrase_tokens: tuple[str, ...], window: int,
-                    field_stream: list[tuple[str, int]]) -> bool:
-    """Unordered positional match: tokens at distinct positions whose span
-    (max - min) does not exceed len(tokens) - 1 + window."""
-    if len(phrase_tokens) < 2:
-        raise ValueError("proximity requires at least 2 tokens")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    sets = _token_position_sets(phrase_tokens, field_stream)
-    bound = len(phrase_tokens) - 1 + window
-    return _window_match(sets, bound)
 
 
 # ---------------------------------------------------------------------------

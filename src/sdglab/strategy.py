@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import IO
+from pathlib import Path
 
 from .corpus import Corpus, YearWindow
 from .index import FIELDS, PositionalIndex
@@ -110,6 +110,11 @@ class SearchStrategy:
                            tuple(_parse_strategy_query(t) for t in self.exclusion_terms))
 
 
+# The keys of a result.json document and their types; a list holds strings.
+_RESULT_KEYS = (("strategy", str), ("corpus", str), ("members", list), ("dois", list),
+                ("with_doi", int))
+
+
 class ResultSet:
     """Set of retrieved publications; DOI view derived from corpus records."""
 
@@ -128,34 +133,49 @@ class ResultSet:
     def from_doc(cls, doc: dict, corpus: Corpus | None = None) -> "ResultSet":
         """Rebuild a result from its result.json document: against `corpus`
         when given, with members checked and DOIs derived; else with the
-        document's own DOI view."""
-        try:
-            if corpus is not None:
-                return cls(doc["strategy"], corpus, doc["members"])
-            result = cls.__new__(cls)
-            result.strategy_name, result.corpus_name = doc["strategy"], doc["corpus"]
-            result.members = frozenset(doc["members"])
-            result.doi_members = frozenset(doc["dois"])
-            result.doi_record_count = doc["with_doi"]
-            return result
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"not a result document: {exc!r}") from exc
+        document's own DOI view. ValueError for a document whose keys do not
+        hold the types of _RESULT_KEYS."""
+        if not isinstance(doc, dict):
+            raise ValueError("not a result document: not a JSON object")
+        for key, kind in _RESULT_KEYS:
+            if corpus is not None and key not in ("strategy", "members"):
+                continue
+            value = doc.get(key)
+            if not isinstance(value, kind) or isinstance(value, bool) or \
+                    kind is list and not all(isinstance(v, str) for v in value):
+                raise ValueError(f"not a result document: {key!r} is not a "
+                                 f"{'list of strings' if kind is list else kind.__name__}")
+        if corpus is not None:
+            return cls(doc["strategy"], corpus, doc["members"])
+        result = cls.__new__(cls)
+        result.strategy_name, result.corpus_name = doc["strategy"], doc["corpus"]
+        result.members = frozenset(doc["members"])
+        result.doi_members = frozenset(doc["dois"])
+        result.doi_record_count = doc["with_doi"]
+        return result
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-def load_strategy(source: IO[str] | dict) -> SearchStrategy:
-    """Load a strategy file (JSON object, see README for the schema).
+def load_strategy_file(path) -> SearchStrategy:
+    """Load a strategy file (a JSON object, see README for the schema).
+    StrategyLoadError for a bad one, or one whose `name` is not its file stem.
 
     All queries are parsed eagerly so a bad query fails at load time.
     """
-    doc = source if isinstance(source, dict) else json.load(source)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise StrategyLoadError("strategy file is not a JSON object")
     try:
         name = doc["name"]
         seeds_raw = doc["seeds"]
     except KeyError as exc:
         raise StrategyLoadError(f"missing key: {exc}") from exc
+    stem = Path(path).stem
+    if name != stem:
+        raise StrategyLoadError(f"name {name!r} is not the file stem {stem!r}")
     seeds = []
     for entry in seeds_raw:
         term_class = entry.get("class", "general")
@@ -200,11 +220,6 @@ def load_strategy(source: IO[str] | dict) -> SearchStrategy:
         )
     except ValueError as exc:
         raise StrategyLoadError(str(exc)) from exc
-
-
-def load_strategy_file(path) -> SearchStrategy:
-    with open(path, encoding="utf-8") as fh:
-        return load_strategy(fh)
 
 
 def run_strategy(strategy: SearchStrategy, index: PositionalIndex,

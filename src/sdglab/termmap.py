@@ -385,24 +385,6 @@ def _export_json(term_map: TermMap) -> str:
             "}\n")
 
 
-def load_term_map(text: str) -> TermMap:
-    doc = json.loads(text)
-    cfg = doc["config"]
-    config = TermMapConfig(
-        min_occurrences=cfg["min_occurrences"],
-        max_ngram=cfg["max_ngram"],
-        stoplist=frozenset(cfg["stoplist"]),
-        layout_seed=cfg["layout_seed"],
-        layout_iterations=cfg["layout_iterations"],
-    )
-    terms = [TermStats(term=t["term"], occ_a=t["occ_a"], occ_b=t["occ_b"])
-             for t in doc["terms"]]
-    coords = {t["term"]: (t["x"], t["y"]) for t in doc["terms"]}
-    edges = [(e["source"], e["target"], e["weight"]) for e in doc["edges"]]
-    return TermMap(name_a=doc["name_a"], name_b=doc["name_b"], terms=terms,
-                   edges=edges, coordinates=coords, config=config)
-
-
 _GRAPHML_KEYS = (("occ_a", "node", "int"), ("occ_b", "node", "int"),
                  ("score", "node", "double"), ("x", "node", "double"),
                  ("y", "node", "double"), ("weight", "edge", "int"))

@@ -10,10 +10,11 @@ import random
 from conftest import DATA_DIR, random_corpus
 from oracle import evaluate_by_scan
 from sdglab.clustering import enhance_by_cluster_threshold
+from sdglab.corpus import Corpus, PublicationRecord
 from sdglab.index import build_index, tokenize
 from sdglab.overlap import SEGMENT_ORDER, decompose_surplus, shares_from_counts
 from sdglab.pipeline import PipelineConfig, run_pipeline
-from sdglab.query import evaluate, proximity_match
+from sdglab.query import Proximity, evaluate
 from sdglab.rounding import percent
 from sdglab.strategy import load_strategy_file, run_strategy, term_class_summary
 from sdglab.termmap import TermMapConfig, extract_terms
@@ -102,12 +103,14 @@ def test_query_oracle_equivalence():
 
 @criterion("Proximity fidelity on the published worked examples")
 def test_proximity_fidelity():
-    assert proximity_match(("climate", "related", "hazards"), 3,
-                           tokenize("hazards related to climate change"))
-    assert proximity_match(("climate", "impact"), 3,
-                           tokenize("climate change impact"))
-    assert proximity_match(("climate", "impact"), 3,
-                           tokenize("changing climate and its impact on health"))
+    corpus = Corpus("c", [
+        PublicationRecord("hazards", "hazards related to climate change", 2016),
+        PublicationRecord("phrase", "climate change impact", 2016),
+        PublicationRecord("changing", "changing climate and its impact on health", 2016),
+    ])
+    index = build_index(corpus)
+    assert evaluate(Proximity(("climate", "related", "hazards"), 3), index) == {"hazards"}
+    assert evaluate(Proximity(("climate", "impact"), 3), index) == {"phrase", "changing"}
 
 
 @criterion("Exclusion phrase removes a seed-matching document")

@@ -1,4 +1,3 @@
-import io
 import json
 import random
 
@@ -6,15 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdglab.corpus import (Corpus, IngestError, PublicationRecord, YearWindow,
-                           ingest_corpus, load_coverage_file, normalize_doi,
-                           serialize_corpus)
+                           load_corpus_file, load_coverage_file, normalize_doi)
 from sdglab.index import build_index
 from sdglab.rounding import percent
 from sdglab.strategy import ClassifiedTerm, ResultSet, SearchStrategy, run_strategy
 
 
-def make_lines(records):
-    return io.StringIO("\n".join(json.dumps(r) for r in records) + "\n")
+def write_corpus(tmp_path, records):
+    """A corpus file under `tmp_path` holding `records`, one per line."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+    return path
 
 
 class TestNormalizeDoi:
@@ -45,38 +46,38 @@ class TestNormalizeDoi:
 
 
 class TestIngest:
-    def test_three_record_fixture(self):
+    def test_three_record_fixture(self, tmp_path):
         recs = [{"id": f"r{i}", "title": "t", "year": 2016} for i in range(3)]
-        corpus = ingest_corpus(make_lines(recs))
+        corpus = load_corpus_file(write_corpus(tmp_path, recs))
         assert len(corpus) == 3
 
-    def test_empty_abstract_accepted(self):
-        corpus = ingest_corpus(make_lines(
-            [{"id": "a", "title": "t", "year": 2016, "abstract": ""}]))
+    def test_empty_abstract_accepted(self, tmp_path):
+        corpus = load_corpus_file(write_corpus(
+            tmp_path, [{"id": "a", "title": "t", "year": 2016, "abstract": ""}]))
         assert corpus["a"].abstract == ""
 
-    def test_missing_required_key_names_line(self):
+    def test_missing_required_key_names_line(self, tmp_path):
         recs = [{"id": "a", "title": "t", "year": 2016},
                 {"id": "b", "title": "t"}]
         with pytest.raises(IngestError, match="line 2"):
-            ingest_corpus(make_lines(recs))
+            load_corpus_file(write_corpus(tmp_path, recs))
 
-    def test_duplicate_id_rejected(self):
+    def test_duplicate_id_rejected(self, tmp_path):
         recs = [{"id": "a", "title": "t", "year": 2016}] * 2
         with pytest.raises(IngestError, match="duplicate"):
-            ingest_corpus(make_lines(recs))
+            load_corpus_file(write_corpus(tmp_path, recs))
 
-    def test_doi_normalized_on_ingest(self):
-        corpus = ingest_corpus(make_lines(
-            [{"id": "a", "title": "t", "year": 2016,
-              "doi": "https://doi.org/10.1/ABC"}]))
+    def test_doi_normalized_on_ingest(self, tmp_path):
+        corpus = load_corpus_file(write_corpus(
+            tmp_path, [{"id": "a", "title": "t", "year": 2016,
+                        "doi": "https://doi.org/10.1/ABC"}]))
         assert corpus["a"].doi == "10.1/abc"
 
-    def test_per_year_counts_match_file_scan(self):
+    def test_per_year_counts_match_file_scan(self, tmp_path):
         rng = random.Random(7)
         recs = [{"id": f"r{i}", "title": "t", "year": rng.randint(2010, 2020)}
                 for i in range(1000)]
-        corpus = ingest_corpus(make_lines(recs))
+        corpus = load_corpus_file(write_corpus(tmp_path, recs))
         assert len(corpus) == 1000
         # oracle: direct scan of the raw dicts
         expected = {}
@@ -86,20 +87,6 @@ class TestIngest:
         for rec in corpus:
             got[rec.year] = got.get(rec.year, 0) + 1
         assert got == expected
-
-    def test_round_trip(self):
-        rng = random.Random(9)
-        recs = [{"id": f"r{i}", "title": f"title {i}", "year": 2015 + i % 5,
-                 "doi": f"10.1/{i}" if i % 3 else None,
-                 "abstract": "some text", "keywords": ["k1", "k2"],
-                 "doc_type": "article", "refs": [f"r{(i+1) % 20}"]}
-                for i in range(20)]
-        corpus = ingest_corpus(make_lines(recs))
-        sink = io.StringIO()
-        serialize_corpus(corpus, sink)
-        again = ingest_corpus(io.StringIO(sink.getvalue()))
-        assert {r.internal_id: r for r in corpus} == \
-            {r.internal_id: r for r in again}
 
     def test_coverage_superset_allowed(self):
         corpus = Corpus("c", [PublicationRecord("a", "t", 2016, doi="10.1/a")],

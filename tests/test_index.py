@@ -12,8 +12,8 @@ from conftest import random_corpus
 from sdglab.corpus import Corpus, PublicationRecord, load_corpus_file
 from sdglab.index import (_TOKEN_RE, FIELDS, INDEX_MAGIC, INDEX_VERSION, KEYWORD_GAP,
                           MAX_POSITION, PositionalIndex, build_index, field_token_stream,
-                          load_index, save_index, tokenize, tokenize_keywords,
-                          wildcard_expand, words)
+                          load_index, save_index, tokenize, tokenize_keywords, words)
+from sdglab.query import EvaluationError, ParseError, evaluate, parse_query
 
 
 def run_count_oracle(text: str) -> int:
@@ -169,48 +169,61 @@ class TestBuildIndex:
 
 
 class TestWildcardExpand:
+    """A stem's tokens are the `prefix_range` slice of the sorted vocabulary."""
+
     def make_index(self, vocab):
-        corpus = Corpus("c", [PublicationRecord("a", " ".join(vocab), 2016)])
-        return build_index(corpus)
+        """An index with one record per token, the token its id and title."""
+        return build_index(Corpus("c", [PublicationRecord(tok, tok, 2016) for tok in vocab]))
+
+    def expand(self, stem, index):
+        """The stem's tokens by `prefix_range`; for a stem `evaluate` takes,
+        of two or more characters, they must be the ids it finds."""
+        lo, hi = index.prefix_range(stem)
+        tokens = set(index.sorted_vocabulary[lo:hi])
+        if len(stem) >= 2:
+            assert evaluate(parse_query(stem + "*"), index) == tokens
+        return tokens
 
     def test_prefix_semantics(self):
         index = self.make_index(["legume", "legumes", "lemma"])
-        assert wildcard_expand("legum*", index) == {"legume", "legumes"}
+        assert self.expand("legum", index) == {"legume", "legumes"}
 
     def test_breed_stem(self):
         index = self.make_index(["breed", "breeding", "bread"])
-        assert wildcard_expand("breed*", index) == {"breed", "breeding"}
+        assert self.expand("breed", index) == {"breed", "breeding"}
 
     def test_no_match_is_empty(self):
         index = self.make_index(["alpha", "beta"])
-        assert wildcard_expand("z*", index) == set()
+        assert self.expand("z", index) == set()
+        assert self.expand("zu", index) == set()
 
     def test_bare_star_rejected(self):
-        index = self.make_index(["alpha"])
-        with pytest.raises(ValueError, match="unbounded wildcard"):
-            wildcard_expand("*", index)
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_query("*")
+        with pytest.raises(EvaluationError, match="shorter than 2 characters"):
+            evaluate(parse_query("a*"), self.make_index(["alpha"]))
 
     def test_result_within_vocabulary(self):
         index = self.make_index(["climate", "climatic", "clay", "sun"])
-        expanded = wildcard_expand("cl*", index)
+        expanded = self.expand("cl", index)
         assert expanded <= set(index.sorted_vocabulary)
         assert all(tok.startswith("cl") for tok in expanded)
 
     def test_stem_that_is_itself_a_token(self):
         index = self.make_index(["clim", "climate", "climb", "cli", "clin"])
-        assert wildcard_expand("clim*", index) == {"clim", "climate", "climb"}
+        assert self.expand("clim", index) == {"clim", "climate", "climb"}
 
     def test_stem_after_last_vocabulary_entry(self):
         index = self.make_index(["alpha", "zebra"])
-        assert wildcard_expand("zebras*", index) == set()
-        assert wildcard_expand("zz*", index) == set()
+        assert self.expand("zebras", index) == set()
+        assert self.expand("zz", index) == set()
 
     def test_non_ascii_stems(self):
         index = self.make_index(["ökologie", "ökonomie", "oko", "öl", "été",
                                  "étude", "数据", "数据库"])
-        assert wildcard_expand("ök*", index) == {"ökologie", "ökonomie"}
-        assert wildcard_expand("ét*", index) == {"été", "étude"}
-        assert wildcard_expand("数据*", index) == {"数据", "数据库"}
+        assert self.expand("ök", index) == {"ökologie", "ökonomie"}
+        assert self.expand("ét", index) == {"été", "étude"}
+        assert self.expand("数据", index) == {"数据", "数据库"}
 
     def test_equals_linear_scan(self):
         index = build_index(random_corpus(46, 300))
@@ -218,7 +231,8 @@ class TestWildcardExpand:
         stems = {tok[:n] for tok in vocab for n in range(1, len(tok) + 1)}
         stems |= {"clim", "zzz", "ö", vocab[-1] + "a", vocab[0][:-1]}
         for stem in stems:
-            assert wildcard_expand(stem + "*", index) == \
+            lo, hi = index.prefix_range(stem)
+            assert set(index.sorted_vocabulary[lo:hi]) == \
                 {tok for tok in vocab if tok.startswith(stem)}, stem
 
 

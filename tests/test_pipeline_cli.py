@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import logging
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import sdglab
 from sdglab import pipeline
 from sdglab.cli import build_parser, main
 from sdglab.pipeline import PipelineConfig, PipelineError, run_pipeline
+from sdglab.query import MAX_DEPTH
 
 # sha256 of every demo pipeline output, as the manifest records them.
 DEMO_OUTPUTS = {
@@ -619,6 +622,63 @@ class TestCli:
             "--coverage-b", str(demo_dir / "coverage_y.txt"))
         assert f"error: [result:{bad}] not a result document" in err
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("dois", "10.5555/x.1", "list of strings"),
+        ("members", "abc", "list of strings"),
+        ("members", [1, 2], "list of strings"),
+        ("with_doi", "many", "int"),
+        ("with_doi", True, "int"),
+        ("strategy", None, "str"),
+    ], ids=["dois-string", "members-string", "members-ints", "with_doi-string",
+            "with_doi-bool", "strategy-null"])
+    def test_result_key_of_wrong_type_exit_code(self, demo_dir, tmp_path, capsys, key,
+                                                value, kind):
+        """`compare` reads a result without its corpus, `termmap` against it;
+        either way a key of the wrong type is a bad result file."""
+        res = tmp_path / "alpha.json"
+        assert self.run_cli("run", "--strategy", str(demo_dir / "alpha.json"),
+                            "--corpus", str(demo_dir / "corpus_x.jsonl"),
+                            "--out", str(res)) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(res.read_text()), key: value}))
+        message = f"error: [result:{bad}] not a result document: {key!r} is not a {kind}\n"
+        assert self.run_cli_failing(
+            capsys, 2, "compare", "--a", str(bad), "--b", str(res),
+            "--coverage-a", str(demo_dir / "coverage_x.txt"),
+            "--coverage-b", str(demo_dir / "coverage_y.txt")) == message
+        if key in ("strategy", "members"):
+            assert self.run_cli_failing(
+                capsys, 2, "termmap", "--a", str(bad), "--b", str(res),
+                "--corpus-a", str(demo_dir / "corpus_x.jsonl"),
+                "--out", str(tmp_path / "tm")) == message
+
+    def test_ingest_empty_corpus(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert self.run_cli("ingest", "--corpus", str(empty)) == 0
+        assert capsys.readouterr().out == "empty: 0 records, 0 with DOI, coverage 0 DOIs\n"
+        assert self.run_cli("index", "--corpus", str(empty),
+                            "--out", str(tmp_path / "index.json")) == 0
+
+    def test_query_nested_too_deep_exit_code(self, demo_dir, tmp_path, capsys):
+        at_limit = '"a"' + ' AND NOT "b"' * MAX_DEPTH
+        assert self.run_cli("parse", "--query", at_limit, "--explain") == 0
+        err = self.run_cli_failing(capsys, 2, "parse", "--query", at_limit + ' AND NOT "c"')
+        assert err.startswith(f"error: [parse] query nests more than {MAX_DEPTH} "
+                              f"operators deep")
+        doc = json.loads((demo_dir / "alpha.json").read_text())
+        doc["name"] = "deep"
+        doc["seeds"].append({"query": "(" * (MAX_DEPTH + 1) + '"a"' + ")" * (MAX_DEPTH + 1),
+                             "class": "general"})
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps(doc))
+        for argv in (("strategy", "summarize", str(deep)),
+                     ("run", "--strategy", str(deep),
+                      "--corpus", str(demo_dir / "corpus_x.jsonl"))):
+            err = self.run_cli_failing(capsys, 2, *argv)
+            assert err.startswith("error: [strategy:deep] query ")
+            assert f"nests more than {MAX_DEPTH} parentheses deep" in err
+
     def test_cli_outputs_equal_pipeline_outputs(self, demo_config, demo_dir, tmp_path):
         run_pipeline(demo_config)
         pipe, cli = demo_config.output_dir, tmp_path / "cli"
@@ -917,3 +977,38 @@ def test_readme_cli_synopsis_matches_parser():
                          if option.startswith("--") and option != "--help"}
                for command, parser in subparsers.choices.items()}
     assert synopsis == options
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    """Each demo runs to exit 0 in an empty working directory."""
+    env = {**os.environ, "PYTHONPATH": str(demo.parents[1] / "src")}
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if demo.stem == "03_enhancement_and_overlap":
+        # the pipeline's results/beta/result.json: 29 members, window cut included
+        assert "enhanced: 29 records" in proc.stdout
+
+
+def test_public_names():
+    """`sdglab.__all__` holds the data types, the four query functions and the
+    stage functions, and every name the demos and the README quick start
+    import from `sdglab`."""
+    functions = {"parse_query", "print_query", "explain", "evaluate",
+                 "ingest", "index_corpus", "load_strategy", "run_strategy",
+                 "load_result_file", "cluster_assignment", "enhance", "compare",
+                 "term_map", "run_pipeline", "emit_report"}
+    exported = {name: getattr(sdglab, name) for name in sdglab.__all__}
+    assert {name for name, obj in exported.items() if not isinstance(obj, type)} == functions
+    root = Path(__file__).resolve().parents[1]
+    quick_start = (root / "README.md").read_text().split(
+        "## Quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    sources = [quick_start] + [path.read_text() for path in DEMOS]
+    imported = {alias.name for source in sources for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "sdglab"
+                for alias in node.names}
+    assert imported <= exported.keys()

@@ -9,10 +9,10 @@ from conftest import VOCAB, random_corpus
 from oracle import evaluate_by_scan, match_doc
 from sdglab.corpus import Corpus, PublicationRecord
 from sdglab.index import (DOC_SHIFT, FIELD_SHIFT, FIELDS, MAX_POSITION, PositionalIndex,
-                          build_index, tokenize)
-from sdglab.query import (And, AndNot, EvaluationError, FieldScope, Or,
+                          build_index)
+from sdglab.query import (MAX_DEPTH, And, AndNot, EvaluationError, FieldScope, Or,
                           ParseError, Phrase, Proximity, Term, Wildcard,
-                          evaluate, parse_query, print_query, proximity_match)
+                          evaluate, explain, parse_query, print_query)
 
 
 class TestParse:
@@ -102,43 +102,87 @@ class TestPrinterRoundTrip:
         assert parse_query(print_query(ast)) == ast
 
 
+class TestNestingLimit:
+    """A query at MAX_DEPTH parses, evaluates, prints and explains; one level
+    deeper fails to parse."""
+
+    # name -> (a query at the limit, the same query one level deeper)
+    LIMIT = {
+        "parentheses": ("(" * MAX_DEPTH + '"a"' + ")" * MAX_DEPTH,
+                        "(" * (MAX_DEPTH + 1) + '"a"' + ")" * (MAX_DEPTH + 1)),
+        "and": ('"a" AND (' * (MAX_DEPTH - 1) + '"a" AND "b"' + ")" * (MAX_DEPTH - 1),
+                '"a" AND (' * MAX_DEPTH + '"a" AND "b"' + ")" * MAX_DEPTH),
+        "and-not chain": ('"a"' + ' AND NOT "z"' * MAX_DEPTH,
+                          '"a"' + ' AND NOT "z"' * (MAX_DEPTH + 1)),
+        # two AND NOT links inside each of MAX_DEPTH / 2 parentheses
+        "nested chains": ("(" * (MAX_DEPTH // 2) + '"a"'
+                          + ' AND NOT "z" AND NOT "z")' * (MAX_DEPTH // 2),
+                          "(" * (MAX_DEPTH // 2) + '"a" AND NOT "z"'
+                          + ' AND NOT "z" AND NOT "z")' * (MAX_DEPTH // 2)),
+        "field scopes": ("[title](" * MAX_DEPTH + '"a"' + ")" * MAX_DEPTH,
+                         "[title](" * (MAX_DEPTH + 1) + '"a"' + ")" * (MAX_DEPTH + 1)),
+        # three operators a level: the printer's deepest recursion per level
+        "scoped or-and": ('[title]("z" OR "a" AND ' * (MAX_DEPTH // 3) + '"a" AND NOT "z"'
+                          + ")" * (MAX_DEPTH // 3),
+                          '[title]("z" OR "a" AND ' * (MAX_DEPTH // 3)
+                          + '"a" AND NOT "z" AND NOT "z"' + ")" * (MAX_DEPTH // 3)),
+    }
+
+    @pytest.mark.parametrize("name", LIMIT)
+    def test_query_at_the_limit(self, name):
+        index = build_index(Corpus("c", [PublicationRecord("r", "a b", 2016)]))
+        ast = parse_query(self.LIMIT[name][0])
+        assert evaluate(ast, index) == {"r"}
+        assert parse_query(print_query(ast)) == ast
+        assert explain(ast).startswith(("Term", "And", "AndNot", "FieldScope"))
+
+    @pytest.mark.parametrize("name", LIMIT)
+    def test_one_level_deeper_rejected(self, name):
+        with pytest.raises(ParseError, match=f"query nests more than {MAX_DEPTH} "):
+            parse_query(self.LIMIT[name][1])
+
+
 # --- proximity semantics ----------------------------------------------------
+
+def proximity_matches(tokens, window, title) -> bool:
+    """Whether the proximity `tokens`, `window` matches a record with `title`."""
+    corpus = Corpus("c", [PublicationRecord("r", title, 2016)])
+    return evaluate(Proximity(tuple(tokens), window), build_index(corpus)) == {"r"}
+
 
 class TestProximityMatch:
     def test_unordered_window_paper_example(self):
-        stream = tokenize("hazards related to climate change")
-        assert proximity_match(("climate", "related", "hazards"), 3, stream)
+        assert proximity_matches(("climate", "related", "hazards"), 3,
+                                 "hazards related to climate change")
 
     def test_changing_climate_example(self):
-        stream = tokenize("changing climate and its impact on health")
-        assert proximity_match(("climate", "impact"), 3, stream)
+        assert proximity_matches(("climate", "impact"), 3,
+                                 "changing climate and its impact on health")
 
     def test_reversed_order_within_window(self):
-        assert proximity_match(("climate", "impact"), 3,
-                               tokenize("impact of climate"))
+        assert proximity_matches(("climate", "impact"), 3, "impact of climate")
 
     def test_exact_phrase_also_matches(self):
-        assert proximity_match(("climate", "impact"), 3,
-                               tokenize("climate change impact"))
+        assert proximity_matches(("climate", "impact"), 3, "climate change impact")
 
     def test_outside_window(self):
-        stream = tokenize("climate one two three four five impact")
         # span 6 > 1 + 3
-        assert not proximity_match(("climate", "impact"), 3, stream)
+        assert not proximity_matches(("climate", "impact"), 3,
+                                     "climate one two three four five impact")
 
     def test_distinct_positions_required(self):
         # one occurrence cannot serve both tokens
-        assert not proximity_match(("climate", "climate"), 3,
-                                   tokenize("climate policy"))
-        assert proximity_match(("climate", "climate"), 3,
-                               tokenize("climate climate"))
+        assert not proximity_matches(("climate", "climate"), 3, "climate policy")
+        assert proximity_matches(("climate", "climate"), 3, "climate climate")
 
     def test_repeated_tokens_match_in_polynomial_time(self):
-        # 13 copies of one token cannot take 12 distinct positions; a
+        # 13 patterns that all match "ww" cannot take 12 distinct positions; a
         # backtracking search tries about 12! assignments before saying so.
-        # A wide window must cost no more than a narrow one: "clim* climate"
-        # overlaps, so its evaluation checks positions like proximity_match.
-        stream = tokenize("w " * 12)
+        # "ww*" prefixes "ww", so, as for "clim* climate", evaluation gives
+        # each pattern its own positions in _window_match. A wide window must
+        # cost no more than a narrow one.
+        title = "ww " * 12
+        thirteen, twelve = ("ww*",) + ("ww",) * 12, ("ww*",) + ("ww",) * 11
         corpus = Corpus("c", [
             PublicationRecord("far", "climate " + "x " * 50 + "climatic", 2016),
             PublicationRecord("once", "climate policy", 2016),
@@ -151,9 +195,9 @@ class TestProximityMatch:
         previous = signal.signal(signal.SIGALRM, too_slow)
         signal.setitimer(signal.ITIMER_REAL, 1.0)
         try:
-            matched = (proximity_match(("w",) * 13, 1, stream),
-                       proximity_match(("w",) * 13, 10**7, stream),
-                       proximity_match(("w",) * 12, 10**7, stream),
+            matched = (proximity_matches(thirteen, 1, title),
+                       proximity_matches(thirteen, 10**7, title),
+                       proximity_matches(twelve, 10**7, title),
                        evaluate(parse_query('"clim* climate"~10000000'), index))
         except TimeoutError:
             matched = "still running after 1 s"
@@ -161,13 +205,12 @@ class TestProximityMatch:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert matched == (False, False, True, {"far"})
-        assert proximity_match(("w",) * 12, 1, stream)
-        assert proximity_match(("w", "w"), 1, tokenize("w w"))
+        assert proximity_matches(twelve, 1, title)
+        assert proximity_matches(("ww", "ww"), 1, "ww ww")
 
     def test_monotone_in_window(self):
-        stream = tokenize("climate a b impact")
         matched = [n for n in range(1, 8)
-                   if proximity_match(("climate", "impact"), n, stream)]
+                   if proximity_matches(("climate", "impact"), n, "climate a b impact")]
         # once it matches it keeps matching for larger windows
         assert matched == list(range(matched[0], 8))
 

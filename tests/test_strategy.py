@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from oracle import match_doc
 from sdglab.corpus import Corpus, PublicationRecord, YearWindow
 from sdglab.index import build_index
 from sdglab.strategy import (ClassifiedTerm, SearchStrategy, StrategyLoadError,
-                             load_strategy, load_strategy_file, run_strategy,
+                             load_strategy_file, run_strategy,
                              term_class_summary)
 from sdglab.query import parse_query
 
@@ -22,45 +23,52 @@ def strategy_doc(seeds, exclusions=(), window=None):
     }
 
 
+def load_doc(tmp_path, doc) -> SearchStrategy:
+    """Write a strategy document to its file, `<name>.json`, and load it."""
+    path = tmp_path / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_strategy_file(path)
+
+
 class TestLoadStrategy:
-    def test_counts_preserved(self):
+    def test_counts_preserved(self, tmp_path):
         doc = strategy_doc(
             [{"query": '"climate change"', "class": "general"}] * 1
             + [{"query": '"warming"', "class": "general"},
                {"query": '"sea level"', "class": "general"},
                {"query": '"carbon tax"', "class": "policy"}])
-        strategy = load_strategy(doc)
+        strategy = load_doc(tmp_path, doc)
         assert len(strategy.seed_terms) == 4
 
-    def test_unknown_class_rejected(self):
+    def test_unknown_class_rejected(self, tmp_path):
         doc = strategy_doc([{"query": '"climate"', "class": "colloquial"}])
         with pytest.raises(StrategyLoadError, match="colloquial"):
-            load_strategy(doc)
+            load_doc(tmp_path, doc)
 
-    def test_unparsable_query_names_it(self):
+    def test_unparsable_query_names_it(self, tmp_path):
         doc = strategy_doc([{"query": '"unbalanced', "class": "general"}])
         with pytest.raises(StrategyLoadError, match="unbalanced"):
-            load_strategy(doc)
+            load_doc(tmp_path, doc)
 
-    def test_empty_seeds_rejected(self):
+    def test_empty_seeds_rejected(self, tmp_path):
         with pytest.raises(StrategyLoadError):
-            load_strategy(strategy_doc([]))
+            load_doc(tmp_path, strategy_doc([]))
 
     @pytest.mark.parametrize("fields", [
         [], ["title", "title"], ["title", "body"], ["Title"], "title", [["title"]],
     ], ids=["empty", "duplicate", "unknown", "wrong-case", "string", "nested"])
-    def test_bad_fields_rejected(self, fields):
+    def test_bad_fields_rejected(self, tmp_path, fields):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "fields": fields}
         with pytest.raises(StrategyLoadError, match="fields must be a non-empty list"):
-            load_strategy(doc)
+            load_doc(tmp_path, doc)
 
-    def test_fields_default_and_subset(self):
+    def test_fields_default_and_subset(self, tmp_path):
         doc = strategy_doc([{"query": '"climate"', "class": "general"}])
         del doc["fields"]
-        assert load_strategy(doc).fields == ("title", "abstract", "keywords")
+        assert load_doc(tmp_path, doc).fields == ("title", "abstract", "keywords")
         doc["fields"] = ["keywords", "title"]
-        assert load_strategy(doc).fields == ("keywords", "title")
+        assert load_doc(tmp_path, doc).fields == ("keywords", "title")
 
     @pytest.mark.parametrize("key, value, message", [
         ("seed", 1.5, "seed must be an int"),
@@ -85,23 +93,23 @@ class TestLoadStrategy:
             "resolution-inf", "resolution-bool", "threshold-string", "threshold-null",
             "threshold-bool", "threshold-two", "threshold-negative", "threshold-nan",
             "shares-string", "shares-int"])
-    def test_bad_enhancement_field_rejected(self, key, value, message):
+    def test_bad_enhancement_field_rejected(self, tmp_path, key, value, message):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "enhancement": {"kind": "cluster_threshold", key: value}}
         with pytest.raises(StrategyLoadError, match=message):
-            load_strategy(doc)
+            load_doc(tmp_path, doc)
 
-    def test_enhancement_not_an_object_rejected(self):
+    def test_enhancement_not_an_object_rejected(self, tmp_path):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "enhancement": ["cluster_threshold"]}
         with pytest.raises(StrategyLoadError, match="enhancement must be an object"):
-            load_strategy(doc)
+            load_doc(tmp_path, doc)
 
-    def test_valid_enhancement_fields_load(self):
+    def test_valid_enhancement_fields_load(self, tmp_path):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "enhancement": {"threshold": 0, "resolution": 2, "seed": -3,
                                "whole_corpus_shares": True}}
-        spec = load_strategy(doc).enhancement
+        spec = load_doc(tmp_path, doc).enhancement
         assert (spec.threshold, spec.resolution, spec.seed, spec.whole_corpus_shares) == \
             (0, 2, -3, True)
 
@@ -111,11 +119,24 @@ class TestLoadStrategy:
         "2015-2019",
     ], ids=["no-end", "no-start", "string-start", "float-end", "bool-start", "list",
             "string"])
-    def test_bad_window_rejected(self, window):
+    def test_bad_window_rejected(self, tmp_path, window):
         doc = strategy_doc([{"query": '"climate"', "class": "general"}])
         doc["window"] = window
         with pytest.raises(StrategyLoadError, match="window must be an object with int"):
-            load_strategy(doc)
+            load_doc(tmp_path, doc)
+
+    def test_name_not_its_stem_rejected(self, tmp_path):
+        path = tmp_path / "fixture_v2.json"
+        path.write_text(json.dumps(strategy_doc([{"query": '"climate"'}])), encoding="utf-8")
+        with pytest.raises(StrategyLoadError,
+                           match="name 'fixture' is not the file stem 'fixture_v2'"):
+            load_strategy_file(path)
+
+    def test_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "fixture.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(StrategyLoadError, match="not a JSON object"):
+            load_strategy_file(path)
 
 
 def exclusion_corpus():

@@ -14,8 +14,7 @@ from sdglab.index import tokenize
 from sdglab import termmap
 from sdglab.termmap import (DEFAULT_STOPLIST, TermMap, TermMapConfig, TermStats,
                             build_term_map, contrast_score, cooccurrence_edges,
-                            export_term_map, extract_terms, layout_map,
-                            load_term_map, score_color)
+                            export_term_map, extract_terms, layout_map, score_color)
 
 
 def doc(rid, title, abstract=""):
@@ -263,8 +262,20 @@ class TestExports:
     def test_json_round_trip_byte_identical(self):
         term_map = sample_map()
         text = export_term_map(term_map, "json")
-        again = load_term_map(text)
-        assert export_term_map(again, "json") == text
+        doc = json.loads(text)
+        assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+        config = term_map.config
+        assert doc["config"] == {
+            "min_occurrences": config.min_occurrences, "max_ngram": config.max_ngram,
+            "stoplist": sorted(config.stoplist), "layout_seed": config.layout_seed,
+            "layout_iterations": config.layout_iterations}
+        assert (doc["name_a"], doc["name_b"]) == (term_map.name_a, term_map.name_b)
+        assert [(t["term"], t["occ_a"], t["occ_b"], t["score"], (t["x"], t["y"]))
+                for t in doc["terms"]] == \
+            [(t.term, t.occ_a, t.occ_b, t.score, term_map.coordinates[t.term])
+             for t in term_map.terms]
+        assert [(e["source"], e["target"], e["weight"]) for e in doc["edges"]] == \
+            list(term_map.edges)
 
     def test_graphml_node_count(self):
         term_map = sample_map()
