@@ -72,7 +72,7 @@ def cmd_parse(args) -> int:
 
 def cmd_strategy(args) -> int:
     s = term_class_summary(load_strategy(args.file))
-    print("strategy,general,policy,technical,total")
+    print(TABLE4_HEADER)
     print(f"{s['strategy']},{s['counts']['general']},{s['counts']['policy']},"
           f"{s['counts']['technical']},{s['total']}")
     return EXIT_OK

@@ -102,19 +102,35 @@ class Corpus:
 
 
 def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
+    if not isinstance(obj, dict):
+        raise IngestError(f"line {lineno}: record is not a JSON object")
     for key in ("id", "title", "year"):
-        if key not in obj or obj[key] is None:
+        if obj.get(key) is None:
             raise IngestError(f"line {lineno}: missing required key '{key}'")
+    # Plain loops over exact types: this runs once per record on the set-up path.
+    for key in ("doi", "title", "abstract", "doc_type"):
+        value = obj.get(key)
+        if value is not None and type(value) is not str:
+            raise IngestError(f"line {lineno}: {key!r} is not a string: {value!r}")
+    keywords, refs = obj.get("keywords") or [], obj.get("refs") or []
+    for key, value in (("keywords", keywords), ("refs", refs)):
+        if type(value) is not list:
+            raise IngestError(f"line {lineno}: {key!r} is not a list of strings: "
+                              f"{value!r}")
+        for item in value:
+            if type(item) is not str:
+                raise IngestError(f"line {lineno}: {key!r} is not a list of strings: "
+                                  f"{value!r}")
     try:
         return PublicationRecord(
             internal_id=str(obj["id"]),
             doi=normalize_doi(obj.get("doi")),
             title=obj["title"],
-            abstract=obj.get("abstract", "") or "",
-            keywords=tuple(obj.get("keywords", ()) or ()),
+            abstract=obj.get("abstract") or "",
+            keywords=tuple(keywords),
             year=int(obj["year"]),
-            document_type=obj.get("doc_type", "") or "",
-            references=tuple(obj.get("refs", ()) or ()),
+            document_type=obj.get("doc_type") or "",
+            references=tuple(refs),
         )
     except (TypeError, ValueError) as exc:
         raise IngestError(f"line {lineno}: {exc}") from exc

@@ -249,6 +249,11 @@ class PipelineConfig:
                     if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
                         raise PipelineError("config", f"{what} entry {entry!r} has no "
                                             f"string {key!r}", kind="config")
+        for entry in self.corpora:
+            if entry.get("coverage_file") is not None and \
+                    not isinstance(entry["coverage_file"], str):
+                raise PipelineError("config", f"corpus entry {entry!r} has a "
+                                    f"'coverage_file' that is not a string", kind="config")
         corpus_names = [c["name"] for c in self.corpora]
         if len(set(corpus_names)) != len(corpus_names):
             raise PipelineError("config", "duplicate corpus names", kind="config")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,41 +368,6 @@ def explain(ast: QueryAst, indent: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Positional matching
-
-
-def _distinct_assignment(sets: list[set[int]]) -> bool:
-    """True if every set can take its own position (a bipartite matching
-    saturating the sets), found by augmenting paths in polynomial time."""
-    owner: dict[int, int] = {}  # position -> index of the set holding it
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for p in sets[i]:
-            if p not in seen:
-                seen.add(p)
-                if p not in owner or augment(owner[p], seen):
-                    owner[p] = i
-                    return True
-        return False
-
-    return all(augment(i, set()) for i in range(len(sets)))
-
-
-def _window_match(sets: list[set[int]], span_bound: int) -> bool:
-    """True if some window of positions lo..lo + span_bound gives every set
-    its own position."""
-    if any(not s for s in sets):
-        return False
-    candidates = sorted(set().union(*sets))
-    for lo in candidates:
-        hi = lo + span_bound
-        window = [{p for p in s if lo <= p <= hi} for s in sets]
-        if all(window) and _distinct_assignment(window):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # Evaluation against the index: sorted arrays of occurrence codes (see
 # sdglab.index), reduced to doc numbers, mapped to ids once per leaf node.
 
@@ -460,34 +424,28 @@ def _phrase_docs(tokens: tuple[str, ...], index: PositionalIndex,
     return sorted_distinct(starts >> DOC_SHIFT).tolist()
 
 
-def _disjoint(patterns) -> bool:
-    """True if no token matches two of the distinct `patterns`: a stem
-    (a pattern ending in "*") overlaps every other pattern it prefixes."""
-    bodies = [p.rstrip("*") for p in patterns]
-    return not any(p.endswith("*") and q.startswith(b)
-                   for i, (p, b) in enumerate(zip(patterns, bodies))
-                   for j, q in enumerate(bodies) if i != j)
-
-
 def _proximity_docs(tokens: tuple[str, ...], window: int, index: PositionalIndex,
                     fields: tuple[int, ...]) -> list[int]:
     """Doc numbers with a window inside one (doc, field) key (code >>
     FIELD_SHIFT), spanning at most bound = len(tokens) - 1 + window
-    positions, that holds each pattern at as many distinct positions as the
-    query repeats it. No key is wider than POS_MASK, so neither is `bound`.
+    positions, that gives each query token a position of its own that it
+    matches. No key is wider than POS_MASK, so neither is `bound`.
 
     Only keys that every pattern occurs in are searched; when there are none
     the search ends there. Each occurrence of a pattern in such a key starts
     a window whose limit is min(start + bound, start | POS_MASK), the latter
-    being the last code of the start's key. A start is kept when, for each
-    distinct pattern that the query holds r times, the r-th occurrence at or
-    after the start is at most the limit. When no token can match two of the
-    distinct patterns (`_disjoint`), their occurrences are distinct, so a
-    kept start is a match. Otherwise only the keys of kept starts go on to
-    `_window_match`, which gives each pattern its own positions.
+    being the last code of the start's key. A start is kept when each
+    distinct pattern p occurs at least need[p] times from the start to the
+    limit, need[p] being the number of query tokens whose matches lie inside
+    p's: the copies of p and, when p is a stem, of each term or stem that it
+    prefixes. The token sets that patterns match are laminar (two are nested
+    or disjoint), so by Hall's theorem these counts hold exactly when every
+    query token can take its own position.
     """
-    counts = Counter(tokens)
-    arrays = [_pattern_codes(p, index) for p in counts]
+    patterns = list(dict.fromkeys(tokens))
+    need = [sum(q.startswith(p[:-1]) for q in tokens) if p.endswith("*")
+            else tokens.count(p) for p in patterns]
+    arrays = [_pattern_codes(p, index) for p in patterns]
     keys = None
     for arr in arrays:
         k = sorted_distinct(arr >> FIELD_SHIFT)
@@ -499,26 +457,12 @@ def _proximity_docs(tokens: tuple[str, ...], window: int, index: PositionalIndex
     starts = starts[_members(starts >> FIELD_SHIFT, keys)]
     limits = np.minimum(starts + bound, starts | POS_MASK)
     keep = None
-    for arr, r in zip(arrays, counts.values()):
+    for arr, r in zip(arrays, need):
         # occurrences of the pattern from the start to the limit, at least r
         covered = np.searchsorted(arr, limits, side="right") - r >= \
             np.searchsorted(arr, starts)
         keep = covered if keep is None else np.logical_and(keep, covered, out=keep)
-    starts = np.sort(starts[keep])
-    if _disjoint(list(counts)):
-        return sorted_distinct(starts >> DOC_SHIFT).tolist()
-    matched = []
-    for key in sorted_distinct(starts >> FIELD_SHIFT).tolist():
-        doc = key >> DOC_SHIFT - FIELD_SHIFT
-        if matched and matched[-1] == doc:
-            continue
-        lo, hi = key << FIELD_SHIFT, key + 1 << FIELD_SHIFT
-        sets = {p: set((arr[np.searchsorted(arr, lo):np.searchsorted(arr, hi)]
-                        & POS_MASK).tolist())
-                for p, arr in zip(counts, arrays)}
-        if _window_match([sets[p] for p in tokens], bound):
-            matched.append(doc)
-    return matched
+    return sorted_distinct(np.sort(starts[keep]) >> DOC_SHIFT).tolist()
 
 
 def _leaf_docs(ast: QueryAst, index: PositionalIndex, fields: tuple[int, ...]) -> list[int]:

@@ -83,6 +83,9 @@ class EnhancementSpec:
         if self.kind != "cluster_threshold":
             raise ValueError(f"unknown enhancement kind: {self.kind!r}")
         check_threshold(self.threshold)
+        if not isinstance(self.assignment_source, str):
+            raise ValueError(f"assignment_source must be a string: "
+                             f"{self.assignment_source!r}")
         check_resolution(self.resolution)
         check_seed(self.seed)
         if not isinstance(self.whole_corpus_shares, bool):
@@ -176,13 +179,20 @@ def load_strategy_file(path) -> SearchStrategy:
     stem = Path(path).stem
     if name != stem:
         raise StrategyLoadError(f"name {name!r} is not the file stem {stem!r}")
+    if not isinstance(seeds_raw, list):
+        raise StrategyLoadError(f"seeds must be a list: {seeds_raw!r}")
     seeds = []
     for entry in seeds_raw:
+        if not isinstance(entry, dict) or not isinstance(entry.get("query"), str):
+            raise StrategyLoadError(f"seed must be an object with a string query: "
+                                    f"{entry!r}")
         term_class = entry.get("class", "general")
         if term_class not in TERM_CLASSES:
             raise StrategyLoadError(f"unknown term_class: {term_class!r}")
         seeds.append(ClassifiedTerm(entry["query"], term_class))
-    exclusions = tuple(doc.get("exclusions", ()))
+    exclusions = doc.get("exclusions", [])
+    if not isinstance(exclusions, list) or not all(isinstance(t, str) for t in exclusions):
+        raise StrategyLoadError(f"exclusions must be a list of strings: {exclusions!r}")
     fields = doc.get("fields", list(FIELDS))
     if not isinstance(fields, list) or not fields or \
             not all(f in FIELDS for f in fields) or len(set(fields)) != len(fields):
@@ -213,7 +223,7 @@ def load_strategy_file(path) -> SearchStrategy:
         return SearchStrategy(
             name=name,
             seed_terms=tuple(seeds),
-            exclusion_terms=exclusions,
+            exclusion_terms=tuple(exclusions),
             fields=tuple(fields),
             window=YearWindow(window_doc["start"], window_doc["end"]),
             enhancement=enhancement,

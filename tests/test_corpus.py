@@ -62,6 +62,34 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 2"):
             load_corpus_file(write_corpus(tmp_path, recs))
 
+    @pytest.mark.parametrize("line, message", [
+        (5, "record is not a JSON object"),
+        (None, "record is not a JSON object"),
+        ({"doi": 5}, "'doi' is not a string: 5"),
+        ({"title": 5}, "'title' is not a string: 5"),
+        ({"abstract": ["x"]}, r"'abstract' is not a string: \['x'\]"),
+        ({"doc_type": 1}, "'doc_type' is not a string: 1"),
+        ({"keywords": "climate change"},
+         "'keywords' is not a list of strings: 'climate change'"),
+        ({"keywords": [["climate"]]}, "'keywords' is not a list of strings"),
+        ({"refs": "b"}, "'refs' is not a list of strings: 'b'"),
+        ({"refs": [5]}, r"'refs' is not a list of strings: \[5\]"),
+    ], ids=["int", "null", "doi-int", "title-int", "abstract-list", "doc-type-int",
+            "keywords-string", "keywords-nested", "refs-string", "refs-int"])
+    def test_bad_record_names_line(self, tmp_path, line, message):
+        if isinstance(line, dict):
+            line = {"id": "b", "title": "t", "year": 2016, **line}
+        recs = [{"id": "a", "title": "t", "year": 2016}, line]
+        with pytest.raises(IngestError, match=f"^line 2: {message}"):
+            load_corpus_file(write_corpus(tmp_path, recs))
+
+    def test_id_and_year_coerced(self, tmp_path):
+        corpus = load_corpus_file(write_corpus(
+            tmp_path, [{"id": 7, "title": "t", "year": "2016", "abstract": None,
+                        "keywords": None, "refs": []}]))
+        assert (corpus["7"].year, corpus["7"].abstract, corpus["7"].keywords) == \
+            (2016, "", ())
+
     def test_duplicate_id_rejected(self, tmp_path):
         recs = [{"id": "a", "title": "t", "year": 2016}] * 2
         with pytest.raises(IngestError, match="duplicate"):

@@ -804,6 +804,20 @@ class TestCli:
         err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config))
         assert err.startswith(f"error: [config] {message}")
 
+    @pytest.mark.parametrize("value", [5, False, ["coverage_x.txt"]],
+                             ids=["int", "bool", "list"])
+    def test_config_coverage_file_not_a_string_exit_code(self, demo_dir, tmp_path, capsys,
+                                                         value):
+        doc = json.loads((demo_dir / "config.json").read_text())
+        doc["corpora"][0]["coverage_file"] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config),
+                                   "--output-dir", str(tmp_path / "out"))
+        assert err.startswith("error: [config] corpus entry ")
+        assert "has a 'coverage_file' that is not a string" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_entry_not_an_object_exit_code(self, demo_dir, tmp_path, capsys):
         doc = json.loads((demo_dir / "config.json").read_text())
         doc["strategies"].append("alpha.json")
@@ -841,6 +855,69 @@ class TestCli:
         path.write_text(json.dumps(doc))
         err = self.run_cli_failing(capsys, 2, "strategy", "summarize", str(path))
         assert err.startswith("error: [strategy:alpha] fields must be a non-empty list")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seeds", "abc", "seeds must be a list: 'abc'"),
+        ("seeds", [5], "seed must be an object with a string query: 5"),
+        ("seeds", [{"class": "general"}], "seed must be an object with a string query"),
+        ("seeds", [{"query": 5}], "seed must be an object with a string query"),
+        ("exclusions", [5], "exclusions must be a list of strings: [5]"),
+        ("exclusions", "climate", "exclusions must be a list of strings: 'climate'"),
+        ("enhancement", {"assignment_source": 5}, "assignment_source must be a string: 5"),
+    ], ids=["seeds-string", "seed-int", "seed-no-query", "query-int", "exclusion-int",
+            "exclusions-string", "source-int"])
+    def test_strategy_bad_document_exit_code(self, demo_dir, tmp_path, capsys, key,
+                                             value, message):
+        doc = json.loads((demo_dir / "beta.json").read_text())
+        doc[key] = value
+        path = tmp_path / "beta.json"
+        path.write_text(json.dumps(doc))
+        corpus, result = str(demo_dir / "corpus_x.jsonl"), str(tmp_path / "result.json")
+        assert self.run_cli("run", "--strategy", str(demo_dir / "beta.json"),
+                            "--corpus", corpus, "--out", result) == 0
+        for argv in (("strategy", "summarize", str(path)),
+                     ("run", "--strategy", str(path), "--corpus", corpus),
+                     ("enhance", "--corpus", corpus, "--result", result,
+                      "--strategy", str(path))):
+            err = self.run_cli_failing(capsys, 2, *argv)
+            assert err.startswith(f"error: [strategy:beta] {message}"), argv
+
+    def test_many_overlapping_proximity_patterns_run(self, tmp_path, capsys):
+        """A stem and 1,499 copies of a token it prefixes, against a record
+        holding that token 1,500 times."""
+        corpus = tmp_path / "ww.jsonl"
+        corpus.write_text(json.dumps({"id": "r", "title": "ww " * 1500, "year": 2016})
+                          + "\n")
+        strategy = tmp_path / "ww.json"
+        strategy.write_text(json.dumps({"name": "ww", "seeds": [
+            {"query": '"ww* ' + "ww " * 1499 + '"~1'}]}))
+        out = tmp_path / "result.json"
+        assert self.run_cli("run", "--strategy", str(strategy), "--corpus", str(corpus),
+                            "--out", str(out)) == 0
+        assert json.loads(out.read_text())["members"] == ["r"]
+
+    @pytest.mark.parametrize("line, command, message", [
+        ("5", "ingest", "line 2: record is not a JSON object"),
+        ("null", "ingest", "line 2: record is not a JSON object"),
+        ('{"id": "b", "title": "t", "year": 2016, "doi": 5}', "ingest",
+         "line 2: 'doi' is not a string: 5"),
+        ('{"id": "b", "title": 5, "year": 2016}', "index",
+         "line 2: 'title' is not a string: 5"),
+        ('{"id": "b", "title": "t", "year": 2016, "abstract": ["x"]}', "index",
+         "line 2: 'abstract' is not a string: ['x']"),
+        ('{"id": "b", "title": "t", "year": 2016, "keywords": "climate change"}',
+         "index", "line 2: 'keywords' is not a list of strings: 'climate change'"),
+        ('{"id": "b", "title": "t", "year": 2016, "refs": "b"}', "index",
+         "line 2: 'refs' is not a list of strings: 'b'"),
+    ], ids=["int", "null", "doi-int", "title-int", "abstract-list", "keywords-string",
+            "refs-string"])
+    def test_bad_corpus_line_exit_code(self, tmp_path, capsys, line, command, message):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text('{"id": "a", "title": "t", "year": 2016}\n' + line + "\n")
+        argv = ("--corpus", str(corpus)) + (
+            ("--out", str(tmp_path / "index.json")) if command == "index" else ())
+        err = self.run_cli_failing(capsys, 2, command, *argv)
+        assert err == f"error: [ingest:bad] {message}\n"
 
     @pytest.mark.parametrize("change, message", [
         ({"resolution": "1"}, "resolution must be a finite number > 0: '1'"),

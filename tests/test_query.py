@@ -178,10 +178,12 @@ class TestProximityMatch:
     def test_repeated_tokens_match_in_polynomial_time(self):
         # 13 patterns that all match "ww" cannot take 12 distinct positions; a
         # backtracking search tries about 12! assignments before saying so.
-        # "ww*" prefixes "ww", so, as for "clim* climate", evaluation gives
-        # each pattern its own positions in _window_match. A wide window must
-        # cost no more than a narrow one.
+        # "ww*" prefixes "ww", so, as for "clim* climate", a window must hold
+        # "ww*" once for each query token inside it: 13 times here. A wide
+        # window must cost no more than a narrow one, and 1,500 repeats no
+        # more than a count of them, with no recursion.
         title = "ww " * 12
+        many = "ww " * 1500
         thirteen, twelve = ("ww*",) + ("ww",) * 12, ("ww*",) + ("ww",) * 11
         corpus = Corpus("c", [
             PublicationRecord("far", "climate " + "x " * 50 + "climatic", 2016),
@@ -198,13 +200,15 @@ class TestProximityMatch:
             matched = (proximity_matches(thirteen, 1, title),
                        proximity_matches(thirteen, 10**7, title),
                        proximity_matches(twelve, 10**7, title),
-                       evaluate(parse_query('"clim* climate"~10000000'), index))
+                       evaluate(parse_query('"clim* climate"~10000000'), index),
+                       proximity_matches(("ww*",) + ("ww",) * 1499, 1, many),
+                       proximity_matches(("ww*",) + ("ww",) * 1500, 1, many))
         except TimeoutError:
             matched = "still running after 1 s"
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
-        assert matched == (False, False, True, {"far"})
+        assert matched == (False, False, True, {"far"}, True, False)
         assert proximity_matches(twelve, 1, title)
         assert proximity_matches(("ww", "ww"), 1, "ww ww")
 
@@ -366,6 +370,25 @@ class TestOracleEquivalence:
             fields = tuple(f for f in FIELDS if rng.random() < 0.7) or FIELDS
             assert evaluate(node, index, fields) == \
                 evaluate_by_scan(node, corpus_500, fields), (node, fields)
+
+        # Words that prefix one another, so that stems nest: "aa*" holds
+        # "aab*", which holds "aabc", and a window must count them together.
+        nested = ["aa", "aab", "aabc", "aac", "ab", "abb", "ba", "bab"]
+
+        def text(n):
+            return " ".join(rng.choice(nested) for _ in range(n))
+
+        corpus = Corpus("n", [PublicationRecord(f"n{i}", text(rng.randint(1, 12)), 2016,
+                                                abstract=text(rng.randint(0, 12)),
+                                                keywords=(text(1), text(2)))
+                              for i in range(60)])
+        index = build_index(corpus)
+        for _ in range(300):
+            tokens = tuple(pattern(rng.choice(nested)) for _ in range(rng.randint(2, 5)))
+            node = Proximity(tokens, rng.randint(1, 6))
+            fields = tuple(f for f in FIELDS if rng.random() < 0.7) or FIELDS
+            assert evaluate(node, index, fields) == \
+                evaluate_by_scan(node, corpus, fields), (node, fields)
 
     def test_boolean_set_laws(self, corpus_500):
         index = build_index(corpus_500)

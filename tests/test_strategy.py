@@ -54,6 +54,21 @@ class TestLoadStrategy:
         with pytest.raises(StrategyLoadError):
             load_doc(tmp_path, strategy_doc([]))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seeds", "abc", "seeds must be a list: 'abc'"),
+        ("seeds", [5], "seed must be an object with a string query: 5"),
+        ("seeds", [{"class": "general"}],
+         "seed must be an object with a string query: {'class': 'general'}"),
+        ("seeds", [{"query": 5}], "seed must be an object with a string query"),
+        ("exclusions", [5], r"exclusions must be a list of strings: \[5\]"),
+        ("exclusions", "climate", "exclusions must be a list of strings: 'climate'"),
+    ], ids=["seeds-string", "seed-int", "seed-no-query", "query-int", "exclusion-int",
+            "exclusions-string"])
+    def test_bad_seeds_or_exclusions_rejected(self, tmp_path, key, value, message):
+        doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]), key: value}
+        with pytest.raises(StrategyLoadError, match=message):
+            load_doc(tmp_path, doc)
+
     @pytest.mark.parametrize("fields", [
         [], ["title", "title"], ["title", "body"], ["Title"], "title", [["title"]],
     ], ids=["empty", "duplicate", "unknown", "wrong-case", "string", "nested"])
@@ -88,11 +103,12 @@ class TestLoadStrategy:
         ("threshold", float("nan"), r"threshold must be in \[0, 1\]"),
         ("whole_corpus_shares", "no", "whole_corpus_shares must be a bool"),
         ("whole_corpus_shares", 0, "whole_corpus_shares must be a bool"),
+        ("assignment_source", 5, "assignment_source must be a string"),
     ], ids=["seed-float", "seed-string", "seed-bool", "resolution-string",
             "resolution-zero", "resolution-negative", "resolution-nan",
             "resolution-inf", "resolution-bool", "threshold-string", "threshold-null",
             "threshold-bool", "threshold-two", "threshold-negative", "threshold-nan",
-            "shares-string", "shares-int"])
+            "shares-string", "shares-int", "source-int"])
     def test_bad_enhancement_field_rejected(self, tmp_path, key, value, message):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "enhancement": {"kind": "cluster_threshold", key: value}}
