@@ -108,6 +108,8 @@ def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
         if obj.get(key) is None:
             raise IngestError(f"line {lineno}: missing required key '{key}'")
     # Plain loops over exact types: this runs once per record on the set-up path.
+    if type(obj["year"]) is float:
+        raise IngestError(f"line {lineno}: 'year' is not an integer: {obj['year']!r}")
     for key in ("doi", "title", "abstract", "doc_type"):
         value = obj.get(key)
         if value is not None and type(value) is not str:

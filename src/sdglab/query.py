@@ -17,12 +17,16 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class EvaluationError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # AST
+
+
+def _check_stems(patterns) -> None:
+    """ValueError for a prefix pattern (ending in "*") whose stem is shorter
+    than 2 characters."""
+    for p in patterns:
+        if p.endswith("*") and len(p) < 3:
+            raise ValueError(f"wildcard stem {p[:-1]!r} shorter than 2 characters")
 
 
 @dataclass(frozen=True)
@@ -34,16 +38,25 @@ class Term:
 class Phrase:
     tokens: tuple[str, ...]  # a token ending in "*" is a prefix pattern
 
+    def __post_init__(self):
+        _check_stems(self.tokens)
+
 
 @dataclass(frozen=True)
 class Wildcard:
     stem: str
+
+    def __post_init__(self):
+        _check_stems((self.stem + "*",))
 
 
 @dataclass(frozen=True)
 class Proximity:
     tokens: tuple[str, ...]
     window: int
+
+    def __post_init__(self):
+        _check_stems(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -105,9 +118,6 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
             if rest.startswith('"'):
                 raise ParseError("unbalanced quote", pos)
             raise ParseError(f"unexpected character {rest[0]!r}", pos)
-        if m.lastgroup is None and not m.group(0).strip():
-            pos = m.end()
-            continue
         offset = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
         if m.group("lparen"):
             tokens.append(("(", None, offset))
@@ -144,6 +154,15 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
 # so a query within the limit stays far inside Python's recursion limit. The
 # printed form of a query nests no deeper than its tree, so it parses again.
 MAX_DEPTH = 100
+
+
+def _node(offset: int, node_type, *args):
+    """node_type(*args), a ValueError from it raised as a ParseError at the
+    offset of the token it comes from."""
+    try:
+        return node_type(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), offset) from None
 
 
 class _Parser:
@@ -235,10 +254,7 @@ class _Parser:
         if kind == "word":
             self.next()
             if value.endswith("*"):
-                stem = value[:-1]
-                if not stem:
-                    raise ParseError("unbounded wildcard", offset)
-                return Wildcard(stem)
+                return _node(offset, Wildcard, value[:-1])
             return Term(value)
         if kind is None:
             raise ParseError("unexpected end of query", offset)
@@ -276,16 +292,13 @@ class _Parser:
                 raise ParseError("proximity window must be >= 1", toff)
             if len(tokens) < 2:
                 raise ParseError("proximity requires at least 2 tokens", offset)
-            return Proximity(tokens, n)
+            return _node(offset, Proximity, tokens, n)
         if len(tokens) == 1:
             tok = tokens[0]
             if tok.endswith("*"):
-                stem = tok[:-1]
-                if not stem:
-                    raise ParseError("unbounded wildcard", offset)
-                return Wildcard(stem)
+                return _node(offset, Wildcard, tok[:-1])
             return Term(tok)
-        return Phrase(tokens)
+        return _node(offset, Phrase, tokens)
 
 
 def parse_query(text: str) -> QueryAst:
@@ -372,16 +385,9 @@ def explain(ast: QueryAst, indent: int = 0) -> str:
 # sdglab.index), reduced to doc numbers, mapped to ids once per leaf node.
 
 
-def _check_stem(stem: str) -> None:
-    if len(stem) < 2:
-        raise EvaluationError(
-            f"wildcard stem {stem!r} shorter than 2 characters")
-
-
 def _pattern_codes(pattern: str, index: PositionalIndex) -> np.ndarray:
     """The sorted codes of the tokens a phrase pattern stands for."""
     if pattern.endswith("*"):
-        _check_stem(pattern[:-1])
         return np.sort(index.prefix_codes(pattern[:-1]))
     return index.token_codes(pattern)
 
@@ -471,7 +477,6 @@ def _leaf_docs(ast: QueryAst, index: PositionalIndex, fields: tuple[int, ...]) -
         codes = _in_fields(index.token_codes(ast.token), fields, FIELD_SHIFT)
         return sorted_distinct(codes >> DOC_SHIFT).tolist()
     if isinstance(ast, Wildcard):
-        _check_stem(ast.stem)
         codes = _in_fields(index.prefix_codes(ast.stem), fields, FIELD_SHIFT)
         return sorted_distinct(np.sort(codes >> DOC_SHIFT)).tolist()
     if isinstance(ast, Phrase):

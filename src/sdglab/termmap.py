@@ -70,8 +70,8 @@ class TermMap:
     name_a: str
     name_b: str
     terms: list[TermStats]
-    edges: list[tuple[str, str, int]]
-    coordinates: dict[str, tuple[float, float]]
+    edges: np.ndarray  # (m, 3) int64 rows (u, v, doc count), u < v places in terms
+    coordinates: list[list[float]]  # [x, y] of each term, in term order
     config: TermMapConfig
 
 
@@ -190,11 +190,11 @@ class _DocGrams:
             found.append((n, rank[spelled], places[spelled]))
         return found
 
-    def edges(self, names: list[str], mask: np.ndarray | None = None
-              ) -> list[tuple[str, str, int]]:
-        """(u, v, number of docs holding both) for each pair u < v of `names`
-        that shares a doc, in (u, v) order; `names` must be sorted and
-        distinct. Counts over the docs where `mask` is set, or over all.
+    def edges(self, names: list[str], mask: np.ndarray | None = None) -> np.ndarray:
+        """An (m, 3) int64 array of rows (u, v, number of docs holding both)
+        for each pair of places u < v in `names` whose names share a doc, in
+        (u, v) order; `names` must be sorted and distinct. Counts over the
+        docs where `mask` is set, or over all.
 
         With the (doc, name) pairs sorted, the names of a doc are one run,
         increasing; the entries k apart within a run give each pair u < v of
@@ -229,9 +229,7 @@ class _DocGrams:
                 break
             k += 1
         codes = np.flatnonzero(counts)
-        weights = counts[codes].tolist()
-        return [(names[u], names[v], w) for u, v, w in
-                zip(*(part.tolist() for part in np.divmod(codes, size)), weights)]
+        return np.column_stack((*np.divmod(codes, size), counts[codes]))
 
 
 def extract_terms(docs_a: Iterable, docs_b: Iterable,
@@ -245,33 +243,33 @@ def extract_terms(docs_a: Iterable, docs_b: Iterable,
 
 
 def cooccurrence_edges(terms: list[TermStats], docs: Iterable,
-                       config: TermMapConfig) -> list[tuple[str, str, int]]:
-    """Edges weighted by the number of documents containing both terms."""
+                       config: TermMapConfig) -> np.ndarray:
+    """Edges weighted by the number of documents containing both terms: an
+    (m, 3) int64 array of rows (u, v, doc count) in (u, v) order, u < v
+    being places in sorted({t.term for t in terms}), which is `terms` itself
+    when it comes from `extract_terms`."""
     return _DocGrams(list(docs), config).edges(sorted({t.term for t in terms}))
 
 
-def layout_map(edges: list[tuple[str, str, int]], terms: list[TermStats],
-               config: TermMapConfig) -> dict[str, tuple[float, float]]:
-    """Seeded force-directed layout normalized to the unit square.
+def layout_map(edges: np.ndarray, terms: list[TermStats],
+               config: TermMapConfig) -> list[list[float]]:
+    """Seeded force-directed layout normalized to the unit square: the
+    [x, y] of each term, in term order, for edges of places in `terms`.
 
     Attraction along weighted edges, repulsion between all pairs, fixed
     iteration count; deterministic for a fixed layout_seed.
     """
-    names = [t.term for t in terms]
-    n = len(names)
+    n = len(terms)
     if n == 0:
         raise ValueError("layout needs at least one term")
-    if n == 1:
-        return {names[0]: (0.5, 0.5)}
-    idx = {name: i for i, name in enumerate(names)}
     rng = np.random.default_rng(config.layout_seed)
     pos = rng.random((n, 2))
 
     adj = np.zeros((n, n))
-    max_w = max((w for _, _, w in edges), default=1)
-    for u, v, w in edges:
-        if u in idx and v in idx:
-            adj[idx[u], idx[v]] = adj[idx[v], idx[u]] = w / max_w
+    u, v, w = edges.T
+    # Weights are at least 1, so 1 divides only when there are no edges; they
+    # are exact in float64, so each quotient is correctly rounded.
+    adj[u, v] = adj[v, u] = w / w.max(initial=1)
 
     k = 1.0 / np.sqrt(n)
     temp = 0.1
@@ -302,7 +300,7 @@ def layout_map(edges: list[tuple[str, str, int]], terms: list[TermStats],
     span = np.where(hi - lo > 1e-12, hi - lo, 1.0)
     pos = (pos - lo) / span
     pos = np.where((hi - lo) > 1e-12, pos, 0.5)
-    return {name: (float(x), float(y)) for name, (x, y) in zip(names, pos)}
+    return pos.tolist()
 
 
 def build_term_map(name_a: str, docs_a, name_b: str, docs_b,
@@ -319,7 +317,7 @@ def build_term_map(name_a: str, docs_a, name_b: str, docs_b,
     latest = np.zeros(len(docs), bool)
     latest[list({d.internal_id: i for i, d in enumerate(docs)}.values())] = True
     edges = grams.edges([t.term for t in terms], latest)
-    coords = layout_map(edges, terms, config) if terms else {}
+    coords = layout_map(edges, terms, config) if terms else []
     return TermMap(name_a=name_a, name_b=name_b, terms=terms, edges=edges,
                    coordinates=coords, config=config)
 
@@ -361,14 +359,14 @@ def _export_json(term_map: TermMap) -> str:
     map's document (keys in sorted order), written directly: strings go
     through json's ASCII string encoder and floats through json.dumps."""
     quote, config = encode_basestring_ascii, term_map.config
+    names = [quote(t.term) for t in term_map.terms]
     terms = []
-    for t in term_map.terms:
-        x, y = term_map.coordinates[t.term]
+    for t, name, (x, y) in zip(term_map.terms, names, term_map.coordinates):
         terms.append(f'{{\n      "occ_a": {t.occ_a},\n      "occ_b": {t.occ_b},\n'
-                     f'      "score": {json.dumps(t.score)},\n      "term": {quote(t.term)},\n'
+                     f'      "score": {json.dumps(t.score)},\n      "term": {name},\n'
                      f'      "x": {json.dumps(x)},\n      "y": {json.dumps(y)}\n    }}')
-    edges = [f'{{\n      "source": {quote(u)},\n      "target": {quote(v)},\n'
-             f'      "weight": {w}\n    }}' for u, v, w in term_map.edges]
+    edges = [f'{{\n      "source": {names[u]},\n      "target": {names[v]},\n'
+             f'      "weight": {w}\n    }}' for u, v, w in term_map.edges.tolist()]
     stoplist = [quote(word) for word in sorted(config.stoplist)]
     return ("{\n"
             '  "config": {\n'
@@ -406,21 +404,21 @@ def _export_graphml(term_map: TermMap) -> str:
     lines += [f'  <key attr.name="{key}" attr.type="{kind}" for="{target}" id="{key}" />'
               for key, target, kind in _GRAPHML_KEYS]
     graph = '  <graph id="termmap" edgedefault="undirected"'
-    if not (term_map.terms or term_map.edges):
+    if not term_map.terms:
         lines.append(graph + " />")
     else:
         lines.append(graph + ">")
-        for t in term_map.terms:
-            x, y = term_map.coordinates[t.term]
-            lines += [f'    <node id="{_xml_attr(t.term)}">',
+        names = [_xml_attr(t.term) for t in term_map.terms]
+        for t, name, (x, y) in zip(term_map.terms, names, term_map.coordinates):
+            lines += [f'    <node id="{name}">',
                       f'      <data key="occ_a">{t.occ_a}</data>',
                       f'      <data key="occ_b">{t.occ_b}</data>',
                       f'      <data key="score">{t.score!r}</data>',
                       f'      <data key="x">{x!r}</data>',
                       f'      <data key="y">{y!r}</data>',
                       "    </node>"]
-        for i, (u, v, w) in enumerate(term_map.edges):
-            lines += [f'    <edge id="e{i}" source="{_xml_attr(u)}" target="{_xml_attr(v)}">',
+        for i, (u, v, w) in enumerate(term_map.edges.tolist()):
+            lines += [f'    <edge id="e{i}" source="{names[u]}" target="{names[v]}">',
                       f'      <data key="weight">{w}</data>',
                       "    </edge>"]
         lines.append("  </graph>")
@@ -435,8 +433,8 @@ def _export_html(term_map: TermMap) -> str:
     width, height = 900, 640
     max_total = max((t.total for t in term_map.terms), default=1)
     bubbles = []
-    for t in sorted(term_map.terms, key=lambda t: -t.total):
-        x, y = term_map.coordinates[t.term]
+    for t, (x, y) in sorted(zip(term_map.terms, term_map.coordinates),
+                            key=lambda tc: -tc[0].total):
         cx = 40 + x * (width - 80)
         cy = 40 + y * (height - 80)
         r = 6 + 24 * (t.total / max_total) ** 0.5

@@ -74,8 +74,11 @@ class TestIngest:
         ({"keywords": [["climate"]]}, "'keywords' is not a list of strings"),
         ({"refs": "b"}, "'refs' is not a list of strings: 'b'"),
         ({"refs": [5]}, r"'refs' is not a list of strings: \[5\]"),
+        ({"year": 2019.9}, r"'year' is not an integer: 2019\.9$"),
+        ({"year": 2019.0}, r"'year' is not an integer: 2019\.0$"),
     ], ids=["int", "null", "doi-int", "title-int", "abstract-list", "doc-type-int",
-            "keywords-string", "keywords-nested", "refs-string", "refs-int"])
+            "keywords-string", "keywords-nested", "refs-string", "refs-int", "year-float",
+            "year-integral-float"])
     def test_bad_record_names_line(self, tmp_path, line, message):
         if isinstance(line, dict):
             line = {"id": "b", "title": "t", "year": 2016, **line}

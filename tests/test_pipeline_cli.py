@@ -352,6 +352,9 @@ class TestCli:
     def test_parse_error_exit_code(self, capsys):
         err = self.run_cli_failing(capsys, 2, "parse", "--query", '"unbalanced')
         assert err.startswith("error: [parse] ")
+        err = self.run_cli_failing(capsys, 2, "parse", "--query", "c*")
+        assert err == "error: [parse] wildcard stem 'c' shorter than 2 characters " \
+            "(at offset 0)\n"
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         err = self.run_cli_failing(capsys, 3, "ingest", "--corpus",
@@ -864,8 +867,10 @@ class TestCli:
         ("exclusions", [5], "exclusions must be a list of strings: [5]"),
         ("exclusions", "climate", "exclusions must be a list of strings: 'climate'"),
         ("enhancement", {"assignment_source": 5}, "assignment_source must be a string: 5"),
+        ("seeds", [{"query": '"c*"', "class": "general"}],
+         "query '\"c*\"' does not parse: wildcard stem 'c' shorter than 2 characters"),
     ], ids=["seeds-string", "seed-int", "seed-no-query", "query-int", "exclusion-int",
-            "exclusions-string", "source-int"])
+            "exclusions-string", "source-int", "seed-short-stem"])
     def test_strategy_bad_document_exit_code(self, demo_dir, tmp_path, capsys, key,
                                              value, message):
         doc = json.loads((demo_dir / "beta.json").read_text())
@@ -909,8 +914,10 @@ class TestCli:
          "index", "line 2: 'keywords' is not a list of strings: 'climate change'"),
         ('{"id": "b", "title": "t", "year": 2016, "refs": "b"}', "index",
          "line 2: 'refs' is not a list of strings: 'b'"),
+        ('{"id": "b", "title": "t", "year": 2019.9}', "ingest",
+         "line 2: 'year' is not an integer: 2019.9"),
     ], ids=["int", "null", "doi-int", "title-int", "abstract-list", "keywords-string",
-            "refs-string"])
+            "refs-string", "year-float"])
     def test_bad_corpus_line_exit_code(self, tmp_path, capsys, line, command, message):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text('{"id": "a", "title": "t", "year": 2016}\n' + line + "\n")

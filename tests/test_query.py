@@ -10,7 +10,7 @@ from oracle import evaluate_by_scan, match_doc
 from sdglab.corpus import Corpus, PublicationRecord
 from sdglab.index import (DOC_SHIFT, FIELD_SHIFT, FIELDS, MAX_POSITION, PositionalIndex,
                           build_index)
-from sdglab.query import (MAX_DEPTH, And, AndNot, EvaluationError, FieldScope, Or,
+from sdglab.query import (MAX_DEPTH, And, AndNot, FieldScope, Or,
                           ParseError, Phrase, Proximity, Term, Wildcard,
                           evaluate, explain, parse_query, print_query)
 
@@ -262,9 +262,17 @@ class TestEvaluate:
         assert everywhere == {"b"}
         assert title_only == set()
 
-    def test_short_wildcard_stem_rejected(self, index):
-        with pytest.raises(EvaluationError):
-            evaluate(Wildcard("c"), index)
+    def test_short_wildcard_stem_rejected(self):
+        for make in (lambda: Wildcard("c"), lambda: Wildcard(""),
+                     lambda: Phrase(("climate", "c*")), lambda: Proximity(("c*", "change"), 2)):
+            with pytest.raises(ValueError, match="shorter than 2 characters"):
+                make()
+        for text, offset in (("c*", 0), ('"c*"', 0), ('"climate c*"', 0),
+                             ('"c* change"~2', 0), ('climate AND x*', 12)):
+            with pytest.raises(ParseError, match="shorter than 2 characters") as info:
+                parse_query(text)
+            assert info.value.offset == offset
+        assert Wildcard("cl") == parse_query("cl*")
 
     def test_phrase_implies_proximity_one(self, index):
         phrase_docs = evaluate(Phrase(("climate", "change")), index)

@@ -62,8 +62,11 @@ class TestLoadStrategy:
         ("seeds", [{"query": 5}], "seed must be an object with a string query"),
         ("exclusions", [5], r"exclusions must be a list of strings: \[5\]"),
         ("exclusions", "climate", "exclusions must be a list of strings: 'climate'"),
+        ("seeds", [{"query": '"c*"', "class": "general"}],
+         "query '\"c\\*\"' does not parse: wildcard stem 'c' shorter than 2 characters"),
+        ("exclusions", ['"c* change"'], "wildcard stem 'c' shorter than 2 characters"),
     ], ids=["seeds-string", "seed-int", "seed-no-query", "query-int", "exclusion-int",
-            "exclusions-string"])
+            "exclusions-string", "seed-short-stem", "exclusion-short-stem"])
     def test_bad_seeds_or_exclusions_rejected(self, tmp_path, key, value, message):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]), key: value}
         with pytest.raises(StrategyLoadError, match=message):

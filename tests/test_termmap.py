@@ -9,6 +9,7 @@ from itertools import chain, combinations
 import numpy as np
 import pytest
 
+from sdglab import index_corpus, ingest, load_strategy, run_strategy
 from sdglab.corpus import PublicationRecord
 from sdglab.index import tokenize
 from sdglab import termmap
@@ -23,6 +24,20 @@ def doc(rid, title, abstract=""):
 
 def repeated_docs(text, n, prefix):
     return [doc(f"{prefix}{i}", text) for i in range(n)]
+
+
+def edge_rows(rows):
+    """(u, v, w) rows of term places as a TermMap's (m, 3) int64 edge array."""
+    return np.array(rows, np.int64).reshape(-1, 3)
+
+
+def named(edges, names):
+    """Edge rows of places in `names` as (name, name, weight) triples."""
+    return [(names[u], names[v], w) for u, v, w in edges.tolist()]
+
+
+def term_names(terms):
+    return [t.term for t in terms]
 
 
 class TestContrastScore:
@@ -143,7 +158,7 @@ class TestCooccurrence:
         config = TermMapConfig(min_occurrences=1, stoplist=frozenset())
         terms = extract_terms(docs, [], config)
         edges = cooccurrence_edges(terms, docs, config)
-        weights = {(u, v): w for u, v, w in edges}
+        weights = {(u, v): w for u, v, w in named(edges, term_names(terms))}
         assert weights[("carbon", "climate")] == 3
 
     def test_never_cooccurring_no_edge(self):
@@ -151,7 +166,7 @@ class TestCooccurrence:
         config = TermMapConfig(min_occurrences=1, stoplist=frozenset())
         terms = extract_terms(docs, [], config)
         edges = cooccurrence_edges(terms, docs, config)
-        assert edges == []
+        assert edges.shape == (0, 3) and edges.dtype == np.int64
 
     def test_matches_pairwise_intersection_oracle(self):
         rng = random.Random(23)
@@ -171,7 +186,18 @@ class TestCooccurrence:
                 w = len(docsets[u] & docsets[v])
                 if w:
                     expected[(u, v)] = w
-        assert {(u, v): w for u, v, w in edges} == expected
+        assert {(u, v): w for u, v, w in named(edges, term_names(terms))} == expected
+
+    def test_edges_are_place_rows_in_order(self):
+        docs = random_ngram_docs(8, 150)
+        config = TermMapConfig(min_occurrences=2, max_ngram=2)
+        terms = extract_terms(docs, [], config)
+        edges = cooccurrence_edges(terms, docs, config)
+        assert edges.dtype == np.int64 and edges.ndim == 2 and edges.shape[1] == 3
+        u, v, w = edges.T
+        assert len(edges) > 10 and (0 <= u).all() and (u < v).all()
+        assert (v < len(terms)).all() and (w >= 1).all()
+        assert edges.tolist() == sorted(edges.tolist())
 
 
 class TestBuildTermMap:
@@ -198,47 +224,75 @@ class TestBuildTermMap:
             combined = {d.internal_id: d for d in side_a + side_b}
             assert terms
             assert term_map.terms == terms
-            assert term_map.edges == cooccurrence_edges(
-                terms, combined.values(), config)
+            edges = cooccurrence_edges(terms, combined.values(), config)
+            assert term_map.edges.dtype == edges.dtype == np.int64
+            assert np.array_equal(term_map.edges, edges)
 
     def test_both_sides_empty(self):
         term_map = build_term_map("a", [], "b", [], TermMapConfig())
-        assert (term_map.terms, term_map.edges, term_map.coordinates) == ([], [], {})
+        assert (term_map.terms, term_map.coordinates) == ([], [])
+        assert term_map.edges.shape == (0, 3)
+
+    @pytest.mark.parametrize("min_occurrences", [5, 10**6], ids=["demo", "no-terms"])
+    def test_stage_by_stage_exports_equal(self, demo_dir, min_occurrences):
+        # the composition perfbench/measure.py times: extract_terms, then
+        # cooccurrence_edges over the union by id, then layout_map or {} when
+        # no term is kept, on the members of the demo's alpha and gamma
+        docs = []
+        for strategy, corpus_file in (("alpha", "corpus_x.jsonl"), ("gamma", "corpus_y.jsonl")):
+            corpus = ingest(demo_dir / corpus_file)
+            result = run_strategy(load_strategy(demo_dir / f"{strategy}.json"),
+                                  index_corpus(corpus), corpus)
+            docs.append([corpus[m] for m in sorted(result.members)])
+        docs_a, docs_b = docs
+        config = TermMapConfig(min_occurrences=min_occurrences, layout_seed=11)
+        terms = extract_terms(docs_a, docs_b, config)
+        combined = {d.internal_id: d for d in docs_a + docs_b}
+        edges = cooccurrence_edges(terms, combined.values(), config)
+        coords = layout_map(edges, terms, config) if terms else {}
+        staged = TermMap(name_a="alpha", name_b="gamma", terms=terms, edges=edges,
+                         coordinates=coords, config=config)
+        built = build_term_map("alpha", docs_a, "gamma", docs_b, config)
+        assert bool(terms) == (min_occurrences == 5)
+        for fmt in ("json", "graphml", "html"):
+            assert export_term_map(staged, fmt) == export_term_map(built, fmt)
 
 
 class TestLayout:
     def test_single_term_centered(self):
         terms = [TermStats("solo", 3, 2)]
-        coords = layout_map([], terms, TermMapConfig(min_occurrences=1))
-        assert coords == {"solo": (0.5, 0.5)}
+        for iterations in (0, 1, 150):
+            coords = layout_map(edge_rows([]), terms,
+                                TermMapConfig(min_occurrences=1,
+                                              layout_iterations=iterations))
+            assert coords == [[0.5, 0.5]]
 
     def test_deterministic(self):
         terms = [TermStats(f"t{i}", i + 1, 1) for i in range(8)]
-        edges = [(f"t{i}", f"t{i+1}", 2) for i in range(7)]
+        edges = edge_rows([(i, i + 1, 2) for i in range(7)])
         config = TermMapConfig(min_occurrences=1, layout_seed=9)
         assert layout_map(edges, terms, config) == \
             layout_map(edges, terms, config)
 
     def test_unit_square(self):
         terms = [TermStats(f"t{i}", 1, 1) for i in range(12)]
-        coords = layout_map([], terms, TermMapConfig(min_occurrences=1))
-        for x, y in coords.values():
+        coords = layout_map(edge_rows([]), terms, TermMapConfig(min_occurrences=1))
+        assert len(coords) == len(terms)
+        for x, y in coords:
             assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
             assert math.isfinite(x) and math.isfinite(y)
 
     def test_cliques_separate(self):
         names_a = [f"a{i}" for i in range(5)]
         names_b = [f"b{i}" for i in range(5)]
-        terms = [TermStats(n, 2, 2) for n in names_a + names_b]
-        edges = []
-        for group in (names_a, names_b):
-            for i, u in enumerate(group):
-                for v in group[i + 1:]:
-                    edges.append((u, v, 10))
-        edges.append(("a0", "b0", 1))
+        names = names_a + names_b
+        terms = [TermStats(n, 2, 2) for n in names]
+        edges = [(u, v, 10) for group in (range(5), range(5, 10))
+                 for u, v in combinations(group, 2)]
+        edges.append((0, 5, 1))
         config = TermMapConfig(min_occurrences=1, layout_seed=2,
                                layout_iterations=300)
-        coords = layout_map(edges, terms, config)
+        coords = dict(zip(names, layout_map(edge_rows(edges), terms, config)))
 
         def dist(u, v):
             (x1, y1), (x2, y2) = coords[u], coords[v]
@@ -270,12 +324,12 @@ class TestExports:
             "stoplist": sorted(config.stoplist), "layout_seed": config.layout_seed,
             "layout_iterations": config.layout_iterations}
         assert (doc["name_a"], doc["name_b"]) == (term_map.name_a, term_map.name_b)
-        assert [(t["term"], t["occ_a"], t["occ_b"], t["score"], (t["x"], t["y"]))
+        assert [(t["term"], t["occ_a"], t["occ_b"], t["score"], [t["x"], t["y"]])
                 for t in doc["terms"]] == \
-            [(t.term, t.occ_a, t.occ_b, t.score, term_map.coordinates[t.term])
-             for t in term_map.terms]
+            [(t.term, t.occ_a, t.occ_b, t.score, xy)
+             for t, xy in zip(term_map.terms, term_map.coordinates)]
         assert [(e["source"], e["target"], e["weight"]) for e in doc["edges"]] == \
-            list(term_map.edges)
+            named(term_map.edges, term_names(term_map.terms))
 
     def test_graphml_node_count(self):
         term_map = sample_map()
@@ -399,9 +453,9 @@ def reference_json(term_map):
             "layout_iterations": config.layout_iterations,
         },
         "terms": [{"term": t.term, "occ_a": t.occ_a, "occ_b": t.occ_b, "score": t.score,
-                   "x": term_map.coordinates[t.term][0],
-                   "y": term_map.coordinates[t.term][1]} for t in term_map.terms],
-        "edges": [{"source": u, "target": v, "weight": w} for u, v, w in term_map.edges],
+                   "x": x, "y": y} for t, (x, y) in zip(term_map.terms, term_map.coordinates)],
+        "edges": [{"source": u, "target": v, "weight": w}
+                  for u, v, w in named(term_map.edges, term_names(term_map.terms))],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -418,14 +472,13 @@ def reference_graphml(term_map):
         ET.SubElement(root, "key", id=key_id, attrib={
             "attr.name": attr, "attr.type": kind, "for": target})
     graph = ET.SubElement(root, "graph", id="termmap", edgedefault="undirected")
-    for t in term_map.terms:
+    for t, (x, y) in zip(term_map.terms, term_map.coordinates):
         node = ET.SubElement(graph, "node", id=t.term)
-        x, y = term_map.coordinates[t.term]
         for key, value in (("occ_a", t.occ_a), ("occ_b", t.occ_b),
                            ("score", t.score), ("x", x), ("y", y)):
             data = ET.SubElement(node, "data", key=key)
             data.text = repr(value) if isinstance(value, float) else str(value)
-    for i, (u, v, w) in enumerate(term_map.edges):
+    for i, (u, v, w) in enumerate(named(term_map.edges, term_names(term_map.terms))):
         edge = ET.SubElement(graph, "edge", id=f"e{i}", source=u, target=v)
         data = ET.SubElement(edge, "data", key="weight")
         data.text = str(w)
@@ -435,7 +488,7 @@ def reference_graphml(term_map):
 
 def random_layout_input(seed, n, edgeless):
     """`n` terms in shuffled name order and, unless `edgeless`, about 3n
-    weighted edges, some with a term outside the map."""
+    weighted edges between term places."""
     rng = random.Random(seed)
     names = [f"t{i:03d}" for i in range(n)]
     rng.shuffle(names)
@@ -443,13 +496,22 @@ def random_layout_input(seed, n, edgeless):
     edges = []
     if not edgeless:
         for _ in range(3 * n):
-            u, v = sorted(rng.sample(names + ["absent"], 2))
+            u, v = sorted(rng.sample(range(n), 2))
             edges.append((u, v, rng.randint(1, 60)))
-    return edges, terms
+    return edge_rows(edges), terms
+
+
+def assert_layout_equals_reference(edges, terms, config):
+    got = layout_map(edges, terms, config)
+    want = reference_layout(named(edges, term_names(terms)), terms, config)
+    assert list(want) == term_names(terms)
+    assert all(type(x) is float and type(y) is float for x, y in got)
+    assert np.array_equal(np.array(got), np.array(list(want.values())))
 
 
 class TestLayoutOracle:
     @pytest.mark.parametrize("n, iterations, edgeless", [
+        (1, 150, True), (1, 1, True), (1, 0, True),
         (2, 150, False), (2, 1, True), (3, 150, False), (3, 150, True), (3, 0, False),
         (17, 150, False), (171, 150, False), (171, 150, True), (171, 1, False),
         (171, 0, False), (300, 150, False), (300, 150, True)])
@@ -457,11 +519,7 @@ class TestLayoutOracle:
         edges, terms = random_layout_input(n, n, edgeless)
         config = TermMapConfig(min_occurrences=1, layout_seed=n,
                                layout_iterations=iterations)
-        got = layout_map(edges, terms, config)
-        want = reference_layout(edges, terms, config)
-        assert list(got) == list(want)
-        assert np.array_equal(np.array(list(got.values())),
-                              np.array(list(want.values())))
+        assert_layout_equals_reference(edges, terms, config)
 
     def test_random_sizes_bit_identical(self):
         rng = random.Random(5)
@@ -470,10 +528,7 @@ class TestLayoutOracle:
             edges, terms = random_layout_input(case, n, case % 4 == 0)
             config = TermMapConfig(min_occurrences=1, layout_seed=case,
                                    layout_iterations=rng.choice([1, 30, 150]))
-            got = layout_map(edges, terms, config)
-            want = reference_layout(edges, terms, config)
-            assert np.array_equal(np.array(list(got.values())),
-                                  np.array(list(want.values())))
+            assert_layout_equals_reference(edges, terms, config)
 
 
 NGRAM_WORDS = ["climate", "carbon", "energy", "ökologie", "naïve", "İstanbul",
@@ -511,7 +566,7 @@ class TestNgramOracle:
         config = TermMapConfig(min_occurrences=1, max_ngram=4)
         docs = [doc("a", "the of and", "in to"), doc("b", "", ""), doc("c", ".,;", "_")]
         assert extract_terms(docs, docs, config) == []
-        assert cooccurrence_edges([TermStats("the", 1, 1)], docs, config) == []
+        assert cooccurrence_edges([TermStats("the", 1, 1)], docs, config).shape == (0, 3)
 
     @pytest.mark.parametrize("min_occurrences", [1, 2, 5, 40])
     def test_tally_equals_reference(self, min_occurrences):
@@ -534,7 +589,7 @@ class TestEdgeOracle:
                                    stoplist=stoplist)
             terms = extract_terms(docs, [], config)
             assert len(terms) > 10
-            assert cooccurrence_edges(terms, docs, config) == \
+            assert named(cooccurrence_edges(terms, docs, config), term_names(terms)) == \
                 reference_edges(terms, reference_grams(docs, config))
 
     def test_terms_given_in_any_form(self):
@@ -549,7 +604,7 @@ class TestEdgeOracle:
             "", " ", "absent", "x-ray", "carbon energy climate", "ökologie"]
         terms = [TermStats(name, 1, 1) for name in names]
         docs += docs[:7]
-        assert cooccurrence_edges(terms, docs, config) == \
+        assert named(cooccurrence_edges(terms, docs, config), sorted(set(names))) == \
             reference_edges(terms, reference_grams(docs, config))
 
     @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
@@ -558,7 +613,7 @@ class TestEdgeOracle:
         docs = random_ngram_docs(6, 150)
         config = TermMapConfig(min_occurrences=3, max_ngram=2)
         terms = extract_terms(docs, [], config)
-        assert cooccurrence_edges(terms, docs, config) == \
+        assert named(cooccurrence_edges(terms, docs, config), term_names(terms)) == \
             reference_edges(terms, reference_grams(docs, config))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -576,27 +631,28 @@ class TestEdgeOracle:
                                 reference_grams(docs_b, config), config)
         latest = {d.internal_id: reference_doc_ngrams(d, config) for d in docs_a + docs_b}
         assert term_map.terms == terms
-        assert term_map.edges == reference_edges(terms, latest.values())
+        assert named(term_map.edges, term_names(terms)) == \
+            reference_edges(terms, latest.values())
 
 
 def hand_built_map(names, edges):
     terms = [TermStats(name, i + 1, 2 * i) for i, name in enumerate(names)]
-    coords = {name: (i / 7, 1.0 - i / 3) for i, name in enumerate(names)}
-    return TermMap("first", "second", terms, edges, coords,
+    coords = [[i / 7, 1.0 - i / 3] for i in range(len(names))]
+    return TermMap("first", "second", terms, edge_rows(edges), coords,
                    TermMapConfig(min_occurrences=1))
 
 
 class TestGraphmlOracle:
     SPECIAL = ["a & b", "<tag>", 'say "hi"', "line\nbreak", "tab\there", "cr\rlf",
                "it's", "ökologie 東京", "&amp;"]
+    # each term linked to the next, with weights 1, 2, ...
+    CHAIN = [(i, i + 1, i + 1) for i in range(len(SPECIAL) - 1)]
 
     @pytest.mark.parametrize("term_map", [
-        hand_built_map(SPECIAL, [(u, v, i + 1) for i, (u, v) in
-                                 enumerate(zip(SPECIAL, SPECIAL[1:]))]),
+        hand_built_map(SPECIAL, CHAIN),
         hand_built_map(["solo"], []),
         hand_built_map([], []),
-        hand_built_map([], [("a<", "b>", 3)]),
-    ], ids=["special-characters", "one-term", "empty", "edges-only"])
+    ], ids=["special-characters", "one-term", "empty"])
     def test_text_equals_elementtree(self, term_map):
         assert export_term_map(term_map, "graphml") == reference_graphml(term_map)
 
@@ -606,7 +662,7 @@ class TestGraphmlOracle:
         config = TermMapConfig(min_occurrences=3, max_ngram=2)
         built = build_term_map("a", random_ngram_docs(1, 80), "b",
                                random_ngram_docs(2, 80), config)
-        assert built.terms and built.edges
+        assert built.terms and len(built.edges)
         assert export_term_map(built, "graphml") == reference_graphml(built)
 
 
@@ -620,10 +676,9 @@ def random_json_map(seed):
                     for _ in range(rng.randint(0, 12))})
     floats = [0.0, -0.0, 1.0, 0.1, 1 / 3, 5e-324, 1e-300, 1e300, 2.5e-7, 12345678.9, 0, 1]
     terms = [TermStats(name, rng.randint(0, 9), rng.randint(1, 9)) for name in names]
-    coords = {name: (rng.choice(floats + [rng.random()]), rng.choice(floats))
-              for name in names}
-    edges = [(u, v, rng.randint(1, 10**6))
-             for u, v in combinations(names, 2) if rng.random() < 0.5]
+    coords = [[rng.choice(floats + [rng.random()]), rng.choice(floats)] for _ in names]
+    edges = edge_rows([(u, v, rng.randint(1, 10**6))
+                       for u, v in combinations(range(len(names)), 2) if rng.random() < 0.5])
     stoplist = frozenset(rng.sample(pieces, rng.randint(0, 5)))
     config = TermMapConfig(min_occurrences=rng.randint(1, 99), max_ngram=rng.randint(1, 6),
                            stoplist=stoplist, layout_seed=rng.randint(0, 99),
@@ -633,13 +688,10 @@ def random_json_map(seed):
 
 class TestJsonOracle:
     @pytest.mark.parametrize("term_map", [
-        hand_built_map(TestGraphmlOracle.SPECIAL,
-                       [(u, v, i + 1) for i, (u, v) in enumerate(
-                           zip(TestGraphmlOracle.SPECIAL, TestGraphmlOracle.SPECIAL[1:]))]),
+        hand_built_map(TestGraphmlOracle.SPECIAL, TestGraphmlOracle.CHAIN),
         hand_built_map(["solo"], []),
         hand_built_map([], []),
-        hand_built_map([], [("a<", "b>", 3)]),
-    ], ids=["special-characters", "one-term", "empty", "edges-only"])
+    ], ids=["special-characters", "one-term", "empty"])
     def test_text_equals_json_dumps(self, term_map):
         assert export_term_map(term_map, "json") == reference_json(term_map)
 
@@ -653,7 +705,7 @@ class TestJsonOracle:
         config = TermMapConfig(min_occurrences=3, max_ngram=2, stoplist=stoplist)
         built = build_term_map("ä", random_ngram_docs(1, 80), "b", random_ngram_docs(2, 80),
                                config)
-        assert built.terms and built.edges
+        assert built.terms and len(built.edges)
         assert export_term_map(built, "json") == reference_json(built)
         assert export_term_map(sample_map(), "json") == reference_json(sample_map())
 
