@@ -15,10 +15,10 @@ from .corpus import Corpus, load_coverage_file
 from .index import PositionalIndex, load_index, save_index
 from .overlap import check_sample_size
 from .pipeline import (TABLE3_HEADER, TABLE4_HEADER, TABLE5_HEADER, PipelineConfig,
-                       PipelineError, ReportBundle, atomic_file, cluster_assignment,
-                       compare, emit_report, enhance, index_corpus, ingest,
-                       load_result_file, load_strategy, result_to_doc, run_pipeline,
-                       stage, term_map, to_json, write_atomic)
+                       PipelineError, ReportBundle, cluster_assignment, compare,
+                       emit_report, enhance, index_corpus, ingest, load_result_file,
+                       load_strategy, result_to_doc, run_pipeline, stage, term_map,
+                       to_json, write_output)
 from .query import explain, parse_query, print_query
 from .strategy import run_strategy, term_class_summary
 from .termmap import check_setting
@@ -40,7 +40,7 @@ def _setup_logging() -> None:
 def _emit(text: str, out) -> None:
     """Write `text` to the file `out`, or to stdout when there is none."""
     if out:
-        write_atomic(Path(out), text)
+        write_output(Path(out), text)
     else:
         print(text, end="")
 
@@ -57,8 +57,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_index(args) -> int:
     index = index_corpus(ingest(args.corpus))
-    with atomic_file(Path(args.out)) as fh:
-        save_index(index, fh)
+    write_output(Path(args.out), partial(save_index, index))
     print(f"indexed {index.doc_count} docs, vocabulary {len(index.sorted_vocabulary)}")
     return EXIT_OK
 
@@ -117,8 +116,8 @@ def cmd_enhance(args) -> int:
                             kind="config")
     assignment = cluster_assignment(corpus, strategy.enhancement)
     if args.save_assignment:
-        with atomic_file(Path(args.save_assignment)) as fh:
-            save_cluster_assignment(assignment, fh)
+        write_output(Path(args.save_assignment),
+                     partial(save_cluster_assignment, assignment))
     enhanced, report = enhance(result, assignment, strategy, corpus)
     _emit(to_json(result_to_doc(enhanced)), args.out)
     print(f"clusters included: {len(report.included_clusters)}, "
@@ -139,22 +138,20 @@ def cmd_compare(args) -> int:
     print(",".join(str(row[h]) for h in TABLE5_HEADER.split(",")))
     if args.out:
         out = Path(args.out)
-        write_atomic(out / "overlap.svg", svg)
-        write_atomic(out / "overlap.json", sidecar)
+        write_output(out / "overlap.svg", svg)
+        write_output(out / "overlap.json", sidecar)
     return EXIT_OK
 
 
 def cmd_termmap(args) -> int:
     corpus_a = ingest(args.corpus_a)
     corpus_b = ingest(args.corpus_b) if args.corpus_b else corpus_a
-    tm, exports = term_map(
+    out = Path(args.out)
+    tm, _ = term_map(
         load_result_file(args.a, corpus_a), corpus_a,
         load_result_file(args.b, corpus_b), corpus_b,
         {"min_occurrences": args.min_occurrences, "max_ngram": args.max_ngram,
-         "layout_seed": args.seed, "layout_iterations": args.layout_iterations})
-    out = Path(args.out)
-    for fmt, text in exports.items():
-        write_atomic(out / f"termmap.{fmt}", text)
+         "layout_seed": args.seed, "layout_iterations": args.layout_iterations}, out)
     print(f"{len(tm.terms)} terms, {len(tm.edges)} edges -> {out}")
     return EXIT_OK
 

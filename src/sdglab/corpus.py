@@ -108,8 +108,15 @@ def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
         if obj.get(key) is None:
             raise IngestError(f"line {lineno}: missing required key '{key}'")
     # Plain loops over exact types: this runs once per record on the set-up path.
-    if type(obj["year"]) is float:
-        raise IngestError(f"line {lineno}: 'year' is not an integer: {obj['year']!r}")
+    # An int id or year is taken as such, but not a bool; a year string must be
+    # ASCII digits, since int() also reads other scripts' digits and spaces.
+    internal_id, year = obj["id"], obj["year"]
+    if type(internal_id) is not str and type(internal_id) is not int:
+        raise IngestError(f"line {lineno}: 'id' is not a string or an integer: "
+                          f"{internal_id!r}")
+    if type(year) is not int and not (type(year) is str and year.isascii()
+                                      and year.isdigit()):
+        raise IngestError(f"line {lineno}: 'year' is not an integer: {year!r}")
     for key in ("doi", "title", "abstract", "doc_type"):
         value = obj.get(key)
         if value is not None and type(value) is not str:
@@ -125,12 +132,12 @@ def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
                                   f"{value!r}")
     try:
         return PublicationRecord(
-            internal_id=str(obj["id"]),
+            internal_id=str(internal_id),
             doi=normalize_doi(obj.get("doi")),
             title=obj["title"],
             abstract=obj.get("abstract") or "",
             keywords=tuple(keywords),
-            year=int(obj["year"]),
+            year=int(year),
             document_type=obj.get("doc_type") or "",
             references=tuple(refs),
         )

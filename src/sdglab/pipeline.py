@@ -12,7 +12,9 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .clustering import (ClusterAssignment, EnhancementReport, build_citation_graph,
@@ -25,7 +27,7 @@ from .rounding import percent
 from .strategy import (EnhancementSpec, ResultSet, SearchStrategy, load_strategy_file,
                        run_strategy, term_class_summary)
 from .termmap import (SETTING_MINIMUMS, TermMap, TermMapConfig, build_term_map,
-                      export_term_map)
+                      write_term_map)
 
 log = logging.getLogger("sdglab.pipeline")
 
@@ -183,10 +185,12 @@ def termmap_config(settings) -> TermMapConfig:
 
 
 def term_map(result_a: ResultSet, corpus_a: Corpus, result_b: ResultSet,
-             corpus_b: Corpus, settings: dict) -> tuple[TermMap, dict[str, str]]:
+             corpus_b: Corpus, settings: dict, out_dir: Path,
+             ) -> tuple[TermMap, dict[Path, str]]:
     """Contrast term map of two results, over their members in id order,
-    with `termmap_config(settings)`. Returns the map and its export in each
-    of TERMMAP_FORMATS."""
+    with `termmap_config(settings)`. Writes it to `out_dir/termmap.<fmt>`
+    for each of TERMMAP_FORMATS, one format at a time, and returns the map
+    and the sha256 of each file written."""
     config = termmap_config(settings)
     docs_a = [corpus_a[m] for m in sorted(result_a.members)]
     docs_b = [corpus_b[m] for m in sorted(result_b.members)]
@@ -194,7 +198,11 @@ def term_map(result_a: ResultSet, corpus_a: Corpus, result_b: ResultSet,
                         config)
     log.info("termmap %s__%s: %d docs, %d terms, %d edges", tm.name_a, tm.name_b,
              len(docs_a) + len(docs_b), len(tm.terms), len(tm.edges))
-    return tm, {fmt: export_term_map(tm, fmt) for fmt in TERMMAP_FORMATS}
+    digests = {}
+    for fmt in TERMMAP_FORMATS:
+        path = Path(out_dir) / f"termmap.{fmt}"
+        digests[path] = write_output(path, partial(write_term_map, tm, fmt))
+    return tm, digests
 
 
 @dataclass
@@ -298,11 +306,12 @@ class ReportBundle:
 def atomic_file(path: Path):
     """A text file that replaces `path` when the block ends: it is written
     as a temporary file and moved over `path` by os.replace, so a failure
-    leaves the previous file at `path` whole and no temporary file."""
+    leaves the previous file at `path` whole and no temporary file. Lines
+    end in "\n" on every platform."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -310,23 +319,43 @@ def atomic_file(path: Path):
     os.replace(tmp, path)
 
 
-def write_atomic(path: Path, content: str) -> None:
+class _HashedSink:
+    """Writes text to an atomic_file and hashes the UTF-8 bytes it becomes."""
+
+    def __init__(self, fh):
+        self.fh, self.sha256 = fh, hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.sha256.update(text.encode("utf-8"))
+        self.fh.write(text)
+
+
+def write_output(path: Path, content: str | Callable[[_HashedSink], object]) -> str:
+    """Write `content` to `path` through atomic_file: a text, or a function
+    that writes the text to the sink it is given. Returns the sha256 of the
+    bytes written, hashed as they are written, so no output is read back."""
     with atomic_file(path) as fh:
-        fh.write(content)
+        sink = _HashedSink(fh)
+        if isinstance(content, str):
+            sink.write(content)
+        else:
+            content(sink)
+    return sink.sha256.hexdigest()
 
 
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Execute every configured stage in dependency order.
 
+    Every strategy runs before any enhancement, and the indexes are dropped
+    once the last has run, so clustering and term maps run without them.
     Deterministic: rerunning on unchanged inputs reproduces byte-identical
     tables and figures.
     """
     out = config.output_dir
-    written: list[Path] = []  # the files this run writes, in the manifest
+    digests: dict[Path, str] = {}  # the files this run writes, in the manifest
 
-    def write(path: Path, text: str) -> None:
-        write_atomic(path, text)
-        written.append(path)
+    def write(path: Path, content) -> None:
+        digests[path] = write_output(path, content)
 
     corpora: dict[str, Corpus] = {}
     indexes = {}
@@ -339,25 +368,30 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         log.info("ingest %s: %d records, %d vocabulary tokens", c["name"], len(corpus),
                  len(indexes[c["name"]].sorted_vocabulary))
 
+    runs = []
+    for s in config.strategies:
+        name = Path(s["file"]).stem
+        strategy = load_strategy(config.resolve(s["file"]))
+        with stage(f"run:{name}"):
+            result = run_strategy(strategy, indexes[s["corpus"]], corpora[s["corpus"]])
+        runs.append((name, strategy, s["corpus"], result))
+    del indexes
+
     results: dict[str, ResultSet] = {}
     result_corpus: dict[str, str] = {}
     clusterings: dict[ClusteringKey, ClusterAssignment] = {}
     table3, table4 = [], []
-    for s in config.strategies:
-        name = Path(s["file"]).stem
-        strategy = load_strategy(config.resolve(s["file"]))
-        corpus = corpora[s["corpus"]]
-        with stage(f"run:{name}"):
-            result = run_strategy(strategy, indexes[s["corpus"]], corpus)
-            if strategy.enhancement is not None:
+    for name, strategy, corpus_name, result in runs:
+        corpus = corpora[corpus_name]
+        if strategy.enhancement is not None:
+            with stage(f"run:{name}"):
                 assignment = cluster_assignment(corpus, strategy.enhancement,
                                                 config.resolve, clusterings)
                 result, report = enhance(result, assignment, strategy, corpus)
-                write(out / "results" / name / "enhancement.json",
-                      to_json(asdict(report)))
+            write(out / "results" / name / "enhancement.json", to_json(asdict(report)))
         log.info("run %s: %d members", name, len(result))
         results[name] = result
-        result_corpus[name] = s["corpus"]
+        result_corpus[name] = corpus_name
         write(out / "results" / name / "result.json", to_json(result_to_doc(result)))
         share_pct = percent(result.doi_record_count, len(result.members)) \
             if result.members else 0.0
@@ -367,6 +401,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         summary = term_class_summary(strategy)
         table4.append({"strategy": name, **summary["counts"],
                        "total": summary["total"]})
+    del runs
 
     figures: list[str] = []
     table5 = []
@@ -384,18 +419,16 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     for pair in config.termmaps:
         a, b = pair["a"], pair["b"]
         with stage(f"termmap:{a}__{b}"):
-            _, exports = term_map(results[a], corpora[result_corpus[a]],
+            _, written = term_map(results[a], corpora[result_corpus[a]],
                                   results[b], corpora[result_corpus[b]],
-                                  pair.get("config", {}))
-        map_dir = out / "termmaps" / f"{a}__{b}"
-        for fmt, text in exports.items():
-            write(map_dir / f"termmap.{fmt}", text)
-            figures.append(str((map_dir / f"termmap.{fmt}").relative_to(out)))
+                                  pair.get("config", {}), out / "termmaps" / f"{a}__{b}")
+        digests.update(written)
+        figures += [str(path.relative_to(out)) for path in written]
 
     bundle = ReportBundle(table3=table3, table4=table4, table5=table5,
                           figures=figures, manifest={})
-    written += emit_report(bundle, "csv", out / "reports")
-    written += emit_report(bundle, "markdown", out / "reports")
+    digests.update(emit_report(bundle, "csv", out / "reports"))
+    digests.update(emit_report(bundle, "markdown", out / "reports"))
     write(out / "reports" / "bundle.json", to_json({
         "table3": table3, "table4": table4, "table5": table5,
         "figures": figures,
@@ -406,23 +439,24 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             json.dumps(config.raw, sort_keys=True).encode()).hexdigest(),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "outputs": {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
-                    for p in sorted(written)},
+        "outputs": {str(p.relative_to(out)): digest
+                    for p, digest in sorted(digests.items())},
     }
-    write_atomic(out / "manifest.json", to_json(manifest))
+    write_output(out / "manifest.json", to_json(manifest))
     bundle.manifest = manifest
     log.info("report: %d files", len(manifest["outputs"]) + 1)
     return bundle
 
 
-def emit_report(bundle: ReportBundle, fmt: str, out_dir: Path) -> list[Path]:
-    """Write one file per table, as CSV or markdown."""
+def emit_report(bundle: ReportBundle, fmt: str, out_dir: Path) -> dict[Path, str]:
+    """Write one file per table, as CSV or markdown; returns the sha256 of
+    each file written."""
     tables = {
         "table3": (TABLE3_HEADER.split(","), bundle.table3),
         "table4": (TABLE4_HEADER.split(","), bundle.table4),
         "table5": (TABLE5_HEADER.split(","), bundle.table5),
     }
-    written = []
+    written = {}
     for name, (header, rows) in tables.items():
         if fmt == "csv":
             lines = [",".join(header)]
@@ -436,6 +470,5 @@ def emit_report(bundle: ReportBundle, fmt: str, out_dir: Path) -> list[Path]:
             path = Path(out_dir) / f"{name}.md"
         else:
             raise ValueError(f"unknown report format: {fmt!r}")
-        write_atomic(path, "\n".join(lines) + "\n")
-        written.append(path)
+        written[path] = write_output(path, "\n".join(lines) + "\n")
     return written

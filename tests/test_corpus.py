@@ -76,9 +76,17 @@ class TestIngest:
         ({"refs": [5]}, r"'refs' is not a list of strings: \[5\]"),
         ({"year": 2019.9}, r"'year' is not an integer: 2019\.9$"),
         ({"year": 2019.0}, r"'year' is not an integer: 2019\.0$"),
+        ({"year": True}, "'year' is not an integer: True$"),
+        ({"year": "２０１６"}, "'year' is not an integer: '２０１６'$"),
+        ({"year": " 2016"}, "'year' is not an integer: ' 2016'$"),
+        ({"year": [2016]}, r"'year' is not an integer: \[2016\]$"),
+        ({"id": ["a"]}, r"'id' is not a string or an integer: \['a'\]$"),
+        ({"id": True}, "'id' is not a string or an integer: True$"),
+        ({"id": 1.5}, r"'id' is not a string or an integer: 1\.5$"),
     ], ids=["int", "null", "doi-int", "title-int", "abstract-list", "doc-type-int",
             "keywords-string", "keywords-nested", "refs-string", "refs-int", "year-float",
-            "year-integral-float"])
+            "year-integral-float", "year-bool", "year-fullwidth-digits", "year-space",
+            "year-list", "id-list", "id-bool", "id-float"])
     def test_bad_record_names_line(self, tmp_path, line, message):
         if isinstance(line, dict):
             line = {"id": "b", "title": "t", "year": 2016, **line}

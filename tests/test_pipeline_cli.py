@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import hashlib
 import json
 import logging
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -115,15 +117,49 @@ class TestRunPipeline:
         assert hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()) \
             .hexdigest() == DEMO_OUTPUTS_SHA256
 
-    def test_manifest_lists_every_output_with_hash(self, demo_config):
+    def test_manifest_lists_every_output_with_hash(self, demo_config, monkeypatch):
+        # the digests are taken as the files are written: no output is read back
+        def written_only(file, mode="r", *args, **kwargs):
+            assert "w" in mode, f"{file} opened with mode {mode!r}"
+            return open(file, mode, *args, **kwargs)
+
+        def unread(path, *args, **kwargs):
+            raise AssertionError(f"{path} read back")
+
+        monkeypatch.setattr(pipeline, "open", written_only, raising=False)
+        monkeypatch.setattr(Path, "read_bytes", unread)
+        monkeypatch.setattr(Path, "read_text", unread)
         run_pipeline(demo_config)
+        monkeypatch.undo()
         out = demo_config.output_dir
         manifest = json.loads((out / "manifest.json").read_text())
-        files = {str(p.relative_to(out)) for p in out.rglob("*")
-                 if p.is_file() and p.name != "manifest.json"}
-        assert set(manifest["outputs"]) == files
-        for digest in manifest["outputs"].values():
-            assert len(digest) == 64
+        assert manifest["outputs"] == tree_digest(out)
+
+    def test_indexes_released_before_enhancement(self, demo_config, monkeypatch):
+        """No index is alive once clustering or a term map starts: every
+        strategy runs first, then run_pipeline drops the indexes."""
+        built, alive = [], []
+
+        def tracked(corpus):
+            index = index_corpus(corpus)
+            built.append(weakref.ref(index))
+            return index
+
+        def checked(stage_function):
+            def call(*args, **kwargs):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in built))
+                return stage_function(*args, **kwargs)
+            return call
+
+        index_corpus = pipeline.index_corpus
+        monkeypatch.setattr(pipeline, "index_corpus", tracked)
+        monkeypatch.setattr(pipeline, "cluster_assignment",
+                            checked(pipeline.cluster_assignment))
+        monkeypatch.setattr(pipeline, "term_map", checked(pipeline.term_map))
+        assert run_pipeline(demo_config).manifest["outputs"] == DEMO_OUTPUTS
+        assert len(built) == 2
+        assert alive == [0, 0, 0]  # beta's clustering, then two term maps
 
     def test_manifest_lists_only_this_runs_files(self, demo_config):
         out = demo_config.output_dir
@@ -655,6 +691,48 @@ class TestCli:
                 "--corpus-a", str(demo_dir / "corpus_x.jsonl"),
                 "--out", str(tmp_path / "tm")) == message
 
+    def test_pipeline_and_termmap_digests_are_bytes_on_disk(self, demo_dir, tmp_path):
+        out, cli = tmp_path / "out", tmp_path / "cli"
+        assert self.run_cli("pipeline", "--config", str(demo_dir / "config.json"),
+                            "--output-dir", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == tree_digest(out) == DEMO_OUTPUTS
+        for a, b in (("alpha", "gamma"), ("beta", "delta")):
+            assert self.run_cli("termmap", "--a", str(out / "results" / a / "result.json"),
+                                "--b", str(out / "results" / b / "result.json"),
+                                "--corpus-a", str(demo_dir / "corpus_x.jsonl"),
+                                "--corpus-b", str(demo_dir / "corpus_y.jsonl"),
+                                "--min-occurrences", "5", "--seed", "11",
+                                "--out", str(cli / f"{a}__{b}")) == 0
+        assert tree_digest(cli) == tree_digest(out / "termmaps")
+
+    def test_bad_second_strategy_fails_before_any_write(self, demo_dir, tmp_path,
+                                                        capsys):
+        demo = tmp_path / "demo"
+        shutil.copytree(demo_dir, demo)
+        (demo / "beta.json").write_text("{")
+        out = tmp_path / "out"
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config",
+                                   str(demo / "config.json"), "--output-dir", str(out))
+        assert err.startswith("error: [strategy:beta] ")
+        assert not (out / "results").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_enhanced_strategy_on_empty_corpus_exit_code(self, demo_dir, tmp_path,
+                                                         capsys):
+        (tmp_path / "empty.jsonl").write_text("")
+        for name in ("alpha", "beta"):
+            shutil.copy(demo_dir / f"{name}.json", tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "corpora": [{"name": "empty", "corpus_file": "empty.jsonl"}],
+            "strategies": [{"file": "alpha.json", "corpus": "empty"},
+                           {"file": "beta.json", "corpus": "empty"}]}))
+        err = self.run_cli_failing(capsys, 4, "pipeline", "--config", str(config),
+                                   "--output-dir", str(tmp_path / "out"))
+        assert err == "error: [run:beta] empty graph\n"
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_ingest_empty_corpus(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -916,8 +994,17 @@ class TestCli:
          "line 2: 'refs' is not a list of strings: 'b'"),
         ('{"id": "b", "title": "t", "year": 2019.9}', "ingest",
          "line 2: 'year' is not an integer: 2019.9"),
+        ('{"id": "b", "title": "t", "year": "\\uff12\\uff10\\uff11\\uff16"}', "ingest",
+         "line 2: 'year' is not an integer: '２０１６'"),
+        ('{"id": "b", "title": "t", "year": true}', "index",
+         "line 2: 'year' is not an integer: True"),
+        ('{"id": ["b"], "title": "t", "year": 2016}', "ingest",
+         "line 2: 'id' is not a string or an integer: ['b']"),
+        ('{"id": true, "title": "t", "year": 2016}', "index",
+         "line 2: 'id' is not a string or an integer: True"),
     ], ids=["int", "null", "doi-int", "title-int", "abstract-list", "keywords-string",
-            "refs-string", "year-float"])
+            "refs-string", "year-float", "year-fullwidth-digits", "year-bool", "id-list",
+            "id-bool"])
     def test_bad_corpus_line_exit_code(self, tmp_path, capsys, line, command, message):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text('{"id": "a", "title": "t", "year": 2016}\n' + line + "\n")

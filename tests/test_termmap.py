@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from html import escape
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import replace
@@ -15,7 +16,8 @@ from sdglab.index import tokenize
 from sdglab import termmap
 from sdglab.termmap import (DEFAULT_STOPLIST, TermMap, TermMapConfig, TermStats,
                             build_term_map, contrast_score, cooccurrence_edges,
-                            export_term_map, extract_terms, layout_map, score_color)
+                            export_term_map, extract_terms, layout_map, score_color,
+                            write_term_map)
 
 
 def doc(rid, title, abstract=""):
@@ -38,6 +40,17 @@ def named(edges, names):
 
 def term_names(terms):
     return [t.term for t in terms]
+
+
+def demo_member_docs(demo_dir):
+    """The records of the demo's alpha and gamma results, in id order."""
+    docs = []
+    for strategy, corpus_file in (("alpha", "corpus_x.jsonl"), ("gamma", "corpus_y.jsonl")):
+        corpus = ingest(demo_dir / corpus_file)
+        result = run_strategy(load_strategy(demo_dir / f"{strategy}.json"),
+                              index_corpus(corpus), corpus)
+        docs.append([corpus[m] for m in sorted(result.members)])
+    return docs
 
 
 class TestContrastScore:
@@ -238,13 +251,7 @@ class TestBuildTermMap:
         # the composition perfbench/measure.py times: extract_terms, then
         # cooccurrence_edges over the union by id, then layout_map or {} when
         # no term is kept, on the members of the demo's alpha and gamma
-        docs = []
-        for strategy, corpus_file in (("alpha", "corpus_x.jsonl"), ("gamma", "corpus_y.jsonl")):
-            corpus = ingest(demo_dir / corpus_file)
-            result = run_strategy(load_strategy(demo_dir / f"{strategy}.json"),
-                                  index_corpus(corpus), corpus)
-            docs.append([corpus[m] for m in sorted(result.members)])
-        docs_a, docs_b = docs
+        docs_a, docs_b = demo_member_docs(demo_dir)
         config = TermMapConfig(min_occurrences=min_occurrences, layout_seed=11)
         terms = extract_terms(docs_a, docs_b, config)
         combined = {d.internal_id: d for d in docs_a + docs_b}
@@ -486,6 +493,40 @@ def reference_graphml(term_map):
     return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
 
 
+def reference_html(term_map):
+    name_a, name_b = (escape(name, quote=False) for name in (term_map.name_a, term_map.name_b))
+    width, height = 900, 640
+    max_total = max((t.total for t in term_map.terms), default=1)
+    bubbles = []
+    for t, (x, y) in sorted(zip(term_map.terms, term_map.coordinates),
+                            key=lambda tc: -tc[0].total):
+        cx = 40 + x * (width - 80)
+        cy = 40 + y * (height - 80)
+        r = 6 + 24 * (t.total / max_total) ** 0.5
+        color = score_color(t.score)
+        bubbles.append(
+            f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{r:.1f}" fill="{color}" '
+            f'fill-opacity="0.85"><title>{t.term}: {t.occ_a} vs {t.occ_b} '
+            f'(score {t.score:+.2f})</title></circle>\n'
+            f'<text x="{cx:.1f}" y="{cy:.1f}" text-anchor="middle" '
+            f'font-size="10" font-family="sans-serif">{t.term}</text>')
+    return f"""<!DOCTYPE html>
+<html>
+<head>
+<meta charset="utf-8">
+<title>Term map: {name_a} vs {name_b}</title>
+<style>body {{ font-family: sans-serif; margin: 1em; }}</style>
+</head>
+<body>
+<h1>{name_a} (blue) vs {name_b} (red)</h1>
+<svg width="{width}" height="{height}" viewBox="0 0 {width} {height}">
+{chr(10).join(bubbles)}
+</svg>
+</body>
+</html>
+"""
+
+
 def random_layout_input(seed, n, edgeless):
     """`n` terms in shuffled name order and, unless `edgeless`, about 3n
     weighted edges between term places."""
@@ -519,6 +560,27 @@ class TestLayoutOracle:
         edges, terms = random_layout_input(n, n, edgeless)
         config = TermMapConfig(min_occurrences=1, layout_seed=n,
                                layout_iterations=iterations)
+        assert_layout_equals_reference(edges, terms, config)
+
+    @pytest.mark.parametrize("n, iterations", [(400, 30), (1141, 2)],
+                             ids=["two-blocks", "k-blocks-plus-one"])
+    def test_column_blocks_bit_identical(self, n, iterations):
+        # at the module's block budget, 400 terms take blocks of 327 and 73
+        # columns, and 1,141 = 10 * 114 + 1 nine of 114 and a last one of 115
+        edges, terms = random_layout_input(n, n, False)
+        config = TermMapConfig(min_occurrences=1, layout_seed=n,
+                               layout_iterations=iterations)
+        assert_layout_equals_reference(edges, terms, config)
+
+    @pytest.mark.parametrize("n, width", [(17, 2), (17, 3), (50, 7), (64, 7), (65, 16),
+                                          (171, 17), (300, 64)])
+    def test_block_widths_bit_identical(self, monkeypatch, n, width):
+        # a budget of `width` columns; where n = k * width + 1 the last column
+        # joins the block before it
+        monkeypatch.setattr(termmap, "_LAYOUT_BLOCK_BYTES", 16 * n * width)
+        edges, terms = random_layout_input(n + width, n, n % 2 == 0)
+        config = TermMapConfig(min_occurrences=1, layout_seed=width,
+                               layout_iterations=40)
         assert_layout_equals_reference(edges, terms, config)
 
     def test_random_sizes_bit_identical(self):
@@ -708,6 +770,58 @@ class TestJsonOracle:
         assert built.terms and len(built.edges)
         assert export_term_map(built, "json") == reference_json(built)
         assert export_term_map(sample_map(), "json") == reference_json(sample_map())
+
+
+class RecordingSink:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+REFERENCES = {"json": reference_json, "graphml": reference_graphml, "html": reference_html}
+
+
+class TestStreamedExports:
+    @pytest.fixture(params=["demo", "random", "no-terms"])
+    def term_map(self, request, demo_dir):
+        if request.param == "random":
+            config = TermMapConfig(min_occurrences=2, max_ngram=2, layout_iterations=20)
+            return build_term_map("ä <b>", random_ngram_docs(3, 120), "b",
+                                  random_ngram_docs(4, 120), config)
+        docs_a, docs_b = demo_member_docs(demo_dir)
+        config = TermMapConfig(min_occurrences=5 if request.param == "demo" else 10**6,
+                               layout_seed=11)
+        return build_term_map("alpha", docs_a, "gamma", docs_b, config)
+
+    @pytest.mark.parametrize("fmt", sorted(REFERENCES))
+    def test_written_equals_export_and_reference(self, monkeypatch, term_map, fmt):
+        # one write per piece at a batch of one, ceil(pieces / batch) writes
+        # at any other, and the same text whatever the batch
+        assert bool(term_map.terms) == (term_map.config.min_occurrences < 10**6)
+        text = export_term_map(term_map, fmt)
+        assert text == REFERENCES[fmt](term_map)
+        monkeypatch.setattr(termmap, "_WRITE_BATCH", 1)
+        sink = RecordingSink()
+        write_term_map(term_map, fmt, sink)
+        pieces = len(sink.writes)
+        assert "".join(sink.writes) == text
+        for batch in (2, 3, 4096):
+            monkeypatch.setattr(termmap, "_WRITE_BATCH", batch)
+            sink = RecordingSink()
+            write_term_map(term_map, fmt, sink)
+            assert len(sink.writes) == -(-pieces // batch)
+            assert "".join(sink.writes) == text
+
+    def test_random_maps_written_equal_references(self, monkeypatch):
+        monkeypatch.setattr(termmap, "_WRITE_BATCH", 3)
+        for seed in range(40):
+            term_map = random_json_map(seed)
+            for fmt, reference in REFERENCES.items():
+                sink = RecordingSink()
+                write_term_map(term_map, fmt, sink)
+                assert "".join(sink.writes) == reference(term_map)
 
 
 class TestConfigValidation:
