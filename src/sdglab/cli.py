@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -14,13 +13,12 @@ from .clustering import save_cluster_assignment
 from .corpus import Corpus, load_coverage_file
 from .index import PositionalIndex, load_index, save_index
 from .overlap import check_sample_size
-from .pipeline import (TABLE3_HEADER, TABLE4_HEADER, TABLE5_HEADER, PipelineConfig,
-                       PipelineError, ReportBundle, cluster_assignment, compare,
-                       emit_report, enhance, index_corpus, ingest, load_result_file,
-                       load_strategy, result_to_doc, run_pipeline, stage, term_map,
-                       to_json, write_output)
+from .pipeline import (REPORT_SUFFIXES, PipelineConfig, PipelineError, cluster_assignment,
+                       compare, emit_report, enhance, index_corpus, ingest, load_bundle,
+                       load_result_file, load_strategy, run_pipeline, stage, table4_row,
+                       table_text, term_map, to_json, write_output)
 from .query import explain, parse_query, print_query
-from .strategy import run_strategy, term_class_summary
+from .strategy import result_to_doc, run_strategy
 from .termmap import check_setting
 
 EXIT_OK = 0
@@ -70,10 +68,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_strategy(args) -> int:
-    s = term_class_summary(load_strategy(args.file))
-    print(TABLE4_HEADER)
-    print(f"{s['strategy']},{s['counts']['general']},{s['counts']['policy']},"
-          f"{s['counts']['technical']},{s['total']}")
+    print(table_text("table4", [table4_row(load_strategy(args.file))], "csv"), end="")
     return EXIT_OK
 
 
@@ -134,8 +129,7 @@ def cmd_compare(args) -> int:
         load_result_file(args.a), load_coverage_file(args.coverage_a),
         load_result_file(args.b), load_coverage_file(args.coverage_b),
         sample_size=None if args.full_dois else args.sample)
-    print(TABLE5_HEADER)
-    print(",".join(str(row[h]) for h in TABLE5_HEADER.split(",")))
+    print(table_text("table5", [row], "csv"), end="")
     if args.out:
         out = Path(args.out)
         write_output(out / "overlap.svg", svg)
@@ -147,34 +141,18 @@ def cmd_termmap(args) -> int:
     corpus_a = ingest(args.corpus_a)
     corpus_b = ingest(args.corpus_b) if args.corpus_b else corpus_a
     out = Path(args.out)
+    flags = {"min_occurrences": args.min_occurrences, "max_ngram": args.max_ngram,
+             "layout_seed": args.seed, "layout_iterations": args.layout_iterations}
     tm, _ = term_map(
         load_result_file(args.a, corpus_a), corpus_a,
         load_result_file(args.b, corpus_b), corpus_b,
-        {"min_occurrences": args.min_occurrences, "max_ngram": args.max_ngram,
-         "layout_seed": args.seed, "layout_iterations": args.layout_iterations}, out)
+        {k: v for k, v in flags.items() if v is not None}, out)
     print(f"{len(tm.terms)} terms, {len(tm.edges)} edges -> {out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    with stage("report", "config"), open(Path(args.bundle) / "reports" / "bundle.json",
-                                         encoding="utf-8") as fh:
-        doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("bundle.json is not an object")
-        tables = {key: doc.get(key) for key in ("table3", "table4", "table5", "figures")}
-        for key, value in tables.items():
-            if not isinstance(value, list):
-                raise ValueError(f"bundle.json has no {key!r} list")
-        for key, header in (("table3", TABLE3_HEADER), ("table4", TABLE4_HEADER),
-                            ("table5", TABLE5_HEADER)):
-            for row in tables[key]:
-                if not isinstance(row, dict) or not row.keys() >= set(header.split(",")):
-                    raise ValueError(f"bundle.json {key!r} row {row!r} lacks a column "
-                                     f"of {header}")
-    bundle = ReportBundle(**tables, manifest={})
-    written = emit_report(bundle, args.format, Path(args.out))
-    for path in written:
+    for path in emit_report(load_bundle(args.bundle), args.format, Path(args.out)):
         print(path)
     return EXIT_OK
 
@@ -255,19 +233,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--corpus-a", required=True)
     p.add_argument("--corpus-b")
-    p.add_argument("--min-occurrences", default=70,
+    # Each setting left out takes TermMapConfig's default.
+    p.add_argument("--min-occurrences",
                    type=_checked(int, partial(check_setting, "min_occurrences")))
-    p.add_argument("--max-ngram", default=3,
-                   type=_checked(int, partial(check_setting, "max_ngram")))
-    p.add_argument("--seed", default=0, type=_checked(int, partial(check_setting, "layout_seed")))
-    p.add_argument("--layout-iterations", default=150,
+    p.add_argument("--max-ngram", type=_checked(int, partial(check_setting, "max_ngram")))
+    p.add_argument("--seed", type=_checked(int, partial(check_setting, "layout_seed")))
+    p.add_argument("--layout-iterations",
                    type=_checked(int, partial(check_setting, "layout_iterations")))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_termmap)
 
     p = sub.add_parser("report", help="re-emit tables from a pipeline bundle")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--format", choices=["csv", "markdown"], default="csv")
+    p.add_argument("--format", choices=list(REPORT_SUFFIXES), default="csv")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 

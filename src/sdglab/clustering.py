@@ -32,16 +32,6 @@ class CitationGraph:
     graph: Adjacency
     dangling_count: int
 
-    @property
-    def nodes(self):
-        return set(self.graph.ids)
-
-    @property
-    def edges(self):
-        ids = self.graph.ids
-        return {frozenset((ids[u], ids[v]))
-                for u, row in enumerate(self.graph.adj) for v in row if v >= u}
-
 
 @dataclass(frozen=True)
 class ClusterAssignment:

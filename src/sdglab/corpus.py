@@ -148,7 +148,8 @@ def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
 def load_corpus_file(path, name: str | None = None,
                      coverage_path=None) -> Corpus:
     """Read a JSON-lines corpus file, one record object per line, named
-    `name` or else by the file's stem."""
+    `name` or else by the file's stem. A coverage file must list the DOI of
+    every record, since it stands for all that the database indexes."""
     coverage = load_coverage_file(coverage_path) if coverage_path else None
     records = []
     seen: set[str] = set()
@@ -166,6 +167,11 @@ def load_corpus_file(path, name: str | None = None,
                 raise IngestError(f"line {lineno}: duplicate internal_id: {rec.internal_id}")
             seen.add(rec.internal_id)
             records.append(rec)
+    if coverage is not None:
+        missing = {r.doi for r in records if r.doi} - coverage
+        if missing:
+            raise IngestError(f"coverage file {coverage_path} omits {len(missing)} record "
+                              f"DOIs, e.g. {min(missing)!r}")
     return Corpus(name=name or Path(path).stem, records=records, coverage=coverage)
 
 

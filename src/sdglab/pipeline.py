@@ -24,18 +24,22 @@ from .corpus import Corpus, load_corpus_file
 from .index import PositionalIndex, build_index
 from .overlap import PairwiseComparison, pairwise_compare, render_overlap_bar
 from .rounding import percent
-from .strategy import (EnhancementSpec, ResultSet, SearchStrategy, load_strategy_file,
-                       run_strategy, term_class_summary)
-from .termmap import (SETTING_MINIMUMS, TermMap, TermMapConfig, build_term_map,
-                      write_term_map)
+from .strategy import (TERM_CLASSES, EnhancementSpec, ResultSet, SearchStrategy,
+                       load_strategy_file, result_to_doc, run_strategy, term_class_summary)
+from .termmap import (SETTING_MINIMUMS, TERMMAP_FORMATS, TermMap, TermMapConfig,
+                      build_term_map, write_term_map)
 
 log = logging.getLogger("sdglab.pipeline")
 
-TABLE3_HEADER = "strategy,total,with_doi,doi_share_pct"
-TABLE4_HEADER = "strategy,general,policy,technical,total"
-TABLE5_HEADER = ("a,b,cov_a,meth_a,overlap,meth_b,cov_b,"
-                 "cov_a_pct,meth_a_pct,overlap_pct,meth_b_pct,cov_b_pct")
-TERMMAP_FORMATS = ("json", "graphml", "html")
+# The columns of each report table, in order.
+TABLE_COLUMNS = {
+    "table3": ("strategy", "total", "with_doi", "doi_share_pct"),
+    "table4": ("strategy", *TERM_CLASSES, "total"),
+    "table5": ("a", "b", "cov_a", "meth_a", "overlap", "meth_b", "cov_b",
+               "cov_a_pct", "meth_a_pct", "overlap_pct", "meth_b_pct", "cov_b_pct"),
+}
+# The report formats and the suffix of each one's files.
+REPORT_SUFFIXES = {"csv": "csv", "markdown": "md"}
 
 
 class PipelineError(Exception):
@@ -63,16 +67,6 @@ def stage(name: str, kind: str = "computation"):
 def to_json(doc) -> str:
     """The text every JSON output is written as."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def result_to_doc(result) -> dict:
-    return {
-        "strategy": result.strategy_name,
-        "corpus": result.corpus_name,
-        "members": sorted(result.members),
-        "dois": sorted(result.doi_members),
-        "with_doi": result.doi_record_count,
-    }
 
 
 def ingest(corpus_file, name: str | None = None, coverage_file=None) -> Corpus:
@@ -143,6 +137,20 @@ def enhance(result: ResultSet, assignment: ClusterAssignment, strategy: SearchSt
     return ResultSet(enhanced.strategy_name, corpus, enhanced.members & in_window), report
 
 
+def table3_row(result: ResultSet) -> dict:
+    """The Table 3 row of a result: its size and its records with a DOI."""
+    share_pct = percent(result.doi_record_count, len(result.members)) \
+        if result.members else 0.0
+    return {"strategy": result.strategy_name, "total": len(result.members),
+            "with_doi": result.doi_record_count, "doi_share_pct": share_pct}
+
+
+def table4_row(strategy: SearchStrategy) -> dict:
+    """The Table 4 row of a strategy: its seed terms counted by class."""
+    summary = term_class_summary(strategy)
+    return {"strategy": strategy.name, **summary["counts"], "total": summary["total"]}
+
+
 def table5_row(comparison: PairwiseComparison) -> dict:
     counts = comparison.counts
     shares = comparison.shares
@@ -160,6 +168,21 @@ def table5_row(comparison: PairwiseComparison) -> dict:
         "meth_b_pct": shares["surplus_b_method"],
         "cov_b_pct": shares["surplus_b_coverage"],
     }
+
+
+def table_text(name: str, rows: list[dict], fmt: str) -> str:
+    """The text of the report table `name` (a key of TABLE_COLUMNS) holding
+    `rows`, in the report format `fmt`: CSV or markdown."""
+    columns = TABLE_COLUMNS[name]
+    cells = [[str(row[c]) for c in columns] for row in rows]
+    if fmt == "csv":
+        lines = [",".join(columns)] + [",".join(line) for line in cells]
+    elif fmt == "markdown":
+        lines = ["| " + " | ".join(line) + " |" for line in [columns, *cells]]
+        lines.insert(1, "|" + "|".join("---" for _ in columns) + "|")
+    else:
+        raise ValueError(f"unknown report format: {fmt!r}")
+    return "\n".join(lines) + "\n"
 
 
 def compare(result_a: ResultSet, coverage_a, result_b: ResultSet, coverage_b,
@@ -302,6 +325,30 @@ class ReportBundle:
     manifest: dict
 
 
+# The keys of reports/bundle.json, each holding a list of the bundle's.
+_BUNDLE_KEYS = ("table3", "table4", "table5", "figures")
+
+
+def load_bundle(run_dir) -> ReportBundle:
+    """Reload the bundle a pipeline run wrote to `run_dir`/reports/bundle.json;
+    a bad one is a config error labelled [report]."""
+    with stage("report", "config"), open(Path(run_dir) / "reports" / "bundle.json",
+                                         encoding="utf-8") as fh:
+        doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("bundle.json is not an object")
+        lists = {key: doc.get(key) for key in _BUNDLE_KEYS}
+        for key, value in lists.items():
+            if not isinstance(value, list):
+                raise ValueError(f"bundle.json has no {key!r} list")
+        for key, columns in TABLE_COLUMNS.items():
+            for row in lists[key]:
+                if not isinstance(row, dict) or not row.keys() >= set(columns):
+                    raise ValueError(f"bundle.json {key!r} row {row!r} lacks a column "
+                                     f"of {','.join(columns)}")
+    return ReportBundle(**lists, manifest={})
+
+
 @contextmanager
 def atomic_file(path: Path):
     """A text file that replaces `path` when the block ends: it is written
@@ -393,14 +440,8 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         results[name] = result
         result_corpus[name] = corpus_name
         write(out / "results" / name / "result.json", to_json(result_to_doc(result)))
-        share_pct = percent(result.doi_record_count, len(result.members)) \
-            if result.members else 0.0
-        table3.append({"strategy": name, "total": len(result.members),
-                       "with_doi": result.doi_record_count,
-                       "doi_share_pct": share_pct})
-        summary = term_class_summary(strategy)
-        table4.append({"strategy": name, **summary["counts"],
-                       "total": summary["total"]})
+        table3.append(table3_row(result))
+        table4.append(table4_row(strategy))
     del runs
 
     figures: list[str] = []
@@ -429,10 +470,8 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                           figures=figures, manifest={})
     digests.update(emit_report(bundle, "csv", out / "reports"))
     digests.update(emit_report(bundle, "markdown", out / "reports"))
-    write(out / "reports" / "bundle.json", to_json({
-        "table3": table3, "table4": table4, "table5": table5,
-        "figures": figures,
-    }))
+    write(out / "reports" / "bundle.json",
+          to_json({key: getattr(bundle, key) for key in _BUNDLE_KEYS}))
 
     manifest = {
         "config_sha256": hashlib.sha256(
@@ -451,24 +490,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
 def emit_report(bundle: ReportBundle, fmt: str, out_dir: Path) -> dict[Path, str]:
     """Write one file per table, as CSV or markdown; returns the sha256 of
     each file written."""
-    tables = {
-        "table3": (TABLE3_HEADER.split(","), bundle.table3),
-        "table4": (TABLE4_HEADER.split(","), bundle.table4),
-        "table5": (TABLE5_HEADER.split(","), bundle.table5),
-    }
     written = {}
-    for name, (header, rows) in tables.items():
-        if fmt == "csv":
-            lines = [",".join(header)]
-            lines += [",".join(str(row[h]) for h in header) for row in rows]
-            path = Path(out_dir) / f"{name}.csv"
-        elif fmt == "markdown":
-            lines = ["| " + " | ".join(header) + " |",
-                     "|" + "|".join("---" for _ in header) + "|"]
-            lines += ["| " + " | ".join(str(row[h]) for h in header) + " |"
-                      for row in rows]
-            path = Path(out_dir) / f"{name}.md"
-        else:
-            raise ValueError(f"unknown report format: {fmt!r}")
-        written[path] = write_output(path, "\n".join(lines) + "\n")
+    for name in TABLE_COLUMNS:
+        text = table_text(name, getattr(bundle, name), fmt)
+        path = Path(out_dir) / f"{name}.{REPORT_SUFFIXES[fmt]}"
+        written[path] = write_output(path, text)
     return written

@@ -89,26 +89,42 @@ _PRIMARY = (Term, Phrase, Wildcard, Proximity, FieldScope)
 # ---------------------------------------------------------------------------
 # Lexer
 
+# How deep a query may nest: at most MAX_DEPTH parentheses (a field scope's
+# included) open at once, and at most MAX_DEPTH operators (AND, OR, each link
+# of an AND NOT chain, field scope) on any path down its tree. Parsing,
+# printing, explaining and evaluating recurse once or a few times per level,
+# so a query within the limit stays far inside Python's recursion limit. The
+# printed form of a query nests no deeper than its tree, so it parses again.
+MAX_DEPTH = 100
+
 _LEX_RE = re.compile(
     r"""\s*(?:
-        (?P<lparen>\()
-      | (?P<rparen>\))
-      | (?P<lbracket>\[)
-      | (?P<rbracket>\])
-      | (?P<comma>,)
-      | (?P<quoted>"(?P<qbody>[^"]*)")
-      | (?P<tilde>~(?P<n>\d+))
+        (?P<punct>[()\[\],])
+      | (?P<quoted>"[^"]*")
+      | (?P<tilde>~\d+)
       | (?P<word>[^\W_]+\*?)
     )""",
     re.VERBOSE | re.UNICODE,
 )
 
+# The (kind, value) of a token, by the group of _LEX_RE that matched its text.
+_TOKENS = {
+    "punct": lambda text: (text, None),
+    "quoted": lambda text: ("quoted", text[1:-1]),
+    "tilde": lambda text: ("~", int(text[1:])),
+    "word": lambda text: (text.upper(), None) if text.upper() in ("AND", "OR", "NOT")
+    else ("word", text.lower()),
+}
+
 _PHRASE_TOKEN_RE = re.compile(r"[^\W_]+\*?", re.UNICODE)
 
 
 def _lex(text: str) -> list[tuple[str, object, int]]:
+    """The (kind, value, offset) tokens of `text`. ParseError at the first
+    text that is no token, or at the first parenthesis opened more than
+    MAX_DEPTH deep, before the parse recurses into it."""
     tokens = []
-    pos = 0
+    pos = opened = 0
     while pos < len(text):
         m = _LEX_RE.match(text, pos)
         if m is None:
@@ -118,42 +134,23 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
             if rest.startswith('"'):
                 raise ParseError("unbalanced quote", pos)
             raise ParseError(f"unexpected character {rest[0]!r}", pos)
-        offset = m.start() + len(m.group(0)) - len(m.group(0).lstrip())
-        if m.group("lparen"):
-            tokens.append(("(", None, offset))
-        elif m.group("rparen"):
-            tokens.append((")", None, offset))
-        elif m.group("lbracket"):
-            tokens.append(("[", None, offset))
-        elif m.group("rbracket"):
-            tokens.append(("]", None, offset))
-        elif m.group("comma"):
-            tokens.append((",", None, offset))
-        elif m.group("quoted") is not None:
-            tokens.append(("quoted", m.group("qbody"), offset))
-        elif m.group("tilde"):
-            tokens.append(("~", int(m.group("n")), offset))
-        else:
-            word = m.group("word")
-            upper = word.upper()
-            if upper in ("AND", "OR", "NOT"):
-                tokens.append((upper, None, offset))
-            else:
-                tokens.append(("word", word.lower(), offset))
+        group = m.lastgroup
+        kind, value = _TOKENS[group](m.group(group))
+        offset = m.start(group)
+        if kind == "(":
+            opened += 1
+            if opened > MAX_DEPTH:
+                raise ParseError(f"query nests more than {MAX_DEPTH} parentheses deep",
+                                 offset)
+        elif kind == ")":
+            opened -= 1
+        tokens.append((kind, value, offset))
         pos = m.end()
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser: OR is loosest, then AND, then AND NOT; parentheses group.
-
-# How deep a query may nest: at most MAX_DEPTH parentheses (a field scope's
-# included) open at once, and at most MAX_DEPTH operators (AND, OR, each link
-# of an AND NOT chain, field scope) on any path down its tree. Parsing,
-# printing, explaining and evaluating recurse once or a few times per level,
-# so a query within the limit stays far inside Python's recursion limit. The
-# printed form of a query nests no deeper than its tree, so it parses again.
-MAX_DEPTH = 100
 
 
 def _node(offset: int, node_type, *args):
@@ -189,31 +186,15 @@ class _Parser:
     def parse(self):
         if not self.tokens:
             raise ParseError("empty query", 0)
-        # Each open parenthesis and each operator takes a token of its own,
-        # so a query of at most MAX_DEPTH tokens is within the limit.
-        deep = len(self.tokens) > MAX_DEPTH
-        if deep:
-            self.check_parentheses()
         ast = self.parse_or()
         if self.pos < len(self.tokens):
             kind, _, off = self.peek()
             raise ParseError(f"unexpected {kind!r}", off)
-        if deep and _height(ast) > MAX_DEPTH:
+        # Each operator takes a token of its own, so a query of at most
+        # MAX_DEPTH tokens is within the limit.
+        if len(self.tokens) > MAX_DEPTH and _height(ast) > MAX_DEPTH:
             raise ParseError(f"query nests more than {MAX_DEPTH} operators deep", 0)
         return ast
-
-    def check_parentheses(self) -> None:
-        """ParseError at the first parenthesis opened MAX_DEPTH deep, before
-        the parse recurses into it."""
-        opened = 0
-        for kind, _, offset in self.tokens:
-            if kind == "(":
-                opened += 1
-                if opened > MAX_DEPTH:
-                    raise ParseError(f"query nests more than {MAX_DEPTH} "
-                                     f"parentheses deep", offset)
-            elif kind == ")":
-                opened -= 1
 
     def parse_or(self):
         children = [self.parse_and()]

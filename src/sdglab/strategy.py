@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 from .corpus import Corpus, YearWindow
@@ -31,7 +31,7 @@ class ClassifiedTerm:
     """A seed query and its class; `ast` is `query_text` parsed once, here."""
 
     query_text: str
-    term_class: str
+    term_class: str = "general"
     ast: QueryAst = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -118,6 +118,17 @@ _RESULT_KEYS = (("strategy", str), ("corpus", str), ("members", list), ("dois", 
                 ("with_doi", int))
 
 
+def result_to_doc(result: ResultSet) -> dict:
+    """The result.json document of `result`, which ResultSet.from_doc reads."""
+    return {
+        "strategy": result.strategy_name,
+        "corpus": result.corpus_name,
+        "members": sorted(result.members),
+        "dois": sorted(result.doi_members),
+        "with_doi": result.doi_record_count,
+    }
+
+
 class ResultSet:
     """Set of retrieved publications; DOI view derived from corpus records."""
 
@@ -165,7 +176,8 @@ def load_strategy_file(path) -> SearchStrategy:
     """Load a strategy file (a JSON object, see README for the schema).
     StrategyLoadError for a bad one, or one whose `name` is not its file stem.
 
-    All queries are parsed eagerly so a bad query fails at load time.
+    A key the file leaves out takes the default of the dataclass field it
+    fills. All queries are parsed eagerly so a bad query fails at load time.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -179,55 +191,44 @@ def load_strategy_file(path) -> SearchStrategy:
     stem = Path(path).stem
     if name != stem:
         raise StrategyLoadError(f"name {name!r} is not the file stem {stem!r}")
-    if not isinstance(seeds_raw, list):
-        raise StrategyLoadError(f"seeds must be a list: {seeds_raw!r}")
-    seeds = []
-    for entry in seeds_raw:
-        if not isinstance(entry, dict) or not isinstance(entry.get("query"), str):
-            raise StrategyLoadError(f"seed must be an object with a string query: "
-                                    f"{entry!r}")
-        term_class = entry.get("class", "general")
-        if term_class not in TERM_CLASSES:
-            raise StrategyLoadError(f"unknown term_class: {term_class!r}")
-        seeds.append(ClassifiedTerm(entry["query"], term_class))
-    exclusions = doc.get("exclusions", [])
-    if not isinstance(exclusions, list) or not all(isinstance(t, str) for t in exclusions):
-        raise StrategyLoadError(f"exclusions must be a list of strings: {exclusions!r}")
-    fields = doc.get("fields", list(FIELDS))
-    if not isinstance(fields, list) or not fields or \
-            not all(f in FIELDS for f in fields) or len(set(fields)) != len(fields):
-        raise StrategyLoadError(f"fields must be a non-empty list of distinct names "
-                                f"from {list(FIELDS)}: {fields!r}")
-    window_doc = doc.get("window", {"start": 2015, "end": 2019})
-    if not isinstance(window_doc, dict) or not all(
-            _is_int(window_doc.get(k)) for k in ("start", "end")):
-        raise StrategyLoadError(f"window must be an object with int start and end: "
-                                f"{window_doc!r}")
-    enhancement = None
-    if doc.get("enhancement"):
-        e = doc["enhancement"]
-        if not isinstance(e, dict):
-            raise StrategyLoadError(f"enhancement must be an object: {e!r}")
-        try:
-            enhancement = EnhancementSpec(
-                kind=e.get("kind", "cluster_threshold"),
-                threshold=e.get("threshold", 0.15),
-                assignment_source=e.get("assignment_source", "computed"),
-                resolution=e.get("resolution", 1.0),
-                seed=e.get("seed", 0),
-                whole_corpus_shares=e.get("whole_corpus_shares", False),
-            )
-        except ValueError as exc:
-            raise StrategyLoadError(str(exc)) from exc
+    given = {}  # the SearchStrategy fields the file sets
     try:
-        return SearchStrategy(
-            name=name,
-            seed_terms=tuple(seeds),
-            exclusion_terms=tuple(exclusions),
-            fields=tuple(fields),
-            window=YearWindow(window_doc["start"], window_doc["end"]),
-            enhancement=enhancement,
-        )
+        if not isinstance(seeds_raw, list):
+            raise ValueError(f"seeds must be a list: {seeds_raw!r}")
+        seeds = []
+        for entry in seeds_raw:
+            if not isinstance(entry, dict) or not isinstance(entry.get("query"), str):
+                raise ValueError(f"seed must be an object with a string query: {entry!r}")
+            seeds.append(ClassifiedTerm(entry["query"], **(
+                {"term_class": entry["class"]} if "class" in entry else {})))
+        if "exclusions" in doc:
+            exclusions = doc["exclusions"]
+            if not isinstance(exclusions, list) or \
+                    not all(isinstance(t, str) for t in exclusions):
+                raise ValueError(f"exclusions must be a list of strings: {exclusions!r}")
+            given["exclusion_terms"] = tuple(exclusions)
+        if "fields" in doc:
+            names = doc["fields"]
+            if not isinstance(names, list) or not names or \
+                    not all(f in FIELDS for f in names) or len(set(names)) != len(names):
+                raise ValueError(f"fields must be a non-empty list of distinct names "
+                                 f"from {list(FIELDS)}: {names!r}")
+            given["fields"] = tuple(names)
+        if "window" in doc:
+            window = doc["window"]
+            if not isinstance(window, dict) or not all(
+                    _is_int(window.get(k)) for k in ("start", "end")):
+                raise ValueError(f"window must be an object with int start and end: "
+                                 f"{window!r}")
+            given["window"] = YearWindow(window["start"], window["end"])
+        if doc.get("enhancement"):
+            e = doc["enhancement"]
+            if not isinstance(e, dict):
+                raise ValueError(f"enhancement must be an object: {e!r}")
+            given["enhancement"] = EnhancementSpec(
+                **{f.name: e[f.name] for f in dataclass_fields(EnhancementSpec)
+                   if f.name in e})
+        return SearchStrategy(name=name, seed_terms=tuple(seeds), **given)
     except ValueError as exc:
         raise StrategyLoadError(str(exc)) from exc
 

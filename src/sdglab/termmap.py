@@ -358,12 +358,11 @@ _WRITE_BATCH = 4096
 
 
 def write_term_map(term_map: TermMap, fmt: str, sink) -> None:
-    """Write the map as "json", "graphml" or "html" text to `sink`, anything
-    with a write(str) method, in batches of _WRITE_BATCH pieces."""
-    writers = {"json": _json_pieces, "graphml": _graphml_pieces, "html": _html_pieces}
-    if fmt not in writers:
+    """Write the map as text in `fmt`, one of TERMMAP_FORMATS, to `sink`,
+    anything with a write(str) method, in batches of _WRITE_BATCH pieces."""
+    if fmt not in _PIECES:
         raise ValueError(f"unknown format: {fmt!r}")
-    pieces = writers[fmt](term_map)
+    pieces = _PIECES[fmt](term_map)
     while batch := list(islice(pieces, _WRITE_BATCH)):
         sink.write("".join(batch))
 
@@ -498,3 +497,8 @@ def _html_pieces(term_map: TermMap) -> Iterator[str]:
                f'<text x="{cx:.1f}" y="{cy:.1f}" text-anchor="middle" '
                f'font-size="10" font-family="sans-serif">{t.term}</text>')
     yield "\n</svg>\n</body>\n</html>\n"
+
+
+# Each term-map format and the pieces of its text, in the order they are written.
+_PIECES = {"json": _json_pieces, "graphml": _graphml_pieces, "html": _html_pieces}
+TERMMAP_FORMATS = tuple(_PIECES)

@@ -132,6 +132,20 @@ class TestIngest:
                         coverage=["10.1/zzz"])
         assert corpus.coverage == {"10.1/a", "10.1/zzz"}
 
+    def test_coverage_file_must_list_record_dois(self, tmp_path):
+        path = write_corpus(tmp_path, [
+            {"id": "a", "title": "t", "year": 2016, "doi": "10.1/a"},
+            {"id": "b", "title": "t", "year": 2016, "doi": "10.1/b"},
+            {"id": "c", "title": "t", "year": 2016, "doi": "https://doi.org/10.1/C"},
+            {"id": "d", "title": "t", "year": 2016}])
+        coverage = tmp_path / "cov.txt"
+        coverage.write_text("10.1/b\n10.1/zzz\n")
+        with pytest.raises(IngestError, match=r"omits 2 record DOIs, e\.g\. '10\.1/a'"):
+            load_corpus_file(path, coverage_path=coverage)
+        coverage.write_text("10.1/b\n10.1/zzz\n10.1/A\ndoi:10.1/c\n")
+        corpus = load_corpus_file(path, coverage_path=coverage)
+        assert corpus.coverage == {"10.1/a", "10.1/b", "10.1/c", "10.1/zzz"}
+
     def test_coverage_file_normalizes(self, tmp_path):
         path = tmp_path / "cov.txt"
         path.write_text("https://doi.org/10.1/A\n10.2/b\n\nnot a doi\n")

@@ -19,6 +19,7 @@ from sdglab import pipeline
 from sdglab.cli import build_parser, main
 from sdglab.pipeline import PipelineConfig, PipelineError, run_pipeline
 from sdglab.query import MAX_DEPTH
+from sdglab.termmap import TermMapConfig
 
 # sha256 of every demo pipeline output, as the manifest records them.
 DEMO_OUTPUTS = {
@@ -759,6 +760,69 @@ class TestCli:
             err = self.run_cli_failing(capsys, 2, *argv)
             assert err.startswith("error: [strategy:deep] query ")
             assert f"nests more than {MAX_DEPTH} parentheses deep" in err
+
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    def test_coverage_file_without_a_record_doi_exit_code(self, demo_dir, tmp_path,
+                                                          capsys, command):
+        demo = tmp_path / "demo"
+        shutil.copytree(demo_dir, demo)
+        first = json.loads((demo / "corpus_x.jsonl").read_text().splitlines()[0])["doi"]
+        coverage = (demo / "coverage_x.txt").read_text().splitlines()
+        coverage.remove(first)
+        (demo / "coverage_x.txt").write_text("\n".join(coverage) + "\n")
+        argv = ("ingest", "--corpus", str(demo / "corpus_x.jsonl"),
+                "--coverage", str(demo / "coverage_x.txt")) if command == "ingest" else \
+            ("pipeline", "--config", str(demo / "config.json"),
+             "--output-dir", str(tmp_path / "out"))
+        err = self.run_cli_failing(capsys, 2, *argv)
+        assert err == (f"error: [ingest:corpus_x] coverage file {demo / 'coverage_x.txt'} "
+                       f"omits 1 record DOIs, e.g. {first!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_rows_equal_pipeline_table5(self, demo_config, demo_dir, capsys):
+        """`sdglab compare` on the pipeline's results and the coverage files
+        of their corpora prints the pipeline's Table 5 row of each pair."""
+        run_pipeline(demo_config)
+        out = demo_config.output_dir
+        coverage = {Path(s["file"]).stem:
+                    demo_dir / next(c["coverage_file"] for c in demo_config.corpora
+                                    if c["name"] == s["corpus"])
+                    for s in demo_config.strategies}
+        capsys.readouterr()
+        for pair in demo_config.comparisons:
+            a, b = pair["a"], pair["b"]
+            assert self.run_cli("compare", "--a", str(out / "results" / a / "result.json"),
+                                "--b", str(out / "results" / b / "result.json"),
+                                "--coverage-a", str(coverage[a]),
+                                "--coverage-b", str(coverage[b])) == 0
+        lines = capsys.readouterr().out.splitlines()  # a header and a row per pair
+        table5 = (out / "reports" / "table5.csv").read_text().splitlines()
+        assert lines[::2] == table5[:1] * len(demo_config.comparisons)
+        assert lines[1::2] == table5[1:]
+
+    @pytest.mark.parametrize("flags, settings", [
+        ((), {}), (("--seed", "11"), {"layout_seed": 11}),
+        (("--max-ngram", "2", "--layout-iterations", "40"),
+         {"max_ngram": 2, "layout_iterations": 40}),
+    ], ids=["none", "seed", "ngram-and-iterations"])
+    def test_termmap_flags_left_out_take_config_defaults(self, demo_dir, tmp_path, flags,
+                                                         settings):
+        for name, corpus in (("alpha", "corpus_x"), ("gamma", "corpus_y")):
+            assert self.run_cli("run", "--strategy", str(demo_dir / f"{name}.json"),
+                                "--corpus", str(demo_dir / f"{corpus}.jsonl"),
+                                "--out", str(tmp_path / f"{name}.json")) == 0
+        assert self.run_cli("termmap", "--a", str(tmp_path / "alpha.json"),
+                            "--b", str(tmp_path / "gamma.json"),
+                            "--corpus-a", str(demo_dir / "corpus_x.jsonl"),
+                            "--corpus-b", str(demo_dir / "corpus_y.jsonl"),
+                            *flags, "--out", str(tmp_path / "tm")) == 0
+        config = json.loads((tmp_path / "tm" / "termmap.json").read_text())["config"]
+        expected = TermMapConfig(**settings)
+        assert config == {"layout_iterations": expected.layout_iterations,
+                          "layout_seed": expected.layout_seed,
+                          "max_ngram": expected.max_ngram,
+                          "min_occurrences": expected.min_occurrences,
+                          "stoplist": sorted(expected.stoplist)}
 
     def test_cli_outputs_equal_pipeline_outputs(self, demo_config, demo_dir, tmp_path):
         run_pipeline(demo_config)

@@ -1,4 +1,5 @@
 import random
+import re
 import signal
 
 import numpy as np
@@ -140,6 +141,20 @@ class TestNestingLimit:
     def test_one_level_deeper_rejected(self, name):
         with pytest.raises(ParseError, match=f"query nests more than {MAX_DEPTH} "):
             parse_query(self.LIMIT[name][1])
+
+    @pytest.mark.parametrize("query, message", [
+        ("(" * (MAX_DEPTH + 1) + '"a" #', f"more than {MAX_DEPTH} parentheses deep "
+                                          f"(at offset {MAX_DEPTH})"),
+        ("# " + "(" * (MAX_DEPTH + 1) + '"a"', "unexpected character '#' (at offset 0)"),
+        ("(" * (MAX_DEPTH + 1) + '"a', "parentheses deep"),
+        ('"a' + "(" * (MAX_DEPTH + 1), "unbalanced quote"),
+    ], ids=["deep-then-character", "character-then-deep", "deep-then-quote",
+            "quote-then-deep"])
+    def test_first_error_in_the_text_is_reported(self, query, message):
+        """Parentheses are counted as the query is lexed, so of a nesting
+        error and a lexing error the one earlier in the text is raised."""
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_query(query)
 
 
 # --- proximity semantics ----------------------------------------------------

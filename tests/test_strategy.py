@@ -7,8 +7,8 @@ from conftest import DATA_DIR, random_corpus
 from oracle import match_doc
 from sdglab.corpus import Corpus, PublicationRecord, YearWindow
 from sdglab.index import build_index
-from sdglab.strategy import (ClassifiedTerm, SearchStrategy, StrategyLoadError,
-                             load_strategy_file, run_strategy,
+from sdglab.strategy import (ClassifiedTerm, EnhancementSpec, SearchStrategy,
+                             StrategyLoadError, load_strategy_file, run_strategy,
                              term_class_summary)
 from sdglab.query import parse_query
 
@@ -131,6 +131,12 @@ class TestLoadStrategy:
         spec = load_doc(tmp_path, doc).enhancement
         assert (spec.threshold, spec.resolution, spec.seed, spec.whole_corpus_shares) == \
             (0, 2, -3, True)
+
+    def test_left_out_keys_take_dataclass_defaults(self, tmp_path):
+        doc = {"name": "fixture", "seeds": [{"query": '"climate"'}],
+               "enhancement": {"seed": 7}}
+        assert load_doc(tmp_path, doc) == SearchStrategy(
+            "fixture", (ClassifiedTerm('"climate"'),), enhancement=EnhancementSpec(seed=7))
 
     @pytest.mark.parametrize("window", [
         {"start": 2015}, {"end": 2019}, {"start": "2015", "end": 2019},
