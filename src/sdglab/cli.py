@@ -73,20 +73,15 @@ def cmd_strategy(args) -> int:
 
 
 def _load_index_for(path: str, corpus: Corpus) -> PositionalIndex:
-    """Load an index file and check that it indexes exactly `corpus`.
-
-    A malformed, foreign or mismatched index file is bad input, reported as
-    a config error rather than the ValueError/KeyError it would cause.
-    """
+    """Load an index file and check that it indexes exactly `corpus`; a
+    malformed, foreign or mismatched one is a config error."""
     with stage(f"index:{path}", "config"), open(path, encoding="utf-8") as fh:
         index = load_index(fh)
-    if index.doc_ids != corpus.records.keys():
-        missing = len(corpus.records.keys() - index.doc_ids)
-        extra = len(index.doc_ids - corpus.records.keys())
-        raise PipelineError(
-            f"index:{path}", f"does not index corpus {corpus.name}: "
-            f"{missing} corpus records not indexed, {extra} indexed ids "
-            f"not in the corpus", kind="config")
+        if index.doc_ids != corpus.records.keys():
+            missing = len(corpus.records.keys() - index.doc_ids)
+            extra = len(index.doc_ids - corpus.records.keys())
+            raise ValueError(f"does not index corpus {corpus.name}: {missing} corpus "
+                             f"records not indexed, {extra} indexed ids not in the corpus")
     return index
 
 
@@ -102,13 +97,13 @@ def cmd_enhance(args) -> int:
     corpus = ingest(args.corpus)
     result = load_result_file(args.result, corpus)
     strategy = load_strategy(args.strategy)
-    if strategy.enhancement is None:
-        raise PipelineError(f"strategy:{Path(args.strategy).stem}", "has no enhancement",
-                            kind="config")
-    if result.strategy_name != strategy.name:
-        raise PipelineError(f"result:{args.result}", f"is a result of strategy "
-                            f"{result.strategy_name!r}, not of {strategy.name!r}",
-                            kind="config")
+    with stage(f"strategy:{Path(args.strategy).stem}", "config"):
+        if strategy.enhancement is None:
+            raise ValueError("has no enhancement")
+    with stage(f"result:{args.result}", "config"):
+        if result.strategy_name != strategy.name:
+            raise ValueError(f"is a result of strategy {result.strategy_name!r}, "
+                             f"not of {strategy.name!r}")
     assignment = cluster_assignment(corpus, strategy.enhancement)
     if args.save_assignment:
         write_output(Path(args.save_assignment),

@@ -121,12 +121,13 @@ def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
         value = obj.get(key)
         if value is not None and type(value) is not str:
             raise IngestError(f"line {lineno}: {key!r} is not a string: {value!r}")
-    keywords, refs = obj.get("keywords") or [], obj.get("refs") or []
+    # Null or absence, and nothing else, is an empty list.
+    keywords, refs = obj.get("keywords"), obj.get("refs")
     for key, value in (("keywords", keywords), ("refs", refs)):
-        if type(value) is not list:
+        if value is not None and type(value) is not list:
             raise IngestError(f"line {lineno}: {key!r} is not a list of strings: "
                               f"{value!r}")
-        for item in value:
+        for item in value or ():
             if type(item) is not str:
                 raise IngestError(f"line {lineno}: {key!r} is not a list of strings: "
                                   f"{value!r}")
@@ -136,12 +137,12 @@ def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
             doi=normalize_doi(obj.get("doi")),
             title=obj["title"],
             abstract=obj.get("abstract") or "",
-            keywords=tuple(keywords),
+            keywords=tuple(keywords or ()),
             year=int(year),
             document_type=obj.get("doc_type") or "",
-            references=tuple(refs),
+            references=tuple(refs or ()),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise IngestError(f"line {lineno}: {exc}") from exc
 
 
@@ -162,6 +163,8 @@ def load_corpus_file(path, name: str | None = None,
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise IngestError(f"line {lineno}: invalid JSON (nested too deeply)") from exc
             rec = _parse_record(obj, lineno)
             if rec.internal_id in seen:
                 raise IngestError(f"line {lineno}: duplicate internal_id: {rec.internal_id}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from html import escape
+from typing import AbstractSet
 
 from .rounding import percent
 
@@ -51,26 +52,25 @@ def shares_from_counts(counts: dict[str, int], denominator: int,
             for name in SEGMENT_ORDER}
 
 
-def match_by_doi(result_a, result_b) -> tuple[set[str], set[str], set[str]]:
+def match_by_doi(result_a, result_b) -> tuple[frozenset, frozenset, frozenset]:
     """Intersect and difference two result sets on their normalized DOIs.
 
     Members without a DOI are ignored entirely.
     """
-    a, b = set(result_a.doi_members), set(result_b.doi_members)
+    a, b = result_a.doi_members, result_b.doi_members
     return a & b, a - b, b - a
 
 
-def decompose_surplus(only_a: set[str], coverage_b: set[str],
-                      ) -> tuple[set[str], set[str]]:
+def decompose_surplus(only_a: AbstractSet[str], coverage_b: AbstractSet[str],
+                      ) -> tuple[AbstractSet[str], AbstractSet[str]]:
     """Split one side's surplus into method- and coverage-attributable parts.
 
     A DOI the other database indexes but its method missed is surplus
     (method); a DOI the other database does not index at all is surplus
     (coverage). The two parts partition the input.
     """
-    coverage_b = set(coverage_b)
-    surplus_method = {d for d in only_a if d in coverage_b}
-    return surplus_method, set(only_a) - surplus_method
+    surplus_method = only_a & coverage_b
+    return surplus_method, only_a - surplus_method
 
 
 def pairwise_compare(result_a, coverage_b, result_b, coverage_a,

@@ -54,13 +54,14 @@ class PipelineError(Exception):
 @contextmanager
 def stage(name: str, kind: str = "computation"):
     """Label a failure inside the block with the stage `name`: an OSError
-    becomes an "io" PipelineError, a ValueError one of `kind`. A
-    PipelineError raised by an inner stage keeps its own label."""
+    becomes an "io" PipelineError, a ValueError or a RecursionError (JSON
+    nested too deeply to read) one of `kind`. A PipelineError raised by an
+    inner stage keeps its own label. Only this makes a PipelineError."""
     try:
         yield
     except OSError as exc:
         raise PipelineError(name, str(exc), kind="io") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PipelineError(name, str(exc), kind=kind) from exc
 
 
@@ -228,6 +229,56 @@ def term_map(result_a: ResultSet, corpus_a: Corpus, result_b: ResultSet,
     return tm, digests
 
 
+def _check_config(doc) -> None:
+    """ValueError unless `doc` is a pipeline config document (README, File
+    formats): its entries hold their string keys and name defined, distinct
+    corpora and strategies, and each termmap's `config` is a TermMapConfig."""
+    if not isinstance(doc, dict):
+        raise ValueError("config file is not a JSON object")
+    for key, kind in (("corpora", list), ("strategies", list), ("comparisons", list),
+                      ("termmaps", list), ("output_dir", str)):
+        if key in doc and not isinstance(doc[key], kind):
+            raise ValueError(f"config {key!r} is not a {kind.__name__}")
+    corpora, strategies = doc.get("corpora", []), doc.get("strategies", [])
+    termmaps = doc.get("termmaps", [])
+    pairs = doc.get("comparisons", []) + termmaps
+    for what, entries, keys in (("corpus", corpora, ("name", "corpus_file")),
+                                ("strategy", strategies, ("file", "corpus")),
+                                ("comparison", pairs, ("a", "b"))):
+        for entry in entries:
+            for key in keys:
+                if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
+                    raise ValueError(f"{what} entry {entry!r} has no string {key!r}")
+    for entry in corpora:
+        if entry.get("coverage_file") is not None and \
+                not isinstance(entry["coverage_file"], str):
+            raise ValueError(f"corpus entry {entry!r} has a 'coverage_file' that is "
+                             f"not a string")
+    corpus_names = [c["name"] for c in corpora]
+    if len(set(corpus_names)) != len(corpus_names):
+        raise ValueError("duplicate corpus names")
+    if not corpora:
+        raise ValueError("no corpora defined")
+    for s in strategies:
+        if s["corpus"] not in corpus_names:
+            raise ValueError(f"strategy references undefined corpus {s['corpus']!r}")
+    strategy_names = [Path(s["file"]).stem for s in strategies]
+    if len(set(strategy_names)) != len(strategy_names):
+        raise ValueError("duplicate strategy names")
+    for pair in termmaps:
+        try:
+            termmap_config(pair.get("config", {}))
+        except ValueError as exc:
+            raise ValueError(f"termmap {pair['a']}__{pair['b']}: {exc}") from exc
+    for pair in pairs:
+        a, b = pair["a"], pair["b"]
+        if a == b:
+            raise ValueError(f"comparison pair not distinct: {a!r}")
+        for name in (a, b):
+            if name not in strategy_names:
+                raise ValueError(f"comparison references undefined strategy {name!r}")
+
+
 @dataclass
 class PipelineConfig:
     corpora: list[dict]
@@ -240,20 +291,14 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path, output_dir=None) -> "PipelineConfig":
-        """Read a config file. Its paths, `output_dir` included, resolve
-        against the file's directory; an `output_dir` argument is taken as
-        given."""
+        """Read a config file; a bad one is a config error labelled [config].
+        Its paths, `output_dir` included, resolve against the file's
+        directory; an `output_dir` argument is taken as given."""
         path = Path(path)
         with stage("config", "config"), open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError("config file is not a JSON object")
-            for key, kind in (("corpora", list), ("strategies", list),
-                              ("comparisons", list), ("termmaps", list),
-                              ("output_dir", str)):
-                if key in doc and not isinstance(doc[key], kind):
-                    raise ValueError(f"config {key!r} is not a {kind.__name__}")
-        config = cls(
+            _check_config(doc)
+        return cls(
             corpora=doc.get("corpora", []),
             strategies=doc.get("strategies", []),
             comparisons=doc.get("comparisons", []),
@@ -263,57 +308,10 @@ class PipelineConfig:
             base_dir=path.parent,
             raw=doc,
         )
-        config.validate()
-        return config
 
     def resolve(self, p) -> Path:
         p = Path(p)
         return p if p.is_absolute() else self.base_dir / p
-
-    def validate(self) -> None:
-        for what, entries, keys in (("corpus", self.corpora, ("name", "corpus_file")),
-                                    ("strategy", self.strategies, ("file", "corpus")),
-                                    ("comparison", self.comparisons + self.termmaps,
-                                     ("a", "b"))):
-            for entry in entries:
-                for key in keys:
-                    if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
-                        raise PipelineError("config", f"{what} entry {entry!r} has no "
-                                            f"string {key!r}", kind="config")
-        for entry in self.corpora:
-            if entry.get("coverage_file") is not None and \
-                    not isinstance(entry["coverage_file"], str):
-                raise PipelineError("config", f"corpus entry {entry!r} has a "
-                                    f"'coverage_file' that is not a string", kind="config")
-        corpus_names = [c["name"] for c in self.corpora]
-        if len(set(corpus_names)) != len(corpus_names):
-            raise PipelineError("config", "duplicate corpus names", kind="config")
-        if not self.corpora:
-            raise PipelineError("config", "no corpora defined", kind="config")
-        for s in self.strategies:
-            if s["corpus"] not in corpus_names:
-                raise PipelineError(
-                    "config", f"strategy references undefined corpus "
-                    f"{s['corpus']!r}", kind="config")
-        strategy_names = [Path(s["file"]).stem for s in self.strategies]
-        if len(set(strategy_names)) != len(strategy_names):
-            raise PipelineError("config", "duplicate strategy names", kind="config")
-        for pair in self.termmaps:
-            try:
-                termmap_config(pair.get("config", {}))
-            except ValueError as exc:
-                raise PipelineError("config", f"termmap {pair['a']}__{pair['b']}: {exc}",
-                                    kind="config") from exc
-        for pair in self.comparisons + self.termmaps:
-            a, b = pair["a"], pair["b"]
-            if a == b:
-                raise PipelineError("config", f"comparison pair not distinct: "
-                                    f"{a!r}", kind="config")
-            for name in (a, b):
-                if name not in strategy_names:
-                    raise PipelineError(
-                        "config", f"comparison references undefined strategy "
-                        f"{name!r}", kind="config")
 
 
 @dataclass
@@ -421,15 +419,14 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         strategy = load_strategy(config.resolve(s["file"]))
         with stage(f"run:{name}"):
             result = run_strategy(strategy, indexes[s["corpus"]], corpora[s["corpus"]])
-        runs.append((name, strategy, s["corpus"], result))
+        runs.append((name, strategy, result))
     del indexes
 
     results: dict[str, ResultSet] = {}
-    result_corpus: dict[str, str] = {}
     clusterings: dict[ClusteringKey, ClusterAssignment] = {}
     table3, table4 = [], []
-    for name, strategy, corpus_name, result in runs:
-        corpus = corpora[corpus_name]
+    for name, strategy, result in runs:
+        corpus = corpora[result.corpus_name]
         if strategy.enhancement is not None:
             with stage(f"run:{name}"):
                 assignment = cluster_assignment(corpus, strategy.enhancement,
@@ -438,7 +435,6 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             write(out / "results" / name / "enhancement.json", to_json(asdict(report)))
         log.info("run %s: %d members", name, len(result))
         results[name] = result
-        result_corpus[name] = corpus_name
         write(out / "results" / name / "result.json", to_json(result_to_doc(result)))
         table3.append(table3_row(result))
         table4.append(table4_row(strategy))
@@ -448,9 +444,10 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     table5 = []
     for pair in config.comparisons:
         a, b = pair["a"], pair["b"]
+        ra, rb = results[a], results[b]
         with stage(f"compare:{a}__{b}"):
-            row, svg, sidecar = compare(results[a], corpora[result_corpus[a]].coverage,
-                                        results[b], corpora[result_corpus[b]].coverage)
+            row, svg, sidecar = compare(ra, corpora[ra.corpus_name].coverage,
+                                        rb, corpora[rb.corpus_name].coverage)
         table5.append(row)
         pair_dir = out / "comparisons" / f"{a}__{b}"
         write(pair_dir / "overlap.svg", svg)
@@ -459,9 +456,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
 
     for pair in config.termmaps:
         a, b = pair["a"], pair["b"]
+        ra, rb = results[a], results[b]
         with stage(f"termmap:{a}__{b}"):
-            _, written = term_map(results[a], corpora[result_corpus[a]],
-                                  results[b], corpora[result_corpus[b]],
+            _, written = term_map(ra, corpora[ra.corpus_name], rb, corpora[rb.corpus_name],
                                   pair.get("config", {}), out / "termmaps" / f"{a}__{b}")
         digests.update(written)
         figures += [str(path.relative_to(out)) for path in written]

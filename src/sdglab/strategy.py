@@ -221,7 +221,7 @@ def load_strategy_file(path) -> SearchStrategy:
                 raise ValueError(f"window must be an object with int start and end: "
                                  f"{window!r}")
             given["window"] = YearWindow(window["start"], window["end"])
-        if doc.get("enhancement"):
+        if doc.get("enhancement") is not None:
             e = doc["enhancement"]
             if not isinstance(e, dict):
                 raise ValueError(f"enhancement must be an object: {e!r}")

@@ -83,16 +83,26 @@ class TestIngest:
         ({"id": ["a"]}, r"'id' is not a string or an integer: \['a'\]$"),
         ({"id": True}, "'id' is not a string or an integer: True$"),
         ({"id": 1.5}, r"'id' is not a string or an integer: 1\.5$"),
+        ({"keywords": 0}, "'keywords' is not a list of strings: 0$"),
+        ({"keywords": False}, "'keywords' is not a list of strings: False$"),
+        ({"refs": ""}, "'refs' is not a list of strings: ''$"),
+        ({"refs": {}}, r"'refs' is not a list of strings: \{\}$"),
+        ("[" * 10**5, r"invalid JSON \(nested too deeply\)$"),
     ], ids=["int", "null", "doi-int", "title-int", "abstract-list", "doc-type-int",
             "keywords-string", "keywords-nested", "refs-string", "refs-int", "year-float",
             "year-integral-float", "year-bool", "year-fullwidth-digits", "year-space",
-            "year-list", "id-list", "id-bool", "id-float"])
+            "year-list", "id-list", "id-bool", "id-float", "keywords-zero",
+            "keywords-false", "refs-empty-string", "refs-empty-object", "nested-too-deeply"])
     def test_bad_record_names_line(self, tmp_path, line, message):
+        """A record dict is completed with the required keys; a string is
+        written as the line's raw text."""
         if isinstance(line, dict):
             line = {"id": "b", "title": "t", "year": 2016, **line}
-        recs = [{"id": "a", "title": "t", "year": 2016}, line]
+        path = write_corpus(tmp_path, [{"id": "a", "title": "t", "year": 2016}])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write((line if isinstance(line, str) else json.dumps(line)) + "\n")
         with pytest.raises(IngestError, match=f"^line 2: {message}"):
-            load_corpus_file(write_corpus(tmp_path, recs))
+            load_corpus_file(path)
 
     def test_id_and_year_coerced(self, tmp_path):
         corpus = load_corpus_file(write_corpus(

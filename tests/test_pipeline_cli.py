@@ -1066,9 +1066,10 @@ class TestCli:
          "line 2: 'id' is not a string or an integer: ['b']"),
         ('{"id": true, "title": "t", "year": 2016}', "index",
          "line 2: 'id' is not a string or an integer: True"),
+        ("[" * 10**5, "ingest", "line 2: invalid JSON (nested too deeply)"),
     ], ids=["int", "null", "doi-int", "title-int", "abstract-list", "keywords-string",
             "refs-string", "year-float", "year-fullwidth-digits", "year-bool", "id-list",
-            "id-bool"])
+            "id-bool", "nested-too-deeply"])
     def test_bad_corpus_line_exit_code(self, tmp_path, capsys, line, command, message):
         corpus = tmp_path / "bad.jsonl"
         corpus.write_text('{"id": "a", "title": "t", "year": 2016}\n' + line + "\n")
@@ -1076,6 +1077,29 @@ class TestCli:
             ("--out", str(tmp_path / "index.json")) if command == "index" else ())
         err = self.run_cli_failing(capsys, 2, command, *argv)
         assert err == f"error: [ingest:bad] {message}\n"
+
+    @pytest.mark.parametrize("kind", ["config", "strategy", "index", "result", "bundle"])
+    def test_file_nested_too_deeply_exit_code(self, demo_dir, tmp_path, capsys, kind):
+        """A JSON file nested deeper than the reader can go is bad input of
+        its stage, not a RecursionError."""
+        deep = tmp_path / ("alpha.json" if kind == "strategy" else f"{kind}.json")
+        if kind == "bundle":
+            deep = tmp_path / "run" / "reports" / "bundle.json"
+            deep.parent.mkdir(parents=True)
+        deep.write_text('{"a": ' + "[" * 10**5, encoding="utf-8")
+        corpus = str(demo_dir / "corpus_x.jsonl")
+        argv, label = {
+            "config": (("pipeline", "--config", str(deep)), "config"),
+            "strategy": (("strategy", "summarize", str(deep)), "strategy:alpha"),
+            "index": (("run", "--strategy", str(demo_dir / "alpha.json"), "--corpus",
+                       corpus, "--index", str(deep)), f"index:{deep}"),
+            "result": (("enhance", "--corpus", corpus, "--result", str(deep),
+                        "--strategy", str(demo_dir / "beta.json")), f"result:{deep}"),
+            "bundle": (("report", "--bundle", str(tmp_path / "run"),
+                        "--out", str(tmp_path / "md")), "report"),
+        }[kind]
+        err = self.run_cli_failing(capsys, 2, *argv)
+        assert err.startswith(f"error: [{label}] maximum recursion depth exceeded"), err
 
     @pytest.mark.parametrize("change, message", [
         ({"resolution": "1"}, "resolution must be a finite number > 0: '1'"),

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -123,6 +124,24 @@ class TestLoadStrategy:
                "enhancement": ["cluster_threshold"]}
         with pytest.raises(StrategyLoadError, match="enhancement must be an object"):
             load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("value", [False, 0, "", []],
+                             ids=["false", "zero", "empty-string", "empty-list"])
+    def test_falsy_enhancement_rejected(self, tmp_path, value):
+        """Only null or absence is no enhancement."""
+        doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
+               "enhancement": value}
+        with pytest.raises(StrategyLoadError,
+                           match=f"^enhancement must be an object: {re.escape(repr(value))}$"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("value, spec", [(None, None), ({}, EnhancementSpec())],
+                             ids=["null", "empty-object"])
+    def test_null_is_no_enhancement_and_empty_object_all_defaults(self, tmp_path, value,
+                                                                   spec):
+        doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
+               "enhancement": value}
+        assert load_doc(tmp_path, doc).enhancement == spec
 
     def test_valid_enhancement_fields_load(self, tmp_path):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
