@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, _count_elements
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -17,14 +17,15 @@ class AssignmentLoadError(ValueError):
 
 @dataclass
 class Adjacency:
-    """An undirected graph on nodes 0..n-1, as Louvain runs on it: node i is
-    `ids[i]`, and `adj[i]` maps each neighbour of i to the edge's weight (a
-    self-loop is i in `adj[i]`)."""
+    """An undirected graph on nodes 0..n-1 with integer edge weights, as
+    Louvain runs on it: node i is `ids[i]`, and `rows[i]` lists i's
+    neighbours in key order, each once per unit of the edge's weight with
+    its copies adjacent (a self-loop is i in `rows[i]`)."""
     ids: list[str]
-    adj: list[dict[int, float]]
+    rows: list[list[int]]
 
     def number_of_edges(self) -> int:
-        return sum(v >= u for u, row in enumerate(self.adj) for v in row)
+        return sum(v >= u for u, row in enumerate(self.rows) for v in set(row))
 
 
 @dataclass
@@ -55,21 +56,25 @@ def build_citation_graph(corpus: Corpus) -> CitationGraph:
     corpus are dropped and counted, self-references skipped. Node i is the
     i-th record. Neighbours are keyed as in the graph networkx's Louvain
     runs on, its edge-by-edge copy of the citation graph: edges `(u, v)`
-    with `v >= u`, u ascending, v in the order u first met it.
+    with `v >= u`, u ascending, v in the order u first met it. So row u
+    lists u's lower neighbours ascending, then its higher ones as met.
     """
     index = {rid: i for i, rid in enumerate(corpus.records)}
-    met: list[dict[int, float]] = [{} for _ in index]
+    rows: list[list[int]] = [[] for _ in index]
     dangling = 0
-    for u, rec in enumerate(corpus):
+    for u, rec in zip(index.values(), corpus):
+        seen = {u, *rows[u]}  # rows[u] so far: the lower neighbours citing u
+        lower, higher = [], []
         for ref in rec.references:
             v = index.get(ref)
             if v is None:
                 dangling += 1
-            elif v != u:
-                met[u][v] = met[v][u] = 1.0
-    n = len(index)
-    # Regrouping by the identity partition re-keys `met` in edge order.
-    return CitationGraph(Adjacency(list(index), _aggregate(met, range(n), n)), dangling)
+            elif v not in seen:
+                seen.add(v)
+                (lower if v < u else higher).append(v)
+                rows[v].append(u)
+        rows[u] = sorted(rows[u] + lower) + higher
+    return CitationGraph(Adjacency(list(index), rows), dangling)
 
 
 def cluster_citation_graph(graph: CitationGraph, resolution: float = 1.0,
@@ -88,77 +93,79 @@ def cluster_citation_graph(graph: CitationGraph, resolution: float = 1.0,
     if not g.ids:
         raise ValueError("empty graph")
     members: dict[int, list[str]] = {}
-    for node, label in zip(g.ids, _louvain_labels(g.adj, resolution, seed)):
+    for node, label in zip(g.ids, _louvain_labels(g.rows, resolution, seed)):
         members.setdefault(label, []).append(node)
     # Canonical labels: clusters ordered by their smallest member id.
-    return ClusterAssignment(mapping={
-        node: f"c{i}"
-        for i, cluster in enumerate(sorted(members.values(), key=min))
-        for node in cluster})
+    mapping: dict[str, str] = {}
+    for i, cluster in enumerate(sorted(members.values(), key=min)):
+        mapping.update(dict.fromkeys(cluster, f"c{i}"))
+    return ClusterAssignment(mapping)
 
 
-def _louvain_labels(adj: list[dict[int, float]], resolution: float,
+def _louvain_labels(rows: list[list[int]], resolution: float,
                     seed: int) -> list[int]:
-    """The final community of node i of `adj`, for every i, as networkx
+    """The final community of node i of `rows`, for every i, as networkx
     3.6.1's undirected `louvain_partitions` finds it on the same graph.
 
-    Level 0 is `adj` with its neighbours keyed as networkx keys the copy of
-    a graph it makes (see `build_citation_graph`); each coarser level adds
-    edges in the previous level's edge order. All sums of weights are exact
-    for integer weights (1.0 in a citation graph), so only the gain and
-    modularity expressions, kept in networkx's order, decide the bits.
+    Level 0 is `rows` with its neighbours keyed as networkx keys the copy
+    of a graph it makes (see `build_citation_graph`); each coarser level
+    adds edges in the previous level's edge order. Every weight and sum of
+    weights is an exact integer, so only the gain and modularity
+    expressions, kept in networkx's order, decide the bits.
     """
-    labels = list(range(len(adj)))
-    if not any(adj):
+    labels = list(range(len(rows)))
+    if not any(rows):
         return labels
-    degrees = _degrees(adj)
+    degrees = _degrees(rows)
     deg_sum = sum(degrees)
     m = deg_sum / 2
     rng = random.Random(seed)
-    mod = _modularity(adj, degrees, deg_sum, resolution)
-    com, _ = _one_level(adj, degrees, m, resolution, rng)
+    mod = _modularity(rows, degrees, deg_sum, resolution)
+    com, _ = _one_level(rows, degrees, m, resolution, rng)
     while True:
         # Renumber the non-empty communities in index order: the next level.
         renumber = {c: i for i, c in enumerate(sorted(set(com)))}
         com = [renumber[c] for c in com]
         labels = [com[c] for c in labels]
-        adj = _aggregate(adj, com, len(renumber))
-        degrees = _degrees(adj)
-        new_mod = _modularity(adj, degrees, deg_sum, resolution)
+        rows = _aggregate(rows, com, len(renumber))
+        degrees = _degrees(rows)
+        new_mod = _modularity(rows, degrees, deg_sum, resolution)
         if new_mod - mod <= 1e-7:
             return labels
         mod = new_mod
-        com, moved = _one_level(adj, degrees, m, resolution, rng)
+        com, moved = _one_level(rows, degrees, m, resolution, rng)
         if not moved:
             return labels
 
 
-def _degrees(adj: list[dict[int, float]]) -> list[float]:
+def _degrees(rows: list[list[int]]) -> list[int]:
     """Weighted degrees; a self-loop counts twice."""
-    return [sum(nbrs.values()) + nbrs.get(u, 0) for u, nbrs in enumerate(adj)]
+    return [len(row) + row.count(u) for u, row in enumerate(rows)]
 
 
-def _modularity(adj: list[dict[int, float]], degrees: list[float], deg_sum: float,
+def _modularity(rows: list[list[int]], degrees: list[int], deg_sum: int,
                 resolution: float) -> float:
     """Modularity of the previous level's partition, given as this level's
     graph: community i's internal weight is node i's self-loop."""
     m = deg_sum / 2
     norm = 1 / deg_sum**2
-    return sum(nbrs.get(u, 0) / m - resolution * d * d * norm
-               for u, (nbrs, d) in enumerate(zip(adj, degrees)))
+    return sum(row.count(u) / m - resolution * d * d * norm
+               for u, (row, d) in enumerate(zip(rows, degrees)))
 
 
-def _one_level(adj: list[dict[int, float]], degrees: list[float], m: float,
+def _one_level(rows: list[list[int]], degrees: list[int], m: float,
                resolution: float, rng: random.Random) -> tuple[list[int], bool]:
     """Move nodes, in one shuffled order, to the neighbouring community of
     largest positive modularity gain until a pass moves none. Return each
     node's community (a node id) and whether any node moved."""
-    node2com = list(range(len(adj)))
+    node2com = list(range(len(rows)))
     stot = list(degrees)
-    nbrs = [[(v, w) for v, w in row.items() if v != u] for u, row in enumerate(adj)]
-    order = list(range(len(adj)))
+    # Self-loops are no neighbours; only rows holding one are copied.
+    nbrs = [[v for v in row if v != u] if u in row else row for u, row in enumerate(rows)]
+    order = list(range(len(rows)))
     rng.shuffle(order)
     two_m2 = 2 * m**2
+    com_of = node2com.__getitem__
     moved = False
     nb_moves = 1
     while nb_moves > 0:
@@ -166,13 +173,14 @@ def _one_level(adj: list[dict[int, float]], degrees: list[float], m: float,
         for u in order:
             best_mod = 0
             best_com = own = node2com[u]
-            weights2com: defaultdict[int, float] = defaultdict(float)
-            for v, w in nbrs[u]:
-                weights2com[node2com[v]] += w
+            # networkx's weights2com, keyed in the order u's neighbours reach it.
+            weights2com: dict[int, int] = {}
+            _count_elements(weights2com, map(com_of, nbrs[u]))
             degree = degrees[u]
             stot[own] -= degree
-            # Reading `own` appends it with weight 0.0 when no neighbour is in it.
-            remove_cost = (-weights2com[own] / m
+            # networkx appends `own` with weight 0 when no neighbour is in it;
+            # its gain is then exactly 0 and can never be the best.
+            remove_cost = (-weights2com.get(own, 0) / m
                            + resolution * (stot[own] * degree) / two_m2)
             for c, wt in weights2com.items():
                 gain = remove_cost + wt / m - resolution * (stot[c] * degree) / two_m2
@@ -187,18 +195,19 @@ def _one_level(adj: list[dict[int, float]], degrees: list[float], m: float,
     return node2com, moved
 
 
-def _aggregate(adj: list[dict[int, float]], com: Sequence[int],
-               k: int) -> list[dict[int, float]]:
-    """The next level: one node per community, edge weights summed over the
-    level's edges in order (u ascending, v in adjacency order, each once)."""
-    out: list[dict[int, float]] = [{} for _ in range(k)]
-    for u, row in enumerate(adj):
+def _aggregate(rows: list[list[int]], com: Sequence[int], k: int) -> list[list[int]]:
+    """The next level: one node per community, its edge weights summed over
+    the level's edges in order (u ascending, v in row order, each once)."""
+    out = [Counter() for _ in range(k)]
+    for u, row in enumerate(rows):
         cu = com[u]
-        for v, w in row.items():
+        for v, w in Counter(row).items():
             if v >= u:
                 cv = com[v]
-                out[cu][cv] = out[cv][cu] = w + out[cu].get(cv, 0)
-    return out
+                out[cu][cv] += w
+                if cv != cu:
+                    out[cv][cu] += w
+    return [list(counts.elements()) for counts in out]
 
 
 def load_cluster_assignment(source: IO[str], corpus: Corpus) -> ClusterAssignment:
@@ -246,20 +255,14 @@ def enhance_by_cluster_threshold(seed_result: ResultSet,
     clusters so they are not silently dropped.
     """
     check_threshold(threshold)
-    eligible_set = set(eligible) if eligible is not None else None
-
     clusters = assignment.clusters()
-    if eligible_set is not None:
-        clusters = {cid: members & eligible_set
-                    for cid, members in clusters.items()}
-        clusters = {cid: members for cid, members in clusters.items() if members}
-
+    if eligible is not None:
+        eligible = set(eligible)
+        clusters = {cid: kept for cid, members in clusters.items()
+                    if (kept := members & eligible)}
     seeds = set(seed_result.members)
-    singleton_members = 0
-    assigned = set(assignment.mapping)
-    for node in sorted(seeds - assigned):
-        clusters[f"__singleton__{node}"] = {node}
-        singleton_members += 1
+    singletons = sorted(seeds - assignment.mapping.keys())
+    clusters.update({f"__singleton__{node}": {node} for node in singletons})
 
     included: dict[str, float] = {}
     excluded: dict[str, float] = {}
@@ -274,9 +277,5 @@ def enhance_by_cluster_threshold(seed_result: ResultSet,
         else:
             excluded[cid] = share
             lost += len(members & seeds)
-    report = EnhancementReport(included_clusters=included,
-                               excluded_clusters=excluded,
-                               seed_members_lost=lost,
-                               singleton_members=singleton_members)
-    enhanced = ResultSet(seed_result.strategy_name, corpus, out)
-    return enhanced, report
+    report = EnhancementReport(included, excluded, lost, len(singletons))
+    return ResultSet(seed_result.strategy_name, corpus, out), report

@@ -392,7 +392,8 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     """Execute every configured stage in dependency order.
 
     Every strategy runs before any enhancement, and the indexes are dropped
-    once the last has run, so clustering and term maps run without them.
+    once the last has run, so clustering and term maps run without them;
+    the cluster assignments are dropped once the last enhancement is written.
     Deterministic: rerunning on unchanged inputs reproduces byte-identical
     tables and figures.
     """
@@ -429,16 +430,17 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         corpus = corpora[result.corpus_name]
         if strategy.enhancement is not None:
             with stage(f"run:{name}"):
-                assignment = cluster_assignment(corpus, strategy.enhancement,
-                                                config.resolve, clusterings)
-                result, report = enhance(result, assignment, strategy, corpus)
+                result, report = enhance(
+                    result, cluster_assignment(corpus, strategy.enhancement,
+                                               config.resolve, clusterings),
+                    strategy, corpus)
             write(out / "results" / name / "enhancement.json", to_json(asdict(report)))
         log.info("run %s: %d members", name, len(result))
         results[name] = result
         write(out / "results" / name / "result.json", to_json(result_to_doc(result)))
         table3.append(table3_row(result))
         table4.append(table4_row(strategy))
-    del runs
+    del runs, clusterings
 
     figures: list[str] = []
     table5 = []

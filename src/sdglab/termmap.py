@@ -323,17 +323,18 @@ def layout_map(edges: np.ndarray, terms: list[TermStats],
 def build_term_map(name_a: str, docs_a, name_b: str, docs_b,
                    config: TermMapConfig | None = None) -> TermMap:
     """`extract_terms` over both sets and `cooccurrence_edges` over their
-    union by internal_id (a later doc replaces an earlier one with its id),
-    with each doc tokenized once."""
+    union, with each doc tokenized once. Equal records are one record in the
+    union, so a doc on both sides counts once; records of two corpora that
+    share an id are two."""
     config = config or TermMapConfig()
     docs = list(docs_a)
     n_a = len(docs)
     docs += docs_b
     grams = _DocGrams(docs, config)
     terms = grams.tally(n_a, config.min_occurrences)
-    latest = np.zeros(len(docs), bool)
-    latest[list({d.internal_id: i for i, d in enumerate(docs)}.values())] = True
-    edges = grams.edges([t.term for t in terms], latest)
+    union = np.zeros(len(docs), bool)
+    union[list({d: i for i, d in enumerate(docs)}.values())] = True
+    edges = grams.edges([t.term for t in terms], union)
     coords = layout_map(edges, terms, config) if terms else []
     return TermMap(name_a=name_a, name_b=name_b, terms=terms, edges=edges,
                    coordinates=coords, config=config)

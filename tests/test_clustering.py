@@ -22,7 +22,7 @@ def record(rid, refs=(), year=2016, doi=None):
 def edge_set(graph: Adjacency) -> set[frozenset[str]]:
     """The edges of `graph` as pairs of record ids."""
     return {frozenset((graph.ids[u], graph.ids[v]))
-            for u, row in enumerate(graph.adj) for v in row if v >= u}
+            for u, row in enumerate(graph.rows) for v in row if v >= u}
 
 
 class TestBuildCitationGraph:
@@ -85,12 +85,16 @@ def networkx_citation_graph(corpus: Corpus) -> tuple[nx.Graph, int]:
 
 def from_networkx(g: nx.Graph) -> CitationGraph:
     """`g` as the adjacency Louvain runs on, copied edge by edge in `g.edges`
-    order as networkx's Louvain copies it; self-loops are kept."""
+    order as networkx's Louvain copies it, each neighbour listed once per
+    unit of the edge's integer weight; self-loops are kept."""
     index = {node: i for i, node in enumerate(g)}
-    adj: list[dict[int, float]] = [{} for _ in index]
+    rows: list[list[int]] = [[] for _ in index]
     for u, v, w in g.edges(data="weight", default=1):
-        adj[index[u]][index[v]] = adj[index[v]][index[u]] = w
-    return CitationGraph(Adjacency(list(g), adj), dangling_count=0)
+        u, v = index[u], index[v]
+        rows[u] += [v] * int(w)
+        if u != v:
+            rows[v] += [u] * int(w)
+    return CitationGraph(Adjacency(list(g), rows), dangling_count=0)
 
 
 def tangled_corpus(seed: int) -> Corpus:
@@ -116,9 +120,9 @@ def tangled_corpus(seed: int) -> Corpus:
     return Corpus("c", [record(rid, refs[rid]) for rid in ids])
 
 
-def keyed_rows(adjacency: Adjacency) -> list[list[tuple[int, float]]]:
-    """Each node's neighbours and weights in key order."""
-    return [list(row.items()) for row in adjacency.adj]
+def keyed_rows(adjacency: Adjacency) -> list[list[int]]:
+    """Each node's neighbours in key order, once per unit of weight."""
+    return adjacency.rows
 
 
 def triangles_corpus():
@@ -192,10 +196,14 @@ def shuffled_ids(rng: random.Random, n: int) -> list[str]:
     return rng.sample([f"n{i:05d}" for i in range(10 * n)], n)
 
 
-def random_graph(seed: int) -> nx.Graph:
-    """Several components of random unit-weight edges, isolated nodes and,
-    for odd seeds, a few self-loops."""
+def random_graph(seed: int, weighted: bool = False) -> nx.Graph:
+    """Several components of random edges, isolated nodes and, for odd
+    seeds, a few self-loops; edges weigh 1.0, or an int from 1 to 3 each
+    when `weighted`."""
     rng = random.Random(seed)
+
+    def weight():
+        return rng.randint(1, 3) if weighted else 1.0
     g = nx.Graph()
     ids = shuffled_ids(rng, rng.randint(30, 300))
     g.add_nodes_from(ids)
@@ -205,10 +213,10 @@ def random_graph(seed: int) -> nx.Graph:
         for i, u in enumerate(part):
             for v in part[i + 1:]:
                 if rng.random() < p:
-                    g.add_edge(u, v, weight=1.0)
+                    g.add_edge(u, v, weight=weight())
     if seed % 2:
         for u in rng.sample(ids, 3):
-            g.add_edge(u, u, weight=1.0)
+            g.add_edge(u, u, weight=weight())
     return g  # ids[cuts[2]:] stay isolated
 
 
@@ -220,7 +228,7 @@ def relabelled(g: nx.Graph, seed: int) -> nx.Graph:
     return g
 
 
-ORACLE_GRAPHS = [f"random-{s}" for s in range(12)] + [
+ORACLE_GRAPHS = [f"{kind}-{s}" for kind in ("random", "weighted") for s in range(12)] + [
     "ring-of-cliques", "grid", "cycle", "planted-2k", "demo-corpus_x", "demo-corpus_y",
     "edgeless", "single-node"]
 
@@ -231,6 +239,8 @@ def oracle_graphs() -> dict[str, tuple[nx.Graph, CitationGraph]]:
     the demo corpora's by the networkx build and by build_citation_graph,
     the others through from_networkx."""
     graphs = {f"random-{s}": random_graph(s) for s in range(12)}
+    # Integer weights put repeated neighbours in the rows of level 0 too.
+    graphs.update({f"weighted-{s}": random_graph(s, weighted=True) for s in range(12)})
     # Regular graphs: many moves tie on gain, so dict order must decide.
     graphs["ring-of-cliques"] = relabelled(nx.ring_of_cliques(12, 5), 1)
     graphs["grid"] = relabelled(nx.grid_2d_graph(12, 15), 2)

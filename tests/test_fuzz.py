@@ -1,10 +1,14 @@
-"""A fuzz gate over the pipeline's input files.
+"""A fuzz gate over the CLI's input files and query strings.
 
-Each example copies the demo, changes one leaf of `config.json`, of one
-strategy file or of one corpus line, and runs `sdglab pipeline` on the copy.
-A leaf is deleted, replaced by a value from a fixed pool, or nested 10^5
-lists deep. The run must succeed or fail with a stage-labelled error and a
-documented exit code, within a time limit; it must never raise.
+Each example of the pipeline test copies the demo, changes one leaf of
+`config.json`, of one strategy file or of one corpus line, and runs `sdglab
+pipeline` on the copy. A leaf is deleted, replaced by a value from a fixed
+pool, or nested 10^5 lists deep. The query tests edit a seed query of the
+demo or reference strategies and run it through `sdglab parse` and, as a seed
+of the demo's alpha strategy, `sdglab run`; the assignment test edits a line
+of a cluster assignment file that `sdglab enhance` reads. Every run must
+succeed or fail with a stage-labelled error and a documented exit code,
+within a time limit; it must never raise.
 """
 
 import contextlib
@@ -15,6 +19,7 @@ import signal
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR
@@ -83,6 +88,28 @@ def _too_slow(signum, frame):
     raise _TooSlow
 
 
+def _cli(argv: list[str]) -> tuple[int | str, str]:
+    """`sdglab argv`'s exit code, or why it has none, and its standard error."""
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except _TooSlow:
+        code = f"still running after {TIME_LIMIT_S} s"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+def _labelled(err: str, label: str | None = None) -> bool:
+    """Whether `err` holds an error line labelled `label`, or any label."""
+    prefix = "error: [" if label is None else f"error: [{label}]"
+    return any(row.startswith(prefix) for row in err.splitlines())
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(mutations())
 def test_one_changed_leaf_fails_as_documented(mutation):
@@ -98,19 +125,109 @@ def test_one_changed_leaf_fails_as_documented(mutation):
             lines[line] = _mutated_text(json.loads(lines[line]), path, action, value)
             text = "\n".join(lines) + "\n"
         (work / name).write_text(text, encoding="utf-8")
-        err = io.StringIO()
-        previous = signal.signal(signal.SIGALRM, _too_slow)
-        signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["pipeline", "--config", str(work / "config.json"),
-                             "--output-dir", str(work / "out")])
-        except _TooSlow:
-            code = f"still running after {TIME_LIMIT_S} s"
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-    assert code in (0, 2, 3, 4), (code, err.getvalue())
+        code, err = _cli(["pipeline", "--config", str(work / "config.json"),
+                          "--output-dir", str(work / "out")])
+    assert code in (0, 2, 3, 4), (code, err)
     if code:
-        assert any(row.startswith("error: [") for row in err.getvalue().splitlines()), \
-            err.getvalue()
+        assert _labelled(err), err
+
+
+def _strategy_docs() -> list[dict]:
+    paths = [DEMO / name for name in DOCUMENTS[1:]]
+    return [json.loads(p.read_text(encoding="utf-8"))
+            for p in paths + sorted((DATA_DIR / "strategies").glob("*.json"))]
+
+
+SEED_QUERIES = sorted({q for doc in _strategy_docs()
+                       for q in [s["query"] for s in doc["seeds"]] + doc["exclusions"]})
+# Pieces an edit puts into a query: its syntax, odd characters, and long
+# runs of operators, parentheses and tokens.
+QUERY_POOL = ('"', "(", ")", "[", "]", ",", "*", "~", "~0", "~1", "~" + "9" * 30,
+              " AND ", " OR ", " NOT ", " AND NOT ", "[title](", "[bogus](",
+              "[title,abstract]", "_", "é", "東京", "İ", "ﬁ", "\x00", "\t", "\n",
+              "a" * 10**5, "(" * 150, ")" * 150, "x AND " * 150, '"' + "x " * 10**4 + '"~2')
+
+
+@st.composite
+def queries(draw):
+    """A seed query after one to three edits: a span of up to four
+    characters is deleted, or replaced by, or preceded by a pool piece."""
+    text = draw(st.sampled_from(SEED_QUERIES))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 4)))
+        text = text[:i] + draw(st.sampled_from(("",) + QUERY_POOL)) + text[j:]
+    return text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(queries())
+def test_edited_query_parses_as_documented(query):
+    code, err = _cli(["parse", "--query", query])
+    assert code == 0 or code == 2 and _labelled(err, "parse"), (code, err)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(queries())
+def test_edited_seed_runs_as_documented(query):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = json.loads((DEMO / "alpha.json").read_text(encoding="utf-8"))
+        doc["seeds"][0]["query"] = query
+        strategy = Path(tmp) / "alpha.json"
+        strategy.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = _cli(["run", "--strategy", str(strategy),
+                          "--corpus", str(DEMO / "corpus_x.jsonl"),
+                          "--out", str(Path(tmp) / "result.json")])
+    assert code == 0 or code == 2 and _labelled(err, "strategy:alpha"), (code, err)
+
+
+@pytest.fixture(scope="module")
+def enhance_inputs(tmp_path_factory) -> Path:
+    """A directory holding beta's result on corpus_x and the assignment that
+    `sdglab enhance` computes for it, as `result.json` and `assignment.tsv`."""
+    work = tmp_path_factory.mktemp("enhance")
+    corpus, beta = str(DEMO / "corpus_x.jsonl"), str(DEMO / "beta.json")
+    assert main(["run", "--strategy", beta, "--corpus", corpus,
+                 "--out", str(work / "result.json")]) == 0
+    assert main(["enhance", "--strategy", beta, "--corpus", corpus,
+                 "--result", str(work / "result.json"),
+                 "--save-assignment", str(work / "assignment.tsv"),
+                 "--out", str(work / "enhanced.json")]) == 0
+    return work
+
+
+# Pieces an edit puts into an assignment line, as bytes: separators, ids
+# that are not in the corpus, bytes that are not UTF-8, long runs.
+ASSIGNMENT_POOL = (b"\t", b"\n", b"\r", b"\r\n", b"\x00", b"\xff", b"\xc3", b" ",
+                   b"ghost", b"c1", "東京".encode(), b"\t" * 3, b"x" * 10**5, b"\n" * 100)
+
+
+@st.composite
+def assignment_edits(draw):
+    """(line, start, end, piece): bytes start..end of line `line` of
+    `assignment.tsv`, counted modulo its line count, become the piece."""
+    line = draw(st.integers(0, 10**4))
+    start = draw(st.integers(0, 12))
+    return line, start, draw(st.integers(start, 14)), \
+        draw(st.sampled_from((b"",) + ASSIGNMENT_POOL))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edit=assignment_edits())
+def test_edited_assignment_enhances_as_documented(enhance_inputs, edit):
+    line, start, end, piece = edit
+    lines = (enhance_inputs / "assignment.tsv").read_bytes().splitlines(keepends=True)
+    line %= len(lines)
+    lines[line] = lines[line][:start] + piece + lines[line][end:]
+    with tempfile.TemporaryDirectory() as tmp:
+        assignment = Path(tmp) / "assignment.tsv"
+        assignment.write_bytes(b"".join(lines))
+        doc = json.loads((DEMO / "beta.json").read_text(encoding="utf-8"))
+        doc["enhancement"]["assignment_source"] = str(assignment)
+        strategy = Path(tmp) / "beta.json"
+        strategy.write_text(json.dumps(doc), encoding="utf-8")
+        code, err = _cli(["enhance", "--strategy", str(strategy),
+                          "--corpus", str(DEMO / "corpus_x.jsonl"),
+                          "--result", str(enhance_inputs / "result.json"),
+                          "--out", str(Path(tmp) / "enhanced.json")])
+    assert code == 0 or code == 2 and _labelled(err, f"assignment:{assignment}"), (code, err)

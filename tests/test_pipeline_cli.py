@@ -162,6 +162,28 @@ class TestRunPipeline:
         assert len(built) == 2
         assert alive == [0, 0, 0]  # beta's clustering, then two term maps
 
+    def test_clusterings_released_before_term_maps(self, demo_config, monkeypatch):
+        """No ClusterAssignment is alive once a term map starts: run_pipeline
+        drops them after the last enhancement is written."""
+        made, alive = [], []
+
+        def tracked(*args, **kwargs):
+            assignment = cluster_assignment(*args, **kwargs)
+            made.append(weakref.ref(assignment))
+            return assignment
+
+        def checked(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            return term_map(*args, **kwargs)
+
+        cluster_assignment, term_map = pipeline.cluster_assignment, pipeline.term_map
+        monkeypatch.setattr(pipeline, "cluster_assignment", tracked)
+        monkeypatch.setattr(pipeline, "term_map", checked)
+        assert run_pipeline(demo_config).manifest["outputs"] == DEMO_OUTPUTS
+        assert len(made) == 1
+        assert alive == [0, 0]
+
     def test_manifest_lists_only_this_runs_files(self, demo_config):
         out = demo_config.output_dir
         for stale in ("comparisons/old__pair/overlap.svg", "notes.txt",
@@ -1181,12 +1203,14 @@ class TestCli:
         assert f"argument {argument}: " in err
 
     def test_entry_point_installed(self):
+        """The console script, or `python -m sdglab` where none is installed."""
         exe = shutil.which("sdglab")
-        if exe is None:
-            pytest.skip("console script not installed")
-        proc = subprocess.run([exe, "parse", "--query", '"a" AND "b"'],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0
+        command = [exe] if exe else [sys.executable, "-m", "sdglab"]
+        env = {**os.environ, "PYTHONPATH": str(Path(sdglab.__file__).parents[1])}
+        proc = subprocess.run(command + ["parse", "--query", '"a" AND "b"'],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == '"a" AND "b"\n'
 
 
 def test_benchmark_imports_resolve():

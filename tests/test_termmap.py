@@ -226,7 +226,7 @@ class TestBuildTermMap:
     def test_equals_extract_terms_and_cooccurrence_over_union(self, seed):
         rng = random.Random(seed)
         # ids a20..a39 appear on both sides, and a5 twice on side a, each
-        # time with its own text: the last doc with an id wins in the union.
+        # time with its own text: the union holds every distinct record.
         docs_a = self.random_docs(rng, [f"a{i}" for i in range(40)] + ["a5"])
         docs_b = self.random_docs(rng, [f"a{i}" for i in range(20, 60)])
         config = TermMapConfig(min_occurrences=3, max_ngram=1 + seed % 3,
@@ -234,12 +234,25 @@ class TestBuildTermMap:
         for side_a, side_b in ((docs_a, docs_b), (docs_a, []), ([], docs_b)):
             term_map = build_term_map("a", side_a, "b", side_b, config)
             terms = extract_terms(side_a, side_b, config)
-            combined = {d.internal_id: d for d in side_a + side_b}
+            combined = dict.fromkeys(side_a + side_b)
             assert terms
             assert term_map.terms == terms
-            edges = cooccurrence_edges(terms, combined.values(), config)
+            edges = cooccurrence_edges(terms, combined, config)
             assert term_map.edges.dtype == edges.dtype == np.int64
             assert np.array_equal(term_map.edges, edges)
+
+    @pytest.mark.parametrize("ids_b", [("1", "2"), ("b1", "b2")])
+    def test_edges_count_records_not_ids(self, ids_b):
+        # Two corpora may share ids: side b's "1" and "2" are other records
+        # than side a's, and a record on both sides counts once.
+        docs_a = [doc("1", "ocean warming"), doc("2", "ocean warming")]
+        docs_b = [doc(rid, "coral reef") for rid in ids_b]
+        config = TermMapConfig(min_occurrences=1, max_ngram=1, stoplist=frozenset())
+        for side_b in (docs_b, docs_b + docs_a):
+            term_map = build_term_map("a", docs_a, "b", side_b, config)
+            weights = {(u, v): w for u, v, w in named(term_map.edges,
+                                                      term_names(term_map.terms))}
+            assert weights == {("coral", "reef"): 2, ("ocean", "warming"): 2}
 
     def test_both_sides_empty(self):
         term_map = build_term_map("a", [], "b", [], TermMapConfig())
@@ -680,8 +693,8 @@ class TestEdgeOracle:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_build_term_map_equals_reference(self, seed):
-        # ids d0..d99 sit on both sides, and d3 twice on side a with its own
-        # text: edges count the last doc of each id
+        # ids d0..d99 sit on both sides, and d3 twice on side a, each doc with
+        # its own text: edges count every distinct record
         rng = random.Random(seed)
         docs_a = random_ngram_docs(30 + seed, 140)
         docs_a.append(doc("d3", random_text(rng), random_text(rng)))
@@ -691,10 +704,10 @@ class TestEdgeOracle:
         term_map = build_term_map("a", docs_a, "b", docs_b, config)
         terms = reference_tally(reference_grams(docs_a, config),
                                 reference_grams(docs_b, config), config)
-        latest = {d.internal_id: reference_doc_ngrams(d, config) for d in docs_a + docs_b}
+        union = {d: reference_doc_ngrams(d, config) for d in docs_a + docs_b}
         assert term_map.terms == terms
         assert named(term_map.edges, term_names(terms)) == \
-            reference_edges(terms, latest.values())
+            reference_edges(terms, union.values())
 
 
 def hand_built_map(names, edges):
