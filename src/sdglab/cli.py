@@ -119,10 +119,16 @@ def cmd_enhance(args) -> int:
     return EXIT_OK
 
 
+def _load_coverage(path: str) -> set[str]:
+    """Read a coverage file; an undecodable one is a config error."""
+    with stage(f"coverage:{path}", "config"):
+        return load_coverage_file(path)
+
+
 def cmd_compare(args) -> int:
     row, svg, sidecar = compare(
-        load_result_file(args.a), load_coverage_file(args.coverage_a),
-        load_result_file(args.b), load_coverage_file(args.coverage_b),
+        load_result_file(args.a), _load_coverage(args.coverage_a),
+        load_result_file(args.b), _load_coverage(args.coverage_b),
         sample_size=None if args.full_dois else args.sample)
     print(table_text("table5", [row], "csv"), end="")
     if args.out:

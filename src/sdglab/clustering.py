@@ -11,10 +11,6 @@ from .corpus import Corpus
 from .strategy import ResultSet, check_resolution, check_seed, check_threshold
 
 
-class AssignmentLoadError(ValueError):
-    pass
-
-
 @dataclass
 class Adjacency:
     """An undirected graph on nodes 0..n-1 with integer edge weights, as
@@ -211,19 +207,24 @@ def _aggregate(rows: list[list[int]], com: Sequence[int], k: int) -> list[list[i
 
 
 def load_cluster_assignment(source: IO[str], corpus: Corpus) -> ClusterAssignment:
-    """Read `internal_id<TAB>cluster_id` lines; every id must exist in the corpus."""
+    """Read `internal_id<TAB>cluster_id` lines; every id must exist in the
+    corpus and be on one line only."""
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(source, start=1):
         line = line.rstrip("\n")
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise AssignmentLoadError(f"line {lineno}: expected id<TAB>cluster_id")
+            raise ValueError(f"line {lineno}: expected id<TAB>cluster_id")
         node, cid = parts
         if node not in corpus:
-            raise AssignmentLoadError(f"line {lineno}: unknown internal_id {node!r}")
-        mapping[node] = cid
+            raise ValueError(f"line {lineno}: unknown internal_id {node!r}")
+        if node in mapping:
+            raise ValueError(f"line {lineno}: internal_id {node!r} already assigned "
+                             f"on line {first_line[node]}")
+        mapping[node], first_line[node] = cid, lineno
     return ClusterAssignment(mapping=mapping)
 
 

@@ -10,10 +10,6 @@ from typing import Iterable
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi:")
 
 
-class IngestError(ValueError):
-    """Raised when a corpus file cannot be ingested."""
-
-
 def normalize_doi(raw: str | None) -> str | None:
     """Normalize a DOI string: lowercase, strip URL/scheme prefixes and whitespace.
 
@@ -80,7 +76,7 @@ class Corpus:
         self.records: dict[str, PublicationRecord] = {}
         for rec in records:
             if rec.internal_id in self.records:
-                raise IngestError(f"duplicate internal_id: {rec.internal_id}")
+                raise ValueError(f"duplicate internal_id: {rec.internal_id}")
             self.records[rec.internal_id] = rec
         record_dois = {r.doi for r in self.records.values() if r.doi}
         self.coverage: frozenset[str] = frozenset(record_dois | set(coverage or ()))
@@ -102,35 +98,35 @@ class Corpus:
 
 
 def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
-    if not isinstance(obj, dict):
-        raise IngestError(f"line {lineno}: record is not a JSON object")
+    if type(obj) is not dict:
+        raise ValueError(f"line {lineno}: record is not a JSON object")
     for key in ("id", "title", "year"):
         if obj.get(key) is None:
-            raise IngestError(f"line {lineno}: missing required key '{key}'")
+            raise ValueError(f"line {lineno}: missing required key '{key}'")
     # Plain loops over exact types: this runs once per record on the set-up path.
     # An int id or year is taken as such, but not a bool; a year string must be
     # ASCII digits, since int() also reads other scripts' digits and spaces.
     internal_id, year = obj["id"], obj["year"]
     if type(internal_id) is not str and type(internal_id) is not int:
-        raise IngestError(f"line {lineno}: 'id' is not a string or an integer: "
-                          f"{internal_id!r}")
+        raise ValueError(f"line {lineno}: 'id' is not a string or an integer: "
+                         f"{internal_id!r}")
     if type(year) is not int and not (type(year) is str and year.isascii()
                                       and year.isdigit()):
-        raise IngestError(f"line {lineno}: 'year' is not an integer: {year!r}")
+        raise ValueError(f"line {lineno}: 'year' is not an integer: {year!r}")
     for key in ("doi", "title", "abstract", "doc_type"):
         value = obj.get(key)
         if value is not None and type(value) is not str:
-            raise IngestError(f"line {lineno}: {key!r} is not a string: {value!r}")
+            raise ValueError(f"line {lineno}: {key!r} is not a string: {value!r}")
     # Null or absence, and nothing else, is an empty list.
     keywords, refs = obj.get("keywords"), obj.get("refs")
     for key, value in (("keywords", keywords), ("refs", refs)):
         if value is not None and type(value) is not list:
-            raise IngestError(f"line {lineno}: {key!r} is not a list of strings: "
-                              f"{value!r}")
+            raise ValueError(f"line {lineno}: {key!r} is not a list of strings: "
+                             f"{value!r}")
         for item in value or ():
             if type(item) is not str:
-                raise IngestError(f"line {lineno}: {key!r} is not a list of strings: "
-                                  f"{value!r}")
+                raise ValueError(f"line {lineno}: {key!r} is not a list of strings: "
+                                 f"{value!r}")
     try:
         return PublicationRecord(
             internal_id=str(internal_id),
@@ -143,7 +139,7 @@ def _parse_record(obj: dict, lineno: int) -> PublicationRecord:
             references=tuple(refs or ()),
         )
     except ValueError as exc:
-        raise IngestError(f"line {lineno}: {exc}") from exc
+        raise ValueError(f"line {lineno}: {exc}") from exc
 
 
 def load_corpus_file(path, name: str | None = None,
@@ -162,19 +158,19 @@ def load_corpus_file(path, name: str | None = None,
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise IngestError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             except RecursionError as exc:
-                raise IngestError(f"line {lineno}: invalid JSON (nested too deeply)") from exc
+                raise ValueError(f"line {lineno}: invalid JSON (nested too deeply)") from exc
             rec = _parse_record(obj, lineno)
             if rec.internal_id in seen:
-                raise IngestError(f"line {lineno}: duplicate internal_id: {rec.internal_id}")
+                raise ValueError(f"line {lineno}: duplicate internal_id: {rec.internal_id}")
             seen.add(rec.internal_id)
             records.append(rec)
     if coverage is not None:
         missing = {r.doi for r in records if r.doi} - coverage
         if missing:
-            raise IngestError(f"coverage file {coverage_path} omits {len(missing)} record "
-                              f"DOIs, e.g. {min(missing)!r}")
+            raise ValueError(f"coverage file {coverage_path} omits {len(missing)} record "
+                             f"DOIs, e.g. {min(missing)!r}")
     return Corpus(name=name or Path(path).stem, records=records, coverage=coverage)
 
 

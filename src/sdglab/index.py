@@ -253,7 +253,7 @@ def save_index(index: PositionalIndex, sink: IO[str]) -> None:
 
 def _sorted_strings(doc: dict, key: str) -> list[str]:
     values = doc[key]
-    if not all(isinstance(v, str) for v in values):
+    if not all(type(v) is str for v in values):
         raise ValueError(f"index {key!r} holds a value that is not a string")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError(f"index {key!r} is not sorted and distinct")
@@ -288,14 +288,14 @@ def load_index(source: IO[str]) -> PositionalIndex:
     """Read an index written by `save_index`; raises ValueError for anything
     else, naming what is wrong."""
     doc = json.load(source)
-    if not isinstance(doc, dict) or doc.get("magic") != INDEX_MAGIC:
+    if type(doc) is not dict or doc.get("magic") != INDEX_MAGIC:
         raise ValueError("not an index file")
     if doc.get("version") != INDEX_VERSION:
         raise ValueError(f"unsupported index version: {doc.get('version')}")
     for key, kind in _INDEX_KEYS:
         if key not in doc:
             raise ValueError(f"index has no {key!r} key")
-        if not isinstance(doc[key], kind):
+        if type(doc[key]) is not kind:
             raise ValueError(f"index {key!r} is a {type(doc[key]).__name__}, "
                              f"not a {kind.__name__}")
     doc_order, tokens = _sorted_strings(doc, "doc_ids"), _sorted_strings(doc, "tokens")

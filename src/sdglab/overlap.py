@@ -20,6 +20,8 @@ _SEGMENT_COLORS = {
     "surplus_b_method": "#ef6548",
     "surplus_b_coverage": "#7f0000",
 }
+# The size of the overlap bar in SVG user units; the title line adds 40 to the height.
+BAR_WIDTH, BAR_HEIGHT = 800, 60
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,6 @@ def check_sample_size(value):
 
 
 def render_overlap_bar(comparison: PairwiseComparison,
-                       width: int = 800, height: int = 60,
                        sample_size: int | None = 10) -> tuple[str, str]:
     """Five-segment stacked horizontal bar as SVG, plus a JSON data sidecar.
 
@@ -111,17 +112,17 @@ def render_overlap_bar(comparison: PairwiseComparison,
     shares = comparison.shares
     total = comparison.denominator or 1
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-             f'width="{width}" height="{height + 40}" '
-             f'viewBox="0 0 {width} {height + 40}">',
+             f'width="{BAR_WIDTH}" height="{BAR_HEIGHT + 40}" '
+             f'viewBox="0 0 {BAR_WIDTH} {BAR_HEIGHT + 40}">',
              f'<text x="4" y="16" font-size="14" font-family="sans-serif">'
              f'{escape(comparison.name_a, quote=False)} vs '
              f'{escape(comparison.name_b, quote=False)}</text>']
     x = 0.0
     for name in SEGMENT_ORDER:
-        w = width * counts[name] / total
+        w = BAR_WIDTH * counts[name] / total
         if counts[name] > 0:
             parts.append(
-                f'<rect x="{x:.2f}" y="24" width="{w:.2f}" height="{height}" '
+                f'<rect x="{x:.2f}" y="24" width="{w:.2f}" height="{BAR_HEIGHT}" '
                 f'fill="{_SEGMENT_COLORS[name]}"><title>{name}: {counts[name]} '
                 f'({shares[name]}%)</title></rect>')
         x += w

@@ -203,7 +203,7 @@ def termmap_config(settings) -> TermMapConfig:
     """The TermMapConfig of a termmap entry's `config` object: the settings of
     SETTING_MINIMUMS it holds, TermMapConfig's defaults for the rest; other
     keys are ignored. ValueError when it is not an object or holds a bad value."""
-    if not isinstance(settings, dict):
+    if type(settings) is not dict:
         raise ValueError(f"termmap config is not an object: {settings!r}")
     return TermMapConfig(**{k: settings[k] for k in SETTING_MINIMUMS if k in settings})
 
@@ -233,11 +233,11 @@ def _check_config(doc) -> None:
     """ValueError unless `doc` is a pipeline config document (README, File
     formats): its entries hold their string keys and name defined, distinct
     corpora and strategies, and each termmap's `config` is a TermMapConfig."""
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise ValueError("config file is not a JSON object")
     for key, kind in (("corpora", list), ("strategies", list), ("comparisons", list),
                       ("termmaps", list), ("output_dir", str)):
-        if key in doc and not isinstance(doc[key], kind):
+        if key in doc and type(doc[key]) is not kind:
             raise ValueError(f"config {key!r} is not a {kind.__name__}")
     corpora, strategies = doc.get("corpora", []), doc.get("strategies", [])
     termmaps = doc.get("termmaps", [])
@@ -247,11 +247,11 @@ def _check_config(doc) -> None:
                                 ("comparison", pairs, ("a", "b"))):
         for entry in entries:
             for key in keys:
-                if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
+                if type(entry) is not dict or type(entry.get(key)) is not str:
                     raise ValueError(f"{what} entry {entry!r} has no string {key!r}")
     for entry in corpora:
         if entry.get("coverage_file") is not None and \
-                not isinstance(entry["coverage_file"], str):
+                type(entry["coverage_file"]) is not str:
             raise ValueError(f"corpus entry {entry!r} has a 'coverage_file' that is "
                              f"not a string")
     corpus_names = [c["name"] for c in corpora]
@@ -333,15 +333,15 @@ def load_bundle(run_dir) -> ReportBundle:
     with stage("report", "config"), open(Path(run_dir) / "reports" / "bundle.json",
                                          encoding="utf-8") as fh:
         doc = json.load(fh)
-        if not isinstance(doc, dict):
+        if type(doc) is not dict:
             raise ValueError("bundle.json is not an object")
         lists = {key: doc.get(key) for key in _BUNDLE_KEYS}
         for key, value in lists.items():
-            if not isinstance(value, list):
+            if type(value) is not list:
                 raise ValueError(f"bundle.json has no {key!r} list")
         for key, columns in TABLE_COLUMNS.items():
             for row in lists[key]:
-                if not isinstance(row, dict) or not row.keys() >= set(columns):
+                if type(row) is not dict or not row.keys() >= set(columns):
                     raise ValueError(f"bundle.json {key!r} row {row!r} lacks a column "
                                      f"of {','.join(columns)}")
     return ReportBundle(**lists, manifest={})

@@ -17,6 +17,16 @@ class ParseError(ValueError):
         self.offset = offset
 
 
+# The most characters of an input that an error message quotes.
+EXCERPT_CHARS = 60
+
+
+def excerpt(text: str) -> str:
+    """`text` quoted for an error message: its repr, or the repr of its
+    first EXCERPT_CHARS characters followed by "…" when it is longer."""
+    return repr(text) if len(text) <= EXCERPT_CHARS else f"{text[:EXCERPT_CHARS]!r}…"
+
+
 # ---------------------------------------------------------------------------
 # AST
 
@@ -247,7 +257,7 @@ class _Parser:
         while True:
             tok = self.expect("word")
             if tok[1] not in FIELDS:
-                raise ParseError(f"unknown field {tok[1]!r}", tok[2])
+                raise ParseError(f"unknown field {excerpt(tok[1])}", tok[2])
             fields.append(tok[1])
             if self.peek()[0] == ",":
                 self.next()

@@ -9,21 +9,17 @@ from pathlib import Path
 
 from .corpus import Corpus, YearWindow
 from .index import FIELDS, PositionalIndex
-from .query import ParseError, QueryAst, evaluate, parse_query
+from .query import ParseError, QueryAst, evaluate, excerpt, parse_query
 from .rounding import percent
 
 TERM_CLASSES = ("general", "policy", "technical")
-
-
-class StrategyLoadError(ValueError):
-    pass
 
 
 def _parse_strategy_query(text: str) -> QueryAst:
     try:
         return parse_query(text)
     except ParseError as exc:
-        raise StrategyLoadError(f"query {text!r} does not parse: {exc}") from exc
+        raise ValueError(f"query {excerpt(text)} does not parse: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -40,24 +36,16 @@ class ClassifiedTerm:
         object.__setattr__(self, "ast", _parse_strategy_query(self.query_text))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def check_resolution(value):
     """`value`, if it is a finite number > 0; else ValueError."""
-    if not (_is_number(value) and math.isfinite(value) and value > 0):
+    if not (type(value) in (int, float) and math.isfinite(value) and value > 0):
         raise ValueError(f"resolution must be a finite number > 0: {value!r}")
     return value
 
 
 def check_threshold(value):
     """`value`, if it is a number in [0, 1]; else ValueError."""
-    if not _is_number(value):
+    if type(value) not in (int, float):
         raise ValueError(f"threshold must be a number: {value!r}")
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"threshold must be in [0, 1]: {value}")
@@ -66,13 +54,13 @@ def check_threshold(value):
 
 def check_seed(value) -> None:
     """ValueError unless `value` is an int and not a bool."""
-    if not _is_int(value):
+    if type(value) is not int:
         raise ValueError(f"seed must be an int: {value!r}")
 
 
 @dataclass(frozen=True)
 class EnhancementSpec:
-    kind: str = "cluster_threshold"
+    """A cluster-threshold enhancement (see clustering)."""
     threshold: float = 0.15
     assignment_source: str = "computed"  # or a path to an assignment file
     resolution: float = 1.0
@@ -80,15 +68,13 @@ class EnhancementSpec:
     whole_corpus_shares: bool = False
 
     def __post_init__(self):
-        if self.kind != "cluster_threshold":
-            raise ValueError(f"unknown enhancement kind: {self.kind!r}")
         check_threshold(self.threshold)
-        if not isinstance(self.assignment_source, str):
+        if type(self.assignment_source) is not str:
             raise ValueError(f"assignment_source must be a string: "
                              f"{self.assignment_source!r}")
         check_resolution(self.resolution)
         check_seed(self.seed)
-        if not isinstance(self.whole_corpus_shares, bool):
+        if type(self.whole_corpus_shares) is not bool:
             raise ValueError(f"whole_corpus_shares must be a bool: "
                              f"{self.whole_corpus_shares!r}")
 
@@ -149,14 +135,14 @@ class ResultSet:
         when given, with members checked and DOIs derived; else with the
         document's own DOI view. ValueError for a document whose keys do not
         hold the types of _RESULT_KEYS."""
-        if not isinstance(doc, dict):
+        if type(doc) is not dict:
             raise ValueError("not a result document: not a JSON object")
         for key, kind in _RESULT_KEYS:
             if corpus is not None and key not in ("strategy", "members"):
                 continue
             value = doc.get(key)
-            if not isinstance(value, kind) or isinstance(value, bool) or \
-                    kind is list and not all(isinstance(v, str) for v in value):
+            if type(value) is not kind or \
+                    kind is list and not all(type(v) is str for v in value):
                 raise ValueError(f"not a result document: {key!r} is not a "
                                  f"{'list of strings' if kind is list else kind.__name__}")
         if corpus is not None:
@@ -174,63 +160,57 @@ class ResultSet:
 
 def load_strategy_file(path) -> SearchStrategy:
     """Load a strategy file (a JSON object, see README for the schema).
-    StrategyLoadError for a bad one, or one whose `name` is not its file stem.
+    ValueError for a bad one, or one whose `name` is not its file stem.
 
     A key the file leaves out takes the default of the dataclass field it
     fills. All queries are parsed eagerly so a bad query fails at load time.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise StrategyLoadError("strategy file is not a JSON object")
-    try:
-        name = doc["name"]
-        seeds_raw = doc["seeds"]
-    except KeyError as exc:
-        raise StrategyLoadError(f"missing key: {exc}") from exc
-    stem = Path(path).stem
+    if type(doc) is not dict:
+        raise ValueError("strategy file is not a JSON object")
+    name, stem = doc.get("name"), Path(path).stem
     if name != stem:
-        raise StrategyLoadError(f"name {name!r} is not the file stem {stem!r}")
+        raise ValueError(f"name {name!r} is not the file stem {stem!r}")
+    seeds_raw = doc.get("seeds")
+    if type(seeds_raw) is not list:
+        raise ValueError(f"seeds must be a list: {seeds_raw!r}")
+    seeds = []
+    for entry in seeds_raw:
+        if type(entry) is not dict or type(entry.get("query")) is not str:
+            raise ValueError(f"seed must be an object with a string query: {entry!r}")
+        seeds.append(ClassifiedTerm(entry["query"], **(
+            {"term_class": entry["class"]} if "class" in entry else {})))
     given = {}  # the SearchStrategy fields the file sets
-    try:
-        if not isinstance(seeds_raw, list):
-            raise ValueError(f"seeds must be a list: {seeds_raw!r}")
-        seeds = []
-        for entry in seeds_raw:
-            if not isinstance(entry, dict) or not isinstance(entry.get("query"), str):
-                raise ValueError(f"seed must be an object with a string query: {entry!r}")
-            seeds.append(ClassifiedTerm(entry["query"], **(
-                {"term_class": entry["class"]} if "class" in entry else {})))
-        if "exclusions" in doc:
-            exclusions = doc["exclusions"]
-            if not isinstance(exclusions, list) or \
-                    not all(isinstance(t, str) for t in exclusions):
-                raise ValueError(f"exclusions must be a list of strings: {exclusions!r}")
-            given["exclusion_terms"] = tuple(exclusions)
-        if "fields" in doc:
-            names = doc["fields"]
-            if not isinstance(names, list) or not names or \
-                    not all(f in FIELDS for f in names) or len(set(names)) != len(names):
-                raise ValueError(f"fields must be a non-empty list of distinct names "
-                                 f"from {list(FIELDS)}: {names!r}")
-            given["fields"] = tuple(names)
-        if "window" in doc:
-            window = doc["window"]
-            if not isinstance(window, dict) or not all(
-                    _is_int(window.get(k)) for k in ("start", "end")):
-                raise ValueError(f"window must be an object with int start and end: "
-                                 f"{window!r}")
-            given["window"] = YearWindow(window["start"], window["end"])
-        if doc.get("enhancement") is not None:
-            e = doc["enhancement"]
-            if not isinstance(e, dict):
-                raise ValueError(f"enhancement must be an object: {e!r}")
-            given["enhancement"] = EnhancementSpec(
-                **{f.name: e[f.name] for f in dataclass_fields(EnhancementSpec)
-                   if f.name in e})
-        return SearchStrategy(name=name, seed_terms=tuple(seeds), **given)
-    except ValueError as exc:
-        raise StrategyLoadError(str(exc)) from exc
+    if "exclusions" in doc:
+        exclusions = doc["exclusions"]
+        if type(exclusions) is not list or not all(type(t) is str for t in exclusions):
+            raise ValueError(f"exclusions must be a list of strings: {exclusions!r}")
+        given["exclusion_terms"] = tuple(exclusions)
+    if "fields" in doc:
+        names = doc["fields"]
+        if type(names) is not list or not names or \
+                not all(f in FIELDS for f in names) or len(set(names)) != len(names):
+            raise ValueError(f"fields must be a non-empty list of distinct names "
+                             f"from {list(FIELDS)}: {names!r}")
+        given["fields"] = tuple(names)
+    if "window" in doc:
+        window = doc["window"]
+        if type(window) is not dict or not all(
+                type(window.get(k)) is int for k in ("start", "end")):
+            raise ValueError(f"window must be an object with int start and end: "
+                             f"{window!r}")
+        given["window"] = YearWindow(window["start"], window["end"])
+    if doc.get("enhancement") is not None:
+        e = doc["enhancement"]
+        if type(e) is not dict:
+            raise ValueError(f"enhancement must be an object: {e!r}")
+        if e.get("kind", "cluster_threshold") != "cluster_threshold":
+            raise ValueError(f"unknown enhancement kind: {e['kind']!r}")
+        given["enhancement"] = EnhancementSpec(
+            **{f.name: e[f.name] for f in dataclass_fields(EnhancementSpec)
+               if f.name in e})
+    return SearchStrategy(name=name, seed_terms=tuple(seeds), **given)
 
 
 def run_strategy(strategy: SearchStrategy, index: PositionalIndex,

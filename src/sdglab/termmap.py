@@ -34,7 +34,7 @@ def check_setting(name: str, value):
     """`value`, if it is an int (not a bool) no less than SETTING_MINIMUMS[name];
     else ValueError."""
     low = SETTING_MINIMUMS[name]
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= low):
+    if not (type(value) is int and value >= low):
         raise ValueError(f"{name} must be an int >= {low}: {value!r}")
     return value
 

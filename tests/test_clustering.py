@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from conftest import DATA_DIR
-from sdglab.clustering import (Adjacency, AssignmentLoadError, CitationGraph,
+from sdglab.clustering import (Adjacency, CitationGraph,
                                ClusterAssignment, build_citation_graph, cluster_citation_graph,
                                enhance_by_cluster_threshold,
                                load_cluster_assignment,
@@ -300,8 +300,15 @@ class TestAssignmentIO:
 
     def test_unknown_id_named_in_error(self):
         corpus = Corpus("c", [record("r0")])
-        with pytest.raises(AssignmentLoadError, match="bogus"):
+        with pytest.raises(ValueError, match="bogus"):
             load_cluster_assignment(io.StringIO("bogus\tc1\n"), corpus)
+
+    def test_id_on_two_lines_rejected(self):
+        corpus = Corpus("c", [record(f"r{i}") for i in range(3)])
+        text = "r0\tc0\nr1\tc0\n\nr0\tc1\n"
+        with pytest.raises(ValueError,
+                           match="^line 4: internal_id 'r0' already assigned on line 1$"):
+            load_cluster_assignment(io.StringIO(text), corpus)
 
     def test_round_trip(self):
         corpus = Corpus("c", [record(f"r{i}") for i in range(4)])

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from sdglab.corpus import (Corpus, IngestError, PublicationRecord, YearWindow,
-                           load_corpus_file, load_coverage_file, normalize_doi)
+from sdglab.corpus import (Corpus, PublicationRecord, YearWindow, load_corpus_file,
+                           load_coverage_file, normalize_doi)
 from sdglab.index import build_index
 from sdglab.rounding import percent
 from sdglab.strategy import ClassifiedTerm, ResultSet, SearchStrategy, run_strategy
@@ -59,7 +59,7 @@ class TestIngest:
     def test_missing_required_key_names_line(self, tmp_path):
         recs = [{"id": "a", "title": "t", "year": 2016},
                 {"id": "b", "title": "t"}]
-        with pytest.raises(IngestError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             load_corpus_file(write_corpus(tmp_path, recs))
 
     @pytest.mark.parametrize("line, message", [
@@ -101,7 +101,7 @@ class TestIngest:
         path = write_corpus(tmp_path, [{"id": "a", "title": "t", "year": 2016}])
         with open(path, "a", encoding="utf-8") as fh:
             fh.write((line if isinstance(line, str) else json.dumps(line)) + "\n")
-        with pytest.raises(IngestError, match=f"^line 2: {message}"):
+        with pytest.raises(ValueError, match=f"^line 2: {message}"):
             load_corpus_file(path)
 
     def test_id_and_year_coerced(self, tmp_path):
@@ -113,7 +113,7 @@ class TestIngest:
 
     def test_duplicate_id_rejected(self, tmp_path):
         recs = [{"id": "a", "title": "t", "year": 2016}] * 2
-        with pytest.raises(IngestError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             load_corpus_file(write_corpus(tmp_path, recs))
 
     def test_doi_normalized_on_ingest(self, tmp_path):
@@ -150,7 +150,7 @@ class TestIngest:
             {"id": "d", "title": "t", "year": 2016}])
         coverage = tmp_path / "cov.txt"
         coverage.write_text("10.1/b\n10.1/zzz\n")
-        with pytest.raises(IngestError, match=r"omits 2 record DOIs, e\.g\. '10\.1/a'"):
+        with pytest.raises(ValueError, match=r"omits 2 record DOIs, e\.g\. '10\.1/a'"):
             load_corpus_file(path, coverage_path=coverage)
         coverage.write_text("10.1/b\n10.1/zzz\n10.1/A\ndoi:10.1/c\n")
         corpus = load_corpus_file(path, coverage_path=coverage)

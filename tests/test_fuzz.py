@@ -5,10 +5,11 @@ Each example of the pipeline test copies the demo, changes one leaf of
 pipeline` on the copy. A leaf is deleted, replaced by a value from a fixed
 pool, or nested 10^5 lists deep. The query tests edit a seed query of the
 demo or reference strategies and run it through `sdglab parse` and, as a seed
-of the demo's alpha strategy, `sdglab run`; the assignment test edits a line
-of a cluster assignment file that `sdglab enhance` reads. Every run must
-succeed or fail with a stage-labelled error and a documented exit code,
-within a time limit; it must never raise.
+of the demo's alpha strategy, `sdglab run`. The file tests edit the bytes of
+a cluster assignment file that `sdglab enhance` reads, of a coverage file
+that `sdglab compare` reads and of an index file that `sdglab run --index`
+reads. Every run must succeed or fail with a stage-labelled error and a
+documented exit code, within a time limit; it must never raise.
 """
 
 import contextlib
@@ -31,6 +32,9 @@ CORPORA = ("corpus_x.jsonl", "corpus_y.jsonl")
 POOL = (None, True, 0, -1, 1.5, float("nan"), "", [], {}, ["x"], 10**30, "alpha")
 DEEP = 10**5
 TIME_LIMIT_S = 10.0
+# The most bytes an error report may take: an error quotes excerpts of its
+# input, never a whole query or line.
+MAX_ERR_BYTES = 1000
 
 
 def _lines(name: str) -> list[str]:
@@ -179,6 +183,7 @@ def test_edited_seed_runs_as_documented(query):
                           "--corpus", str(DEMO / "corpus_x.jsonl"),
                           "--out", str(Path(tmp) / "result.json")])
     assert code == 0 or code == 2 and _labelled(err, "strategy:alpha"), (code, err)
+    assert len(err) <= MAX_ERR_BYTES, err[:2000]
 
 
 @pytest.fixture(scope="module")
@@ -203,25 +208,29 @@ ASSIGNMENT_POOL = (b"\t", b"\n", b"\r", b"\r\n", b"\x00", b"\xff", b"\xc3", b" "
 
 
 @st.composite
-def assignment_edits(draw):
-    """(line, start, end, piece): bytes start..end of line `line` of
-    `assignment.tsv`, counted modulo its line count, become the piece."""
+def line_edits(draw, pool):
+    """(line, start, end, piece): bytes start..end of line `line` of a file,
+    counted modulo its line count, become the piece, nothing or one of `pool`."""
     line = draw(st.integers(0, 10**4))
     start = draw(st.integers(0, 12))
-    return line, start, draw(st.integers(start, 14)), \
-        draw(st.sampled_from((b"",) + ASSIGNMENT_POOL))
+    return line, start, draw(st.integers(start, 14)), draw(st.sampled_from((b"",) + pool))
+
+
+def _line_edited(path: Path, edit) -> bytes:
+    """The bytes of the file at `path` after the line edit `edit`."""
+    line, start, end, piece = edit
+    lines = path.read_bytes().splitlines(keepends=True)
+    line %= len(lines)
+    lines[line] = lines[line][:start] + piece + lines[line][end:]
+    return b"".join(lines)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(edit=assignment_edits())
+@given(edit=line_edits(ASSIGNMENT_POOL))
 def test_edited_assignment_enhances_as_documented(enhance_inputs, edit):
-    line, start, end, piece = edit
-    lines = (enhance_inputs / "assignment.tsv").read_bytes().splitlines(keepends=True)
-    line %= len(lines)
-    lines[line] = lines[line][:start] + piece + lines[line][end:]
     with tempfile.TemporaryDirectory() as tmp:
         assignment = Path(tmp) / "assignment.tsv"
-        assignment.write_bytes(b"".join(lines))
+        assignment.write_bytes(_line_edited(enhance_inputs / "assignment.tsv", edit))
         doc = json.loads((DEMO / "beta.json").read_text(encoding="utf-8"))
         doc["enhancement"]["assignment_source"] = str(assignment)
         strategy = Path(tmp) / "beta.json"
@@ -231,3 +240,78 @@ def test_edited_assignment_enhances_as_documented(enhance_inputs, edit):
                           "--result", str(enhance_inputs / "result.json"),
                           "--out", str(Path(tmp) / "enhanced.json")])
     assert code == 0 or code == 2 and _labelled(err, f"assignment:{assignment}"), (code, err)
+
+
+@pytest.fixture(scope="module")
+def compare_inputs(tmp_path_factory) -> Path:
+    """A directory holding alpha's result on corpus_x and gamma's on
+    corpus_y, as `alpha.json` and `gamma.json`."""
+    work = tmp_path_factory.mktemp("compare")
+    for name, corpus in (("alpha", "corpus_x"), ("gamma", "corpus_y")):
+        assert main(["run", "--strategy", str(DEMO / f"{name}.json"),
+                     "--corpus", str(DEMO / f"{corpus}.jsonl"),
+                     "--out", str(work / f"{name}.json")]) == 0
+    return work
+
+
+# Pieces an edit puts into a coverage line, as bytes: separators, DOI
+# prefixes, bytes that are not UTF-8, a byte order mark, long runs.
+COVERAGE_POOL = (b"\n", b"\r", b"\r\n", b"\x00", b"\xff", b"\xc3", b" ", b"\t",
+                 b"10.", b"https://doi.org/", b"doi:", b"\xef\xbb\xbf", "東京".encode(),
+                 b"x" * 10**5, b"\n" * 100)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(side=st.sampled_from("ab"), edit=line_edits(COVERAGE_POOL))
+def test_edited_coverage_compares_as_documented(compare_inputs, side, edit):
+    coverage = {"a": DEMO / "coverage_x.txt", "b": DEMO / "coverage_y.txt"}
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "coverage.txt"
+        edited.write_bytes(_line_edited(coverage[side], edit))
+        coverage[side] = edited
+        code, err = _cli(["compare", "--a", str(compare_inputs / "alpha.json"),
+                          "--b", str(compare_inputs / "gamma.json"),
+                          "--coverage-a", str(coverage["a"]),
+                          "--coverage-b", str(coverage["b"])])
+    assert code == 0 or code == 2 and _labelled(err, f"coverage:{edited}"), (code, err)
+
+
+@pytest.fixture(scope="module")
+def index_file(tmp_path_factory) -> Path:
+    """The index file `sdglab index` writes for corpus_x."""
+    path = tmp_path_factory.mktemp("index") / "index.json"
+    assert main(["index", "--corpus", str(DEMO / "corpus_x.jsonl"),
+                 "--out", str(path)]) == 0
+    return path
+
+
+# Pieces an edit puts into an index file, as bytes: JSON syntax and
+# literals, base64 characters, bytes that are not UTF-8, long runs.
+INDEX_POOL = (b'"', b",", b":", b"[", b"]", b"{", b"}", b"\\", b"0", b"-1", b"true",
+              b"null", b"1e400", b"NaN", b"A", b"AAAA", b"=", b"/", b"\x00", b"\xff",
+              "é".encode(), b"A" * 10**5, b"[" * 10**5)
+
+
+@st.composite
+def index_edits(draw):
+    """(offset, length, piece): `length` bytes from `offset` of the index
+    file, counted modulo its size, become the piece. An offset falls in the
+    keys before `doc_ids`, in the part before `postings`, or anywhere."""
+    offset = draw(st.one_of(st.integers(0, 80), st.integers(0, 3300),
+                            st.integers(0, 10**7)))
+    return offset, draw(st.integers(0, 4)), draw(st.sampled_from((b"",) + INDEX_POOL))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(edit=index_edits())
+def test_edited_index_runs_as_documented(index_file, edit):
+    offset, length, piece = edit
+    data = index_file.read_bytes()
+    offset %= len(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        index = Path(tmp) / "index.json"
+        index.write_bytes(data[:offset] + piece + data[offset + length:])
+        code, err = _cli(["run", "--strategy", str(DEMO / "alpha.json"),
+                          "--corpus", str(DEMO / "corpus_x.jsonl"), "--index", str(index),
+                          "--out", str(Path(tmp) / "result.json")])
+    assert code == 0 or code == 2 and _labelled(err, f"index:{index}"), (code, err)

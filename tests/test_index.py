@@ -429,6 +429,7 @@ class TestIndexFormat:
         (without("counts"), "no 'counts' key"),
         (without("postings"), "no 'postings' key"),
         ({**ONE_DOC, "doc_count": "1"}, "'doc_count' is a str"),
+        ({**ONE_DOC, "doc_count": True}, "'doc_count' is a bool, not a int"),
         ({**ONE_DOC, "doc_ids": "d"}, "'doc_ids' is a str"),
         ({**ONE_DOC, "tokens": {}}, "'tokens' is a dict"),
         ({**ONE_DOC, "counts": [1]}, "'counts' is a list"),
@@ -452,7 +453,7 @@ class TestIndexFormat:
         ({**ONE_DOC, "postings": b64([-1])}, "doc number outside 0..0"),
         ({**ONE_DOC, "postings": b64([3 << 22])}, "field 3: a position not below 2"),
     ], ids=["no-doc_count", "no-doc_ids", "no-tokens", "no-counts", "no-postings",
-            "doc_count-str", "doc_ids-str", "tokens-dict", "counts-list", "postings-list",
+            "doc_count-str", "doc_count-bool", "doc_ids-str", "tokens-dict", "counts-list", "postings-list",
             "doc_id-list", "token-entries-int", "doc_ids-unsorted", "tokens-repeated",
             "doc_count-mismatch", "bad-base64", "payload-length", "counts-per-token",
             "counts-sum", "count-zero", "codes-decreasing", "codes-repeated",

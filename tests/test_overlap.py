@@ -204,7 +204,7 @@ class TestRenderOverlapBar:
         return pairwise_compare(*synth_comparison(TABLE5_ROWS[0][2])[:4])
 
     def test_segment_widths_proportional(self):
-        svg, _ = render_overlap_bar(self.comparison(), width=1000)
+        svg, _ = render_overlap_bar(self.comparison())
         widths = [float(w.split('"')[0]) for w in
                   [part.split('width="')[1] for part in svg.split("<rect")[1:]]]
         total = sum(widths)

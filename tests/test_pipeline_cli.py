@@ -572,8 +572,10 @@ class TestCli:
     @pytest.mark.parametrize("text, code, message", [
         ("nosuch\tc1\n", 2, "line 1: unknown internal_id 'nosuch'"),
         ("x0000 c1\n", 2, "line 1: expected id<TAB>cluster_id"),
+        ("x0000\tc1\nx0000\tc2\n", 2,
+         "line 2: internal_id 'x0000' already assigned on line 1"),
         (None, 3, "No such file or directory"),
-    ], ids=["unknown-id", "no-tab", "missing"])
+    ], ids=["unknown-id", "no-tab", "id-twice", "missing"])
     def test_bad_assignment_file_exit_code(self, demo_dir, tmp_path, capsys, text, code,
                                            message):
         assignment = tmp_path / "assignment.tsv"
@@ -800,6 +802,27 @@ class TestCli:
         assert err == (f"error: [ingest:corpus_x] coverage file {demo / 'coverage_x.txt'} "
                        f"omits 1 record DOIs, e.g. {first!r}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, code, message", [
+        (b"10.5555/shared.0000\n\xff\n", 2, "'utf-8' codec can't decode byte 0xff"),
+        (None, 3, "No such file or directory"),
+    ], ids=["undecodable", "missing"])
+    def test_compare_bad_coverage_file_exit_code(self, demo_dir, tmp_path, capsys,
+                                                 content, code, message):
+        results = {}
+        for name, corpus in (("alpha", "corpus_x"), ("gamma", "corpus_y")):
+            results[name] = tmp_path / f"{name}.json"
+            assert self.run_cli("run", "--strategy", str(demo_dir / f"{name}.json"),
+                                "--corpus", str(demo_dir / f"{corpus}.jsonl"),
+                                "--out", str(results[name])) == 0
+        coverage = tmp_path / "coverage.txt"
+        if content is not None:
+            coverage.write_bytes(content)
+        err = self.run_cli_failing(capsys, code, "compare", "--a", str(results["alpha"]),
+                                   "--b", str(results["gamma"]),
+                                   "--coverage-a", str(demo_dir / "coverage_x.txt"),
+                                   "--coverage-b", str(coverage))
+        assert err.startswith(f"error: [coverage:{coverage}] ") and message in err
 
     def test_compare_rows_equal_pipeline_table5(self, demo_config, demo_dir, capsys):
         """`sdglab compare` on the pipeline's results and the coverage files

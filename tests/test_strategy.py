@@ -9,8 +9,7 @@ from oracle import match_doc
 from sdglab.corpus import Corpus, PublicationRecord, YearWindow
 from sdglab.index import build_index
 from sdglab.strategy import (ClassifiedTerm, EnhancementSpec, SearchStrategy,
-                             StrategyLoadError, load_strategy_file, run_strategy,
-                             term_class_summary)
+                             load_strategy_file, run_strategy, term_class_summary)
 from sdglab.query import parse_query
 
 
@@ -43,16 +42,16 @@ class TestLoadStrategy:
 
     def test_unknown_class_rejected(self, tmp_path):
         doc = strategy_doc([{"query": '"climate"', "class": "colloquial"}])
-        with pytest.raises(StrategyLoadError, match="colloquial"):
+        with pytest.raises(ValueError, match="colloquial"):
             load_doc(tmp_path, doc)
 
     def test_unparsable_query_names_it(self, tmp_path):
         doc = strategy_doc([{"query": '"unbalanced', "class": "general"}])
-        with pytest.raises(StrategyLoadError, match="unbalanced"):
+        with pytest.raises(ValueError, match="unbalanced"):
             load_doc(tmp_path, doc)
 
     def test_empty_seeds_rejected(self, tmp_path):
-        with pytest.raises(StrategyLoadError):
+        with pytest.raises(ValueError):
             load_doc(tmp_path, strategy_doc([]))
 
     @pytest.mark.parametrize("key, value, message", [
@@ -70,7 +69,7 @@ class TestLoadStrategy:
             "exclusions-string", "seed-short-stem", "exclusion-short-stem"])
     def test_bad_seeds_or_exclusions_rejected(self, tmp_path, key, value, message):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]), key: value}
-        with pytest.raises(StrategyLoadError, match=message):
+        with pytest.raises(ValueError, match=message):
             load_doc(tmp_path, doc)
 
     @pytest.mark.parametrize("fields", [
@@ -79,7 +78,7 @@ class TestLoadStrategy:
     def test_bad_fields_rejected(self, tmp_path, fields):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "fields": fields}
-        with pytest.raises(StrategyLoadError, match="fields must be a non-empty list"):
+        with pytest.raises(ValueError, match="fields must be a non-empty list"):
             load_doc(tmp_path, doc)
 
     def test_fields_default_and_subset(self, tmp_path):
@@ -108,21 +107,23 @@ class TestLoadStrategy:
         ("whole_corpus_shares", "no", "whole_corpus_shares must be a bool"),
         ("whole_corpus_shares", 0, "whole_corpus_shares must be a bool"),
         ("assignment_source", 5, "assignment_source must be a string"),
+        ("kind", "louvain", "^unknown enhancement kind: 'louvain'$"),
+        ("kind", None, "^unknown enhancement kind: None$"),
     ], ids=["seed-float", "seed-string", "seed-bool", "resolution-string",
             "resolution-zero", "resolution-negative", "resolution-nan",
             "resolution-inf", "resolution-bool", "threshold-string", "threshold-null",
             "threshold-bool", "threshold-two", "threshold-negative", "threshold-nan",
-            "shares-string", "shares-int", "source-int"])
+            "shares-string", "shares-int", "source-int", "kind-other", "kind-null"])
     def test_bad_enhancement_field_rejected(self, tmp_path, key, value, message):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "enhancement": {"kind": "cluster_threshold", key: value}}
-        with pytest.raises(StrategyLoadError, match=message):
+        with pytest.raises(ValueError, match=message):
             load_doc(tmp_path, doc)
 
     def test_enhancement_not_an_object_rejected(self, tmp_path):
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "enhancement": ["cluster_threshold"]}
-        with pytest.raises(StrategyLoadError, match="enhancement must be an object"):
+        with pytest.raises(ValueError, match="enhancement must be an object"):
             load_doc(tmp_path, doc)
 
     @pytest.mark.parametrize("value", [False, 0, "", []],
@@ -131,7 +132,7 @@ class TestLoadStrategy:
         """Only null or absence is no enhancement."""
         doc = {**strategy_doc([{"query": '"climate"', "class": "general"}]),
                "enhancement": value}
-        with pytest.raises(StrategyLoadError,
+        with pytest.raises(ValueError,
                            match=f"^enhancement must be an object: {re.escape(repr(value))}$"):
             load_doc(tmp_path, doc)
 
@@ -166,20 +167,32 @@ class TestLoadStrategy:
     def test_bad_window_rejected(self, tmp_path, window):
         doc = strategy_doc([{"query": '"climate"', "class": "general"}])
         doc["window"] = window
-        with pytest.raises(StrategyLoadError, match="window must be an object with int"):
+        with pytest.raises(ValueError, match="window must be an object with int"):
             load_doc(tmp_path, doc)
 
     def test_name_not_its_stem_rejected(self, tmp_path):
         path = tmp_path / "fixture_v2.json"
         path.write_text(json.dumps(strategy_doc([{"query": '"climate"'}])), encoding="utf-8")
-        with pytest.raises(StrategyLoadError,
+        with pytest.raises(ValueError,
                            match="name 'fixture' is not the file stem 'fixture_v2'"):
+            load_strategy_file(path)
+
+    @pytest.mark.parametrize("key, message", [
+        ("name", "name None is not the file stem 'fixture'"),
+        ("seeds", "seeds must be a list: None"),
+    ], ids=["name", "seeds"])
+    def test_missing_name_or_seeds_rejected(self, tmp_path, key, message):
+        doc = strategy_doc([{"query": '"climate"'}])
+        del doc[key]
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_strategy_file(path)
 
     def test_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "fixture.json"
         path.write_text("[]", encoding="utf-8")
-        with pytest.raises(StrategyLoadError, match="not a JSON object"):
+        with pytest.raises(ValueError, match="not a JSON object"):
             load_strategy_file(path)
 
 
@@ -352,7 +365,18 @@ class TestParseOnce:
         assert run_strategy(strategy, build_index(corpus), corpus).members == expected
 
     def test_bad_query_fails_at_construction(self):
-        with pytest.raises(StrategyLoadError, match="does not parse"):
+        with pytest.raises(ValueError, match="does not parse"):
             ClassifiedTerm('"unbalanced', "general")
-        with pytest.raises(StrategyLoadError, match="does not parse"):
+        with pytest.raises(ValueError, match="does not parse"):
             climate_strategy(exclusion_terms=("(",))
+
+    @pytest.mark.parametrize("query, offset", [
+        ("a" * 10**5 + '"', 10**5), ("[" + "b" * 10**5 + "](x)", 1),
+    ], ids=["long-query", "long-field"])
+    def test_bad_long_query_quoted_as_an_excerpt(self, query, offset):
+        with pytest.raises(ValueError) as exc:
+            ClassifiedTerm(query)
+        message = str(exc.value)
+        assert message.startswith(f"query {query[:60]!r}… does not parse: ")
+        assert message.endswith(f"(at offset {offset})")
+        assert len(message) < 300
