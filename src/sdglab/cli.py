@@ -24,7 +24,6 @@ from .termmap import check_setting
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-EXIT_COMPUTE = 4
 
 log = logging.getLogger("sdglab")
 
@@ -61,7 +60,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    with stage("parse", "config"):
+    with stage("parse"):
         ast = parse_query(args.query)
     print(explain(ast) if args.explain else print_query(ast))
     return EXIT_OK
@@ -75,11 +74,12 @@ def cmd_strategy(args) -> int:
 def _load_index_for(path: str, corpus: Corpus) -> PositionalIndex:
     """Load an index file and check that it indexes exactly `corpus`; a
     malformed, foreign or mismatched one is a config error."""
-    with stage(f"index:{path}", "config"), open(path, encoding="utf-8") as fh:
+    with stage(f"index:{path}"), open(path, encoding="utf-8") as fh:
         index = load_index(fh)
-        if index.doc_ids != corpus.records.keys():
-            missing = len(corpus.records.keys() - index.doc_ids)
-            extra = len(index.doc_ids - corpus.records.keys())
+        ids = set(index.doc_order)
+        if ids != corpus.records.keys():
+            missing = len(corpus.records.keys() - ids)
+            extra = len(ids - corpus.records.keys())
             raise ValueError(f"does not index corpus {corpus.name}: {missing} corpus "
                              f"records not indexed, {extra} indexed ids not in the corpus")
     return index
@@ -97,10 +97,10 @@ def cmd_enhance(args) -> int:
     corpus = ingest(args.corpus)
     result = load_result_file(args.result, corpus)
     strategy = load_strategy(args.strategy)
-    with stage(f"strategy:{Path(args.strategy).stem}", "config"):
+    with stage(f"strategy:{Path(args.strategy).stem}"):
         if strategy.enhancement is None:
             raise ValueError("has no enhancement")
-    with stage(f"result:{args.result}", "config"):
+    with stage(f"result:{args.result}"):
         if result.strategy_name != strategy.name:
             raise ValueError(f"is a result of strategy {result.strategy_name!r}, "
                              f"not of {strategy.name!r}")
@@ -121,7 +121,7 @@ def cmd_enhance(args) -> int:
 
 def _load_coverage(path: str) -> set[str]:
     """Read a coverage file; an undecodable one is a config error."""
-    with stage(f"coverage:{path}", "config"):
+    with stage(f"coverage:{path}"):
         return load_coverage_file(path)
 
 
@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. An OSError or ValueError surfaces as a
-    stage-labelled PipelineError, whose kind picks the exit code."""
+    stage-labelled PipelineError: exit 3 for an OSError, else 2. Any other
+    exception is a program fault and ends in a traceback."""
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return {"config": EXIT_CONFIG, "io": EXIT_IO}.get(exc.kind, EXIT_COMPUTE)
+        return EXIT_IO if exc.kind == "io" else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -81,13 +81,12 @@ def cluster_citation_graph(graph: CitationGraph, resolution: float = 1.0,
     resolution=resolution, seed=seed)` returns: `_louvain_labels` follows
     its steps and float expressions on integer node ids. Deterministic for
     fixed (graph, resolution, seed); isolated nodes become singleton
-    clusters. `resolution` must be a finite number > 0 and `seed` an int.
+    clusters, and an empty graph has none. `resolution` must be a finite
+    number > 0 and `seed` an int.
     """
     check_resolution(resolution)
     check_seed(seed)
     g = graph.graph
-    if not g.ids:
-        raise ValueError("empty graph")
     members: dict[int, list[str]] = {}
     for node, label in zip(g.ids, _louvain_labels(g.rows, resolution, seed)):
         members.setdefault(label, []).append(node)

@@ -120,7 +120,6 @@ class PositionalIndex:
     def __init__(self, doc_order: list[str], tokens: list[str],
                  counts: np.ndarray, codes: np.ndarray):
         self.doc_order = tuple(doc_order)
-        self.doc_ids = frozenset(doc_order)
         self.doc_count = len(doc_order)
         self.sorted_vocabulary = tokens
         self.counts, self.codes = counts, codes
@@ -290,7 +289,7 @@ def load_index(source: IO[str]) -> PositionalIndex:
     doc = json.load(source)
     if type(doc) is not dict or doc.get("magic") != INDEX_MAGIC:
         raise ValueError("not an index file")
-    if doc.get("version") != INDEX_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != INDEX_VERSION:
         raise ValueError(f"unsupported index version: {doc.get('version')}")
     for key, kind in _INDEX_KEYS:
         if key not in doc:

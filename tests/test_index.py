@@ -159,7 +159,7 @@ class TestBuildIndex:
         again = load_index(io.StringIO(sink.getvalue()))
         assert again.postings == index.postings
         assert again.doc_count == index.doc_count
-        assert again.doc_ids == index.doc_ids == frozenset({"a", "b"})
+        assert again.doc_order == index.doc_order == ("a", "b")
         assert (again == index) is True
         assert (again != index) is False
 
@@ -393,7 +393,7 @@ class TestIndexFormat:
         index = build_index(mixed_corpus(7, 40))
         sink, ref = io.StringIO(), io.StringIO()
         save_index(index, sink)
-        list_copy_save(index.postings, index.doc_ids, ref)
+        list_copy_save(index.postings, index.doc_order, ref)
         assert sink.getvalue() == ref.getvalue()
 
     def test_one_changed_occurrence_is_unequal(self):
@@ -452,12 +452,16 @@ class TestIndexFormat:
         ({**ONE_DOC, "postings": b64([1 << 24])}, "doc number outside 0..0"),
         ({**ONE_DOC, "postings": b64([-1])}, "doc number outside 0..0"),
         ({**ONE_DOC, "postings": b64([3 << 22])}, "field 3: a position not below 2"),
+        ({**ONE_DOC, "version": float(INDEX_VERSION)},
+         f"^unsupported index version: {float(INDEX_VERSION)}$"),
+        ({**ONE_DOC, "version": True}, "^unsupported index version: True$"),
     ], ids=["no-doc_count", "no-doc_ids", "no-tokens", "no-counts", "no-postings",
             "doc_count-str", "doc_count-bool", "doc_ids-str", "tokens-dict", "counts-list", "postings-list",
             "doc_id-list", "token-entries-int", "doc_ids-unsorted", "tokens-repeated",
             "doc_count-mismatch", "bad-base64", "payload-length", "counts-per-token",
             "counts-sum", "count-zero", "codes-decreasing", "codes-repeated",
-            "doc-number-past-end", "doc-number-negative", "position-overflow"])
+            "doc-number-past-end", "doc-number-negative", "position-overflow",
+            "version-float", "version-true"])
     def test_partial_index_object_raises_value_error(self, doc, message):
         text = json.dumps({"magic": INDEX_MAGIC, "version": INDEX_VERSION, **doc})
         with pytest.raises(ValueError, match=message):

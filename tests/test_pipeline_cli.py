@@ -17,7 +17,7 @@ import pytest
 import sdglab
 from sdglab import pipeline
 from sdglab.cli import build_parser, main
-from sdglab.pipeline import PipelineConfig, PipelineError, run_pipeline
+from sdglab.pipeline import TABLE_COLUMNS, PipelineConfig, PipelineError, run_pipeline
 from sdglab.query import MAX_DEPTH
 from sdglab.termmap import TermMapConfig
 
@@ -743,8 +743,8 @@ class TestCli:
         assert not (out / "results").exists()
         assert not (out / "manifest.json").exists()
 
-    def test_enhanced_strategy_on_empty_corpus_exit_code(self, demo_dir, tmp_path,
-                                                         capsys):
+    def test_enhanced_strategy_on_empty_corpus_writes_empty_results(self, demo_dir,
+                                                                    tmp_path):
         (tmp_path / "empty.jsonl").write_text("")
         for name in ("alpha", "beta"):
             shutil.copy(demo_dir / f"{name}.json", tmp_path)
@@ -752,11 +752,43 @@ class TestCli:
         config.write_text(json.dumps({
             "corpora": [{"name": "empty", "corpus_file": "empty.jsonl"}],
             "strategies": [{"file": "alpha.json", "corpus": "empty"},
-                           {"file": "beta.json", "corpus": "empty"}]}))
-        err = self.run_cli_failing(capsys, 4, "pipeline", "--config", str(config),
-                                   "--output-dir", str(tmp_path / "out"))
-        assert err == "error: [run:beta] empty graph\n"
-        assert not (tmp_path / "out" / "manifest.json").exists()
+                           {"file": "beta.json", "corpus": "empty"}],
+            "comparisons": [{"a": "alpha", "b": "beta"}],
+            "termmaps": [{"a": "alpha", "b": "beta"}]}))
+        out = tmp_path / "out"
+        assert self.run_cli("pipeline", "--config", str(config),
+                            "--output-dir", str(out)) == 0
+        for name in ("alpha", "beta"):
+            doc = json.loads((out / "results" / name / "result.json").read_text())
+            assert doc["members"] == doc["dois"] == []
+        assert json.loads((out / "results" / "beta" / "enhancement.json").read_text()) \
+            == {"included_clusters": {}, "excluded_clusters": {},
+                "seed_members_lost": 0, "singleton_members": 0}
+        bundle = json.loads((out / "reports" / "bundle.json").read_text())
+        assert [row["doi_share_pct"] for row in bundle["table3"]] == [0.0, 0.0]
+        term_map = json.loads((out / "termmaps" / "alpha__beta" / "termmap.json")
+                              .read_text())
+        assert term_map["terms"] == term_map["edges"] == []
+        assert (out / "manifest.json").exists()
+
+    def test_strategies_retrieving_nothing_compare_to_zero(self, demo_dir, tmp_path):
+        demo = tmp_path / "demo"
+        shutil.copytree(demo_dir, demo)
+        for name in ("alpha", "gamma"):
+            doc = json.loads((demo / f"{name}.json").read_text())
+            doc["window"] = {"start": 1900, "end": 1901}
+            (demo / f"{name}.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert self.run_cli("pipeline", "--config", str(demo / "config.json"),
+                            "--output-dir", str(out)) == 0
+        bundle = json.loads((out / "reports" / "bundle.json").read_text())
+        row = next(r for r in bundle["table5"] if (r["a"], r["b"]) == ("alpha", "gamma"))
+        columns = TABLE_COLUMNS["table5"]
+        assert [row[c] for c in columns[2:7]] == [0] * 5
+        assert [row[c] for c in columns[7:]] == [0.0] * 5
+        term_map = json.loads((out / "termmaps" / "alpha__gamma" / "termmap.json")
+                              .read_text())
+        assert term_map["terms"] == []
 
     def test_ingest_empty_corpus(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
