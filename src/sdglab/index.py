@@ -16,9 +16,11 @@ from .corpus import Corpus
 
 # Unicode alphanumeric runs; underscore counts as a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# The same runs in lowercased ASCII text, where they are exactly [a-z0-9]+;
-# the narrower class matches faster.
-_ASCII_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# For ASCII text, where the runs are exactly [A-Za-z0-9]+: lowers A-Z, keeps
+# a-z and 0-9 and turns every other code point into a space, so the runs are
+# what `str.split()` returns.
+_ASCII_WORDS = str.maketrans({chr(c): chr(c).lower() if chr(c).isalnum() else " "
+                              for c in range(128)})
 
 TITLE, ABSTRACT, KEYWORDS = "title", "abstract", "keywords"
 FIELDS = (TITLE, ABSTRACT, KEYWORDS)
@@ -40,6 +42,10 @@ INDEX_VERSION = 2
 # Keys `load_index` requires besides magic and version, with their types.
 _INDEX_KEYS = (("doc_count", int), ("doc_ids", list), ("tokens", list),
                ("counts", str), ("postings", str))
+# `build_index` sorts each token place together with its token's rank, as
+# one int64 key rank << _PLACE_BITS | place; a corpus's token stream may hold
+# at most 2**_PLACE_BITS places.
+_PLACE_BITS = 32
 # Array bytes base64-encoded per write; a multiple of 3, so the pieces
 # join into the encoding of the whole array.
 _B64_CHUNK = 3 << 18
@@ -48,13 +54,13 @@ _B64_CHUNK = 3 << 18
 def words(text: str) -> list[str]:
     """The lowercase alphanumeric runs of text, in order.
 
-    ASCII text is lowered whole, which maps letters to letters and nothing
-    else. Other text is lowered token by token: lowering can turn one code
-    point into two (`'İ'.lower()` ends in a combining mark), which would
-    split a token if done before the split.
+    ASCII text is lowered and its separators turned into spaces by one
+    `str.translate`, then split on whitespace. Other text is lowered token
+    by token: lowering can turn one code point into two (`'İ'.lower()` ends
+    in a combining mark), which would split a token if done before the split.
     """
     if text.isascii():
-        return _ASCII_TOKEN_RE.findall(text.lower())
+        return text.translate(_ASCII_WORDS).split()
     return [tok.lower() for tok in _TOKEN_RE.findall(text)]
 
 
@@ -97,14 +103,20 @@ def field_token_stream(record, field: str) -> list[tuple[str, int]]:
     raise ValueError(f"unknown field: {field}")
 
 
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """A bool mask of a sorted array, set where a value differs from the one
+    before it: at the first of each run of equal values."""
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of a sorted array."""
     if len(values) < 2:
         return values
-    keep = np.empty(len(values), dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+    return values[run_starts(values)]
 
 
 class PositionalIndex:
@@ -188,10 +200,13 @@ def build_index(corpus: Corpus) -> PositionalIndex:
     increasing order, so the codes come out increasing in stream order. Each
     run of tokens (a title, an abstract, a keyword) adds its token ids to one
     int32 stream, and the code of the token at place i of the stream is its
-    run's shift plus i. One stable argsort of the ids, renumbered in sorted
-    token order, lists the places token by token, each token's places (and
-    so its codes) still increasing.
-    Raises ValueError for a position at or past MAX_POSITION.
+    run's shift plus i. The ids are renumbered in sorted token order and
+    packed as rank << _PLACE_BITS | place into int64 keys; places are
+    distinct, so one plain sort of the keys lists the places token by token,
+    each token's places (and so its codes) still increasing, which is the
+    order a stable argsort of the ranks gives.
+    Raises ValueError for a position at or past MAX_POSITION, and for a
+    token stream with a place that does not fit in _PLACE_BITS bits.
     """
     doc_order = sorted(corpus.records)
     slot = token_ids()
@@ -214,6 +229,9 @@ def build_index(corpus: Corpus) -> PositionalIndex:
             if last >= MAX_POSITION:
                 raise ValueError(f"record {doc!r} field {FIELDS[f]!r}: position "
                                  f"{last} is not below 2**{FIELD_SHIFT}")
+    if len(ids) > 1 << _PLACE_BITS:
+        raise ValueError(f"corpus {corpus.name!r} has {len(ids)} tokens; an index "
+                         f"holds at most 2**{_PLACE_BITS}")
     tokens = sorted(slot)
     rank = np.empty(len(tokens), np.int32)
     rank[np.fromiter(map(slot.__getitem__, tokens), np.int32, len(tokens))] = \
@@ -221,8 +239,12 @@ def build_index(corpus: Corpus) -> PositionalIndex:
     keys = rank[np.frombuffer(ids, np.int32)]
     del ids
     counts = np.bincount(keys, minlength=len(tokens)).astype(np.int64, copy=False)
-    order = np.argsort(keys, kind="stable")
+    order = keys.astype(np.int64)
     del keys
+    order <<= _PLACE_BITS
+    order |= np.arange(len(order))
+    order.sort()
+    order &= (1 << _PLACE_BITS) - 1
     codes = np.repeat(np.array(shifts, np.int64), lengths)[order]
     codes += order
     return PositionalIndex(doc_order, tokens, counts, codes)

@@ -79,6 +79,14 @@ class TestWords:
             text = f"Ab{chr(code)}9{chr(code)}{chr(code)}Z"
             assert words(text) == [tok.lower() for tok in _TOKEN_RE.findall(text)]
 
+    def test_random_ascii_text(self):
+        # every code point below 128, \x1c-\x1f among them, which str.split()
+        # takes for whitespace and the regex for separators
+        rng = random.Random(19)
+        for _ in range(2000):
+            text = "".join(map(chr, rng.choices(range(128), k=rng.randint(0, 40))))
+            assert words(text) == [tok.lower() for tok in _TOKEN_RE.findall(text)]
+
     def test_dotted_capital_i_stays_one_token(self):
         # "İ".lower() is "i" plus a combining dot, which is not alphanumeric
         assert words("İstanbul") == ["i\u0307stanbul"]
@@ -395,6 +403,26 @@ class TestIndexFormat:
         save_index(index, sink)
         list_copy_save(index.postings, index.doc_order, ref)
         assert sink.getvalue() == ref.getvalue()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_token_stream_at_and_past_the_place_bound(self, monkeypatch, seed):
+        # with 6 place bits a token stream holds at most 64 places; each record
+        # below has 8 tokens: 2 in its title, 4 in its abstract, 1 per keyword
+        monkeypatch.setattr("sdglab.index._PLACE_BITS", 6)
+        rng = random.Random(seed)
+        words_ = ["climate", "été", "数据", "co2", "x", "Ωmega"]
+
+        def record(doc):
+            return PublicationRecord(doc, " ".join(rng.choices(words_, k=2)), 2016,
+                                     abstract=" ".join(rng.choices(words_, k=4)),
+                                     keywords=tuple(rng.choices(words_, k=2)))
+
+        records = [record(f"r{rng.randrange(10**6)}-{i}") for i in range(8)]
+        corpus = Corpus("full", records)
+        assert build_index(corpus).postings == sort_based_build(corpus)
+        past = Corpus("past", [*records, PublicationRecord("extra", "one", 2016)])
+        with pytest.raises(ValueError, match=r"'past' has 65 tokens.* 2\*\*6"):
+            build_index(past)
 
     def test_one_changed_occurrence_is_unequal(self):
         index = build_index(mixed_corpus(3, 30))

@@ -643,6 +643,24 @@ class TestNgramOracle:
         assert extract_terms(docs, docs, config) == []
         assert cooccurrence_edges([TermStats("the", 1, 1)], docs, config).shape == (0, 3)
 
+    @pytest.mark.parametrize("max_ngram", [1, 2, 3, 4, 5])
+    def test_doc_gram_keys_and_pairs_equal_unique_reference(self, max_ngram):
+        # a four-word vocabulary repeats n-grams of every length; empty and
+        # stopword-only texts are among the docs, and make up the last sets
+        rng = random.Random(50 + max_ngram)
+        few = ["climate", "risk", "the", "of"]
+        docs = random_ngram_docs(60 + max_ngram, 150) + [
+            doc(f"r{i}", " ".join(rng.choices(few, k=rng.randint(0, 12))),
+                " ".join(rng.choices(few, k=rng.randint(0, 12)))) for i in range(150)]
+        blank = [doc("e", "", ".,;"), doc("s", "the of", "and")]
+        for docs_ in (docs, blank, blank[:1], []):
+            for stoplist in (DEFAULT_STOPLIST, frozenset()):
+                config = TermMapConfig(max_ngram=max_ngram, stoplist=stoplist)
+                grams = termmap._DocGrams(docs_, config)
+                keys, pairs = unique_doc_grams(docs_, config)
+                assert [k.tolist() for k in grams.keys] == [k.tolist() for k in keys]
+                assert [p.tolist() for p in grams.pairs] == [p.tolist() for p in pairs]
+
     @pytest.mark.parametrize("min_occurrences", [1, 2, 5, 40])
     def test_tally_equals_reference(self, min_occurrences):
         config = TermMapConfig(min_occurrences=min_occurrences, max_ngram=3)
@@ -653,6 +671,30 @@ class TestNgramOracle:
         assert extract_terms(docs_b, docs_a, config) == \
             reference_tally(grams_b, grams_a, config)
         assert extract_terms([], docs_b, config) == reference_tally([], grams_b, config)
+
+
+def unique_doc_grams(docs, config):
+    """Reference for `_DocGrams.keys` and `.pairs`: the same keys, ranked by
+    `np.unique(..., return_inverse=True)` level by level."""
+    slot = {}
+    texts = [[slot.setdefault(tok, len(slot)) for tok, _ in tokenize(text)]
+             for d in docs for text in (d.title, d.abstract)]
+    stop = {slot[tok] for tok in config.stoplist if tok in slot}
+    top = min(config.max_ngram, max(map(len, texts), default=0))
+    keys, pairs, rank = [], [], {}
+    # level 1 always has keys (the token ids); pairs only up to the longest text
+    for n in range(1, max(top, 1) + 1):
+        runs = [(t, i) for t, toks in enumerate(texts) for i in range(len(toks) - n + 1)]
+        raw = [rank[t, i] * len(slot) + texts[t][i + n - 1] if n > 1 else texts[t][i]
+               for t, i in runs]
+        distinct, inverse = np.unique(np.array(raw, np.int64), return_inverse=True)
+        keys.append(distinct)
+        rank = {run: int(r) for run, r in zip(runs, inverse)}
+        if n <= top:
+            codes = [rank[t, i] * len(docs) + (t >> 1) for t, i in runs
+                     if texts[t][i] not in stop and texts[t][i + n - 1] not in stop]
+            pairs.append(np.unique(np.array(codes, np.int64)))
+    return keys, pairs
 
 
 class TestEdgeOracle:
