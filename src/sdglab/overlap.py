@@ -33,7 +33,6 @@ class PairwiseComparison:
     surplus_a_coverage: frozenset[str]
     surplus_b_method: frozenset[str]
     surplus_b_coverage: frozenset[str]
-    denominator: int
 
     def segment_sets(self) -> dict[str, frozenset[str]]:
         return {name: getattr(self, name) for name in SEGMENT_ORDER}
@@ -43,15 +42,18 @@ class PairwiseComparison:
         return {name: len(s) for name, s in self.segment_sets().items()}
 
     @property
+    def denominator(self) -> int:
+        """The number of DOIs in the union, which the five segments partition."""
+        return sum(self.counts.values())
+
+    @property
     def shares(self) -> dict[str, float]:
         return shares_from_counts(self.counts, self.denominator)
 
 
-def shares_from_counts(counts: dict[str, int], denominator: int,
-                       ndigits: int = 1) -> dict[str, float]:
-    """Per-segment shares in percent of the union, rounded half-up."""
-    return {name: percent(counts[name], denominator, ndigits)
-            for name in SEGMENT_ORDER}
+def shares_from_counts(counts: dict[str, int], denominator: int) -> dict[str, float]:
+    """Per-segment shares in percent of the union, rounded half-up to one digit."""
+    return {name: percent(counts[name], denominator) for name in SEGMENT_ORDER}
 
 
 def match_by_doi(result_a, result_b) -> tuple[frozenset, frozenset, frozenset]:
@@ -80,7 +82,6 @@ def pairwise_compare(result_a, coverage_b, result_b, coverage_a,
     overlap, only_a, only_b = match_by_doi(result_a, result_b)
     a_method, a_coverage = decompose_surplus(only_a, coverage_b)
     b_method, b_coverage = decompose_surplus(only_b, coverage_a)
-    denominator = len(result_a.doi_members | result_b.doi_members)
     return PairwiseComparison(
         name_a=getattr(result_a, "strategy_name", "A"),
         name_b=getattr(result_b, "strategy_name", "B"),
@@ -89,7 +90,6 @@ def pairwise_compare(result_a, coverage_b, result_b, coverage_a,
         surplus_a_coverage=frozenset(a_coverage),
         surplus_b_method=frozenset(b_method),
         surplus_b_coverage=frozenset(b_coverage),
-        denominator=denominator,
     )
 
 

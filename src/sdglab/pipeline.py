@@ -22,7 +22,7 @@ from .clustering import (ClusterAssignment, EnhancementReport, build_citation_gr
                          load_cluster_assignment)
 from .corpus import Corpus, load_corpus_file
 from .index import PositionalIndex, build_index
-from .overlap import PairwiseComparison, pairwise_compare, render_overlap_bar
+from .overlap import SEGMENT_ORDER, PairwiseComparison, pairwise_compare, render_overlap_bar
 from .rounding import percent
 from .strategy import (TERM_CLASSES, EnhancementSpec, ResultSet, SearchStrategy,
                        load_strategy_file, result_to_doc, run_strategy, term_class_summary)
@@ -31,12 +31,15 @@ from .termmap import (SETTING_MINIMUMS, TERMMAP_FORMATS, TermMap, TermMapConfig,
 
 log = logging.getLogger("sdglab.pipeline")
 
+# The Table 5 column of each overlap segment's count; its share is the column
+# with "_pct" appended.
+_SEGMENT_COLUMNS = dict(zip(SEGMENT_ORDER, ("cov_a", "meth_a", "overlap", "meth_b", "cov_b")))
 # The columns of each report table, in order.
 TABLE_COLUMNS = {
     "table3": ("strategy", "total", "with_doi", "doi_share_pct"),
     "table4": ("strategy", *TERM_CLASSES, "total"),
-    "table5": ("a", "b", "cov_a", "meth_a", "overlap", "meth_b", "cov_b",
-               "cov_a_pct", "meth_a_pct", "overlap_pct", "meth_b_pct", "cov_b_pct"),
+    "table5": ("a", "b", *_SEGMENT_COLUMNS.values(),
+               *(f"{c}_pct" for c in _SEGMENT_COLUMNS.values())),
 }
 # The report formats and the suffix of each one's files.
 REPORT_SUFFIXES = {"csv": "csv", "markdown": "md"}
@@ -150,22 +153,11 @@ def table4_row(strategy: SearchStrategy) -> dict:
 
 
 def table5_row(comparison: PairwiseComparison) -> dict:
-    counts = comparison.counts
-    shares = comparison.shares
-    return {
-        "a": comparison.name_a,
-        "b": comparison.name_b,
-        "cov_a": counts["surplus_a_coverage"],
-        "meth_a": counts["surplus_a_method"],
-        "overlap": counts["overlap"],
-        "meth_b": counts["surplus_b_method"],
-        "cov_b": counts["surplus_b_coverage"],
-        "cov_a_pct": shares["surplus_a_coverage"],
-        "meth_a_pct": shares["surplus_a_method"],
-        "overlap_pct": shares["overlap"],
-        "meth_b_pct": shares["surplus_b_method"],
-        "cov_b_pct": shares["surplus_b_coverage"],
-    }
+    """The Table 5 row of a comparison: each segment's count, then its share."""
+    counts, shares = comparison.counts, comparison.shares
+    return {"a": comparison.name_a, "b": comparison.name_b,
+            **{c: counts[s] for s, c in _SEGMENT_COLUMNS.items()},
+            **{f"{c}_pct": shares[s] for s, c in _SEGMENT_COLUMNS.items()}}
 
 
 def table_text(name: str, rows: list[dict], fmt: str) -> str:
@@ -344,25 +336,8 @@ def load_bundle(run_dir) -> ReportBundle:
     return ReportBundle(**lists, manifest={})
 
 
-@contextmanager
-def atomic_file(path: Path):
-    """A text file that replaces `path` when the block ends: it is written
-    as a temporary file and moved over `path` by os.replace, so a failure
-    leaves the previous file at `path` whole and no temporary file. Lines
-    end in "\n" on every platform."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
-
-
 class _HashedSink:
-    """Writes text to an atomic_file and hashes the UTF-8 bytes it becomes."""
+    """Writes text to a file and hashes the UTF-8 bytes it becomes."""
 
     def __init__(self, fh):
         self.fh, self.sha256 = fh, hashlib.sha256()
@@ -373,15 +348,25 @@ class _HashedSink:
 
 
 def write_output(path: Path, content: str | Callable[[_HashedSink], object]) -> str:
-    """Write `content` to `path` through atomic_file: a text, or a function
-    that writes the text to the sink it is given. Returns the sha256 of the
-    bytes written, hashed as they are written, so no output is read back."""
-    with atomic_file(path) as fh:
-        sink = _HashedSink(fh)
-        if isinstance(content, str):
-            sink.write(content)
-        else:
-            content(sink)
+    """Write `content` to `path`: a text, or a function that writes the text
+    to the sink it is given. The text is written as a temporary file and
+    moved over `path` by os.replace, so a failure leaves the previous file at
+    `path` whole and no temporary file. Lines end in "\n" on every platform.
+    Returns the sha256 of the bytes written, hashed as they are written, so
+    no output is read back."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            sink = _HashedSink(fh)
+            if isinstance(content, str):
+                sink.write(content)
+            else:
+                content(sink)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
     return sink.sha256.hexdigest()
 
 

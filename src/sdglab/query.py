@@ -229,30 +229,37 @@ class _Parser:
         return node
 
     def parse_primary(self):
-        kind, value, offset = self.peek()
-        if kind == "(":
-            self.next()
+        kind, value, offset = self.next()
+        if kind in ("(", "["):
+            fields = self.parse_fields(offset) if kind == "[" else None
             node = self.parse_or()
-            if self.peek()[0] != ")":
+            if self.next()[0] != ")":
                 raise ParseError("unbalanced parenthesis", offset)
-            self.next()
-            return node
-        if kind == "[":
-            return self.parse_field_scope()
+            return node if fields is None else FieldScope(fields, node)
         if kind == "quoted":
-            self.next()
-            return self.parse_quoted(value, offset)
-        if kind == "word":
-            self.next()
-            if value.endswith("*"):
-                return _node(offset, Wildcard, value[:-1])
-            return Term(value)
-        if kind is None:
-            raise ParseError("unexpected end of query", offset)
-        raise ParseError(f"unexpected {kind!r}", offset)
+            tokens = tuple(t.lower() for t in _PHRASE_TOKEN_RE.findall(value))
+            if not tokens:
+                raise ParseError("empty phrase", offset)
+            if self.peek()[0] == "~":
+                _, n, toff = self.next()
+                if n == 0:
+                    raise ParseError("proximity window must be >= 1", toff)
+                if len(tokens) < 2:
+                    raise ParseError("proximity requires at least 2 tokens", offset)
+                return _node(offset, Proximity, tokens, n)
+            if len(tokens) > 1:
+                return _node(offset, Phrase, tokens)
+            value = tokens[0]
+        elif kind != "word":
+            raise ParseError("unexpected end of query" if kind is None
+                             else f"unexpected {kind!r}", offset)
+        if value.endswith("*"):
+            return _node(offset, Wildcard, value[:-1])
+        return Term(value)
 
-    def parse_field_scope(self):
-        _, _, offset = self.expect("[")
+    def parse_fields(self, offset: int) -> frozenset:
+        """The fields of a field scope whose "[" at `offset` was just read,
+        reading up to and including the "(" of its query."""
         fields = []
         while True:
             tok = self.expect("word")
@@ -264,32 +271,9 @@ class _Parser:
                 continue
             break
         self.expect("]")
-        if self.peek()[0] != "(":
+        if self.next()[0] != "(":
             raise ParseError("field scope requires a parenthesized query", offset)
-        self.next()
-        child = self.parse_or()
-        if self.peek()[0] != ")":
-            raise ParseError("unbalanced parenthesis", offset)
-        self.next()
-        return FieldScope(frozenset(fields), child)
-
-    def parse_quoted(self, body: str, offset: int):
-        tokens = tuple(t.lower() for t in _PHRASE_TOKEN_RE.findall(body))
-        if not tokens:
-            raise ParseError("empty phrase", offset)
-        if self.peek()[0] == "~":
-            _, n, toff = self.next()
-            if n == 0:
-                raise ParseError("proximity window must be >= 1", toff)
-            if len(tokens) < 2:
-                raise ParseError("proximity requires at least 2 tokens", offset)
-            return _node(offset, Proximity, tokens, n)
-        if len(tokens) == 1:
-            tok = tokens[0]
-            if tok.endswith("*"):
-                return _node(offset, Wildcard, tok[:-1])
-            return Term(tok)
-        return _node(offset, Phrase, tokens)
+        return frozenset(fields)
 
 
 def parse_query(text: str) -> QueryAst:
@@ -377,7 +361,8 @@ def explain(ast: QueryAst, indent: int = 0) -> str:
 
 
 def _pattern_codes(pattern: str, index: PositionalIndex) -> np.ndarray:
-    """The sorted codes of the tokens a phrase pattern stands for."""
+    """The sorted codes of the tokens a pattern stands for: a term, or a
+    stem followed by "*"."""
     if pattern.endswith("*"):
         return np.sort(index.prefix_codes(pattern[:-1]))
     return index.token_codes(pattern)
@@ -464,15 +449,14 @@ def _proximity_docs(tokens: tuple[str, ...], window: int, index: PositionalIndex
 
 def _leaf_docs(ast: QueryAst, index: PositionalIndex, fields: tuple[int, ...]) -> list[int]:
     """Doc numbers of a Term, Wildcard, Phrase or Proximity node."""
-    if isinstance(ast, Term):
-        codes = _in_fields(index.token_codes(ast.token), fields, FIELD_SHIFT)
-        return sorted_distinct(codes >> DOC_SHIFT).tolist()
-    if isinstance(ast, Wildcard):
-        codes = _in_fields(index.prefix_codes(ast.stem), fields, FIELD_SHIFT)
-        return sorted_distinct(np.sort(codes >> DOC_SHIFT)).tolist()
     if isinstance(ast, Phrase):
         return _phrase_docs(ast.tokens, index, fields)
-    return _proximity_docs(ast.tokens, ast.window, index, fields)
+    if isinstance(ast, Proximity):
+        return _proximity_docs(ast.tokens, ast.window, index, fields)
+    codes = index.token_codes(ast.token) if isinstance(ast, Term) \
+        else _pattern_codes(ast.stem + "*", index)
+    codes = _in_fields(codes, fields, FIELD_SHIFT)
+    return sorted_distinct(codes >> DOC_SHIFT).tolist()
 
 
 def evaluate(ast: QueryAst, index: PositionalIndex,

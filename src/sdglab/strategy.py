@@ -138,8 +138,6 @@ class ResultSet:
         if type(doc) is not dict:
             raise ValueError("not a result document: not a JSON object")
         for key, kind in _RESULT_KEYS:
-            if corpus is not None and key not in ("strategy", "members"):
-                continue
             value = doc.get(key)
             if type(value) is not kind or \
                     kind is list and not all(type(v) is str for v in value):

@@ -88,11 +88,15 @@ class TestIngest:
         ({"refs": ""}, "'refs' is not a list of strings: ''$"),
         ({"refs": {}}, r"'refs' is not a list of strings: \{\}$"),
         ("[" * 10**5, r"invalid JSON \(nested too deeply\)$"),
+        ('{"id": "b",', r"invalid JSON \(Expecting property name enclosed in double "
+                       r"quotes\)$"),
+        ({"id": ""}, "internal_id must be non-empty$"),
     ], ids=["int", "null", "doi-int", "title-int", "abstract-list", "doc-type-int",
             "keywords-string", "keywords-nested", "refs-string", "refs-int", "year-float",
             "year-integral-float", "year-bool", "year-fullwidth-digits", "year-space",
             "year-list", "id-list", "id-bool", "id-float", "keywords-zero",
-            "keywords-false", "refs-empty-string", "refs-empty-object", "nested-too-deeply"])
+            "keywords-false", "refs-empty-string", "refs-empty-object", "nested-too-deeply",
+            "not-json", "id-empty"])
     def test_bad_record_names_line(self, tmp_path, line, message):
         """A record dict is completed with the required keys; a string is
         written as the line's raw text."""
@@ -103,6 +107,13 @@ class TestIngest:
             fh.write((line if isinstance(line, str) else json.dumps(line)) + "\n")
         with pytest.raises(ValueError, match=f"^line 2: {message}"):
             load_corpus_file(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('\n{"id": "a", "title": "t", "year": 2016}\n  \t\n\n'
+                        '{"id": "b", "title": "t", "year": 2017}\n\n', encoding="utf-8")
+        corpus = load_corpus_file(path)
+        assert [r.internal_id for r in corpus] == ["a", "b"]
 
     def test_id_and_year_coerced(self, tmp_path):
         corpus = load_corpus_file(write_corpus(

@@ -17,7 +17,8 @@ import pytest
 import sdglab
 from sdglab import pipeline
 from sdglab.cli import build_parser, main
-from sdglab.pipeline import TABLE_COLUMNS, PipelineConfig, PipelineError, run_pipeline
+from sdglab.pipeline import (TABLE_COLUMNS, PipelineConfig, PipelineError, run_pipeline,
+                             table_text)
 from sdglab.query import MAX_DEPTH
 from sdglab.termmap import TermMapConfig
 
@@ -677,14 +678,33 @@ class TestCli:
         assert f"error: [result:{gamma_result}] members not in corpus" in err
         assert not (tmp_path / "tm").exists()
 
+    @pytest.mark.parametrize("command", ["enhance", "termmap"])
+    def test_result_named_for_its_config_corpus_is_read(self, demo_dir, tmp_path, command):
+        """A pipeline result names its corpus as the config does, which need
+        not be the corpus file's stem; enhance and termmap still read it."""
+        res = tmp_path / "res_x.json"
+        assert self.run_cli("run", "--strategy", str(demo_dir / "beta.json"),
+                            "--corpus", str(demo_dir / "corpus_x.jsonl"),
+                            "--out", str(res)) == 0
+        res.write_text(json.dumps({**json.loads(res.read_text(encoding="utf-8")),
+                                   "corpus": "x"}), encoding="utf-8")
+        corpus, out = str(demo_dir / "corpus_x.jsonl"), str(tmp_path / "out")
+        argv = {"enhance": ("--corpus", corpus, "--result", str(res),
+                            "--strategy", str(demo_dir / "beta.json"), "--out", out),
+                "termmap": ("--a", str(res), "--b", str(res), "--corpus-a", corpus,
+                            "--out", out)}[command]
+        assert self.run_cli(command, *argv) == 0
+
     def test_malformed_result_file_exit_code(self, demo_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"strategy": "s", "corpus": "c"}', encoding="utf-8")
-        err = self.run_cli_failing(
-            capsys, 2, "compare", "--a", str(bad), "--b", str(bad),
-            "--coverage-a", str(demo_dir / "coverage_x.txt"),
-            "--coverage-b", str(demo_dir / "coverage_y.txt"))
-        assert f"error: [result:{bad}] not a result document" in err
+        for content in ('{"strategy": "s", "corpus": "c"}', "[]"):
+            bad.write_text(content, encoding="utf-8")
+            err = self.run_cli_failing(
+                capsys, 2, "compare", "--a", str(bad), "--b", str(bad),
+                "--coverage-a", str(demo_dir / "coverage_x.txt"),
+                "--coverage-b", str(demo_dir / "coverage_y.txt"))
+            assert f"error: [result:{bad}] not a result document" in err
+        assert err.endswith("not a result document: not a JSON object\n")
 
     @pytest.mark.parametrize("key, value, kind", [
         ("dois", "10.5555/x.1", "list of strings"),
@@ -698,7 +718,8 @@ class TestCli:
     def test_result_key_of_wrong_type_exit_code(self, demo_dir, tmp_path, capsys, key,
                                                 value, kind):
         """`compare` reads a result without its corpus, `termmap` against it;
-        either way a key of the wrong type is a bad result file."""
+        either way a key of the wrong type is a bad result file, even a key
+        that the result rebuilt from its corpus does not read."""
         res = tmp_path / "alpha.json"
         assert self.run_cli("run", "--strategy", str(demo_dir / "alpha.json"),
                             "--corpus", str(demo_dir / "corpus_x.jsonl"),
@@ -710,11 +731,10 @@ class TestCli:
             capsys, 2, "compare", "--a", str(bad), "--b", str(res),
             "--coverage-a", str(demo_dir / "coverage_x.txt"),
             "--coverage-b", str(demo_dir / "coverage_y.txt")) == message
-        if key in ("strategy", "members"):
-            assert self.run_cli_failing(
-                capsys, 2, "termmap", "--a", str(bad), "--b", str(res),
-                "--corpus-a", str(demo_dir / "corpus_x.jsonl"),
-                "--out", str(tmp_path / "tm")) == message
+        assert self.run_cli_failing(
+            capsys, 2, "termmap", "--a", str(bad), "--b", str(res),
+            "--corpus-a", str(demo_dir / "corpus_x.jsonl"),
+            "--out", str(tmp_path / "tm")) == message
 
     def test_pipeline_and_termmap_digests_are_bytes_on_disk(self, demo_dir, tmp_path):
         out, cli = tmp_path / "out", tmp_path / "cli"
@@ -1019,7 +1039,15 @@ class TestCli:
         ({"comparisons": {}}, "config 'comparisons' is not a list"),
         ({"termmaps": None}, "config 'termmaps' is not a list"),
         ({"output_dir": 5}, "config 'output_dir' is not a str"),
-    ], ids=["list", "corpora", "strategies", "comparisons", "termmaps", "output_dir"])
+        ({}, "no corpora defined"),
+        ({"corpora": [{"name": "c", "corpus_file": "a.jsonl"},
+                      {"name": "c", "corpus_file": "b.jsonl"}]}, "duplicate corpus names"),
+        ({"corpora": [{"name": "c", "corpus_file": "c.jsonl"}],
+          "strategies": [{"file": "alpha.json", "corpus": "c"}],
+          "comparisons": [{"a": "alpha", "b": "beta"}]},
+         "comparison references undefined strategy 'beta'"),
+    ], ids=["list", "corpora", "strategies", "comparisons", "termmaps", "output_dir",
+            "no-corpora", "duplicate-corpus-names", "undefined-strategy"])
     def test_config_file_shape_exit_code(self, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
@@ -1266,6 +1294,11 @@ class TestCli:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == '"a" AND "b"\n'
+
+
+def test_table_text_unknown_format():
+    with pytest.raises(ValueError, match="^unknown report format: 'html'$"):
+        table_text("table3", [], "html")
 
 
 def test_benchmark_imports_resolve():

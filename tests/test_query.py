@@ -1,6 +1,7 @@
 import random
 import re
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +66,27 @@ class TestParse:
     def test_field_scope(self):
         ast = parse_query('[title]("climate")')
         assert ast == FieldScope(frozenset({"title"}), Term("climate"))
+
+    @pytest.mark.parametrize("query, message", [
+        ('""', "empty phrase (at offset 0)"),
+        ('"a" AND "b"~2', "proximity requires at least 2 tokens (at offset 8)"),
+        ('[title]("a"', "unbalanced parenthesis (at offset 0)"),
+        ('"x" OR [title]("a" AND "b"', "unbalanced parenthesis (at offset 7)"),
+        ('[title] "a"', "field scope requires a parenthesized query (at offset 0)"),
+        ('[title, body]("a")', "unknown field 'body' (at offset 8)"),
+        ('[title "a"', "expected ']', found 'quoted' (at offset 7)"),
+    ], ids=["empty-phrase", "one-token-proximity", "unbalanced-scope",
+            "unbalanced-inner-scope", "scope-without-group", "unknown-field",
+            "unclosed-field-list"])
+    def test_error_message_and_offset(self, query, message):
+        """An unbalanced field scope is reported at its "["."""
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
+            parse_query(query)
+
+    def test_explain_each_leaf(self):
+        assert explain(parse_query('climat* AND "sea level" OR "a b"~2 OR heat')) == (
+            "Or\n  And\n    Wildcard climat*\n    Phrase sea level\n"
+            "  Proximity ~2 a b\n  Term heat")
 
 
 # --- canonical printer round-trip -------------------------------------------
@@ -136,6 +158,21 @@ class TestNestingLimit:
         assert evaluate(ast, index) == {"r"}
         assert parse_query(print_query(ast)) == ast
         assert explain(ast).startswith(("Term", "And", "AndNot", "FieldScope"))
+
+    def test_field_scopes_at_the_limit_need_few_frames(self):
+        """MAX_DEPTH nested field scopes parse within 450 frames of the
+        caller's depth: four parser frames a level, as for parentheses."""
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        query = "[title](" * MAX_DEPTH + '"a"' + ")" * MAX_DEPTH
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 450)
+        try:
+            ast = parse_query(query)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ast == parse_query(print_query(ast))
 
     @pytest.mark.parametrize("name", LIMIT)
     def test_one_level_deeper_rejected(self, name):
@@ -288,6 +325,13 @@ class TestEvaluate:
                 parse_query(text)
             assert info.value.offset == offset
         assert Wildcard("cl") == parse_query("cl*")
+
+    def test_term_token_is_never_a_pattern(self, index):
+        """A hand-built Term's token is looked up as it is: a "*" in it is no
+        wildcard, so it matches no token."""
+        for token in ("*", "c*", "clim*"):
+            assert evaluate(Term(token), index) == set()
+        assert evaluate(Wildcard("clim"), index)
 
     def test_phrase_implies_proximity_one(self, index):
         phrase_docs = evaluate(Phrase(("climate", "change")), index)
