@@ -22,7 +22,7 @@ index_x, index_y = index_corpus(corpus_x), index_corpus(corpus_y)
 beta = load_strategy(demo / "beta.json")
 seed = run_strategy(beta, index_x, corpus_x)
 assignment = cluster_assignment(corpus_x, beta.enhancement)
-enhanced, report = enhance(seed, assignment, beta, corpus_x)
+enhanced, report = enhance(seed, assignment, beta)
 print(f"seed set: {len(seed)} records; enhanced: {len(enhanced)} records")
 print(f"clusters qualifying: {len(report.included_clusters)}; "
       f"seed members lost to sub-threshold clusters: {report.seed_members_lost}")

@@ -15,17 +15,17 @@ demo = files("sdglab") / "data" / "demo"
 
 def run(strategy_file, corpus_file):
     corpus = ingest(demo / corpus_file)
-    return run_strategy(load_strategy(demo / strategy_file), index_corpus(corpus),
-                        corpus), corpus
+    return run_strategy(load_strategy(demo / strategy_file), index_corpus(corpus), corpus)
 
 
-alpha, corpus_x = run("alpha.json", "corpus_x.jsonl")
-gamma, corpus_y = run("gamma.json", "corpus_y.jsonl")
+alpha = run("alpha.json", "corpus_x.jsonl")
+gamma = run("gamma.json", "corpus_y.jsonl")
 
 # Terms colored by which side uses them more: blue = first set, red = second.
-# The map is written as termmap/termmap.json, .graphml and .html.
-tm, _ = term_map(alpha, corpus_x, gamma, corpus_y,
-                 {"min_occurrences": 5, "layout_seed": 11}, Path("termmap"))
+# Each result keeps its corpus, whose records the map reads. The map is
+# written as termmap/termmap.json, .graphml and .html.
+tm, _ = term_map(alpha, gamma, {"min_occurrences": 5, "layout_seed": 11},
+                 Path("termmap"))
 extremes = sorted(tm.terms, key=lambda t: t.score)
 print(f"{len(tm.terms)} terms retained")
 print(f"most alpha-leaning: {extremes[0].term!r} (score {extremes[0].score:+.2f})")

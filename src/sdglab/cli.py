@@ -36,7 +36,7 @@ def _setup_logging() -> None:
 
 def _emit(text: str, out) -> None:
     """Write `text` to the file `out`, or to stdout when there is none."""
-    if out:
+    if out is not None:
         write_output(Path(out), text)
     else:
         print(text, end="")
@@ -60,8 +60,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    with stage("parse"):
-        ast = parse_query(args.query)
+    ast = parse_query(args.query)
     print(explain(ast) if args.explain else print_query(ast))
     return EXIT_OK
 
@@ -88,7 +87,8 @@ def _load_index_for(path: str, corpus: Corpus) -> PositionalIndex:
 def cmd_run(args) -> int:
     corpus = ingest(args.corpus)
     strategy = load_strategy(args.strategy)
-    index = _load_index_for(args.index, corpus) if args.index else index_corpus(corpus)
+    index = index_corpus(corpus) if args.index is None else \
+        _load_index_for(args.index, corpus)
     _emit(to_json(result_to_doc(run_strategy(strategy, index, corpus))), args.out)
     return EXIT_OK
 
@@ -105,10 +105,10 @@ def cmd_enhance(args) -> int:
             raise ValueError(f"is a result of strategy {result.strategy_name!r}, "
                              f"not of {strategy.name!r}")
     assignment = cluster_assignment(corpus, strategy.enhancement)
-    if args.save_assignment:
+    if args.save_assignment is not None:
         write_output(Path(args.save_assignment),
                      partial(save_cluster_assignment, assignment))
-    enhanced, report = enhance(result, assignment, strategy, corpus)
+    enhanced, report = enhance(result, assignment, strategy)
     _emit(to_json(result_to_doc(enhanced)), args.out)
     print(f"clusters included: {len(report.included_clusters)}, "
           f"excluded: {len(report.excluded_clusters)}, "
@@ -131,7 +131,7 @@ def cmd_compare(args) -> int:
         load_result_file(args.b), _load_coverage(args.coverage_b),
         sample_size=None if args.full_dois else args.sample)
     print(table_text("table5", [row], "csv"), end="")
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         write_output(out / "overlap.svg", svg)
         write_output(out / "overlap.json", sidecar)
@@ -140,14 +140,13 @@ def cmd_compare(args) -> int:
 
 def cmd_termmap(args) -> int:
     corpus_a = ingest(args.corpus_a)
-    corpus_b = ingest(args.corpus_b) if args.corpus_b else corpus_a
+    corpus_b = corpus_a if args.corpus_b is None else ingest(args.corpus_b)
     out = Path(args.out)
     flags = {"min_occurrences": args.min_occurrences, "max_ngram": args.max_ngram,
              "layout_seed": args.seed, "layout_iterations": args.layout_iterations}
-    tm, _ = term_map(
-        load_result_file(args.a, corpus_a), corpus_a,
-        load_result_file(args.b, corpus_b), corpus_b,
-        {k: v for k, v in flags.items() if v is not None}, out)
+    tm, _ = term_map(load_result_file(args.a, corpus_a),
+                     load_result_file(args.b, corpus_b),
+                     {k: v for k, v in flags.items() if v is not None}, out)
     print(f"{len(tm.terms)} terms, {len(tm.edges)} edges -> {out}")
     return EXIT_OK
 
@@ -269,7 +268,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO if exc.kind == "io" else EXIT_CONFIG
+        return EXIT_IO if isinstance(exc.__cause__, OSError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -72,6 +72,8 @@ class Corpus:
 
     def __init__(self, name: str, records: Iterable[PublicationRecord],
                  coverage: Iterable[str] | None = None):
+        if not name:
+            raise ValueError("corpus name must be non-empty")
         self.name = name
         self.records: dict[str, PublicationRecord] = {}
         for rec in records:
@@ -147,7 +149,7 @@ def load_corpus_file(path, name: str | None = None,
     """Read a JSON-lines corpus file, one record object per line, named
     `name` or else by the file's stem. A coverage file must list the DOI of
     every record, since it stands for all that the database indexes."""
-    coverage = load_coverage_file(coverage_path) if coverage_path else None
+    coverage = load_coverage_file(coverage_path) if coverage_path is not None else None
     records = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -171,7 +173,8 @@ def load_corpus_file(path, name: str | None = None,
         if missing:
             raise ValueError(f"coverage file {coverage_path} omits {len(missing)} record "
                              f"DOIs, e.g. {min(missing)!r}")
-    return Corpus(name=name or Path(path).stem, records=records, coverage=coverage)
+    return Corpus(name=Path(path).stem if name is None else name, records=records,
+                  coverage=coverage)
 
 
 def load_coverage_file(path) -> set[str]:

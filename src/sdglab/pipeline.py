@@ -46,12 +46,7 @@ REPORT_SUFFIXES = {"csv": "csv", "markdown": "md"}
 
 
 class PipelineError(Exception):
-    """Stage-labeled failure; its kind is "io" for an OSError cause, else "config"."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
-        self.kind = "io" if isinstance(cause, OSError) else "config"
+    """A failure labelled "[stage] cause", raised from the exception that caused it."""
 
 
 @contextmanager
@@ -63,7 +58,7 @@ def stage(name: str):
     try:
         yield
     except (OSError, ValueError, RecursionError) as exc:
-        raise PipelineError(name, exc) from exc
+        raise PipelineError(f"[{name}] {exc}") from exc
 
 
 def to_json(doc) -> str:
@@ -72,8 +67,8 @@ def to_json(doc) -> str:
 
 
 def ingest(corpus_file, name: str | None = None, coverage_file=None) -> Corpus:
-    """Load a corpus, named `name` or else by its file stem, and its coverage."""
-    name = name or Path(corpus_file).stem
+    """Load a corpus, named `name` (by its file stem when None), and its coverage."""
+    name = Path(corpus_file).stem if name is None else name
     with stage(f"ingest:{name}"):
         return load_corpus_file(corpus_file, name=name, coverage_path=coverage_file)
 
@@ -99,7 +94,7 @@ def load_result_file(path, corpus: Corpus | None = None) -> ResultSet:
         return ResultSet.from_doc(json.load(fh), corpus)
 
 
-ClusteringKey = tuple[str, float, int]  # (corpus name, resolution, seed)
+ClusteringKey = tuple[Corpus, float, int]  # (corpus, resolution, seed)
 
 
 def cluster_assignment(corpus: Corpus, spec: EnhancementSpec, resolve=Path,
@@ -114,24 +109,24 @@ def cluster_assignment(corpus: Corpus, spec: EnhancementSpec, resolve=Path,
         with stage(f"assignment:{path}"), open(path, encoding="utf-8") as fh:
             return load_cluster_assignment(fh, corpus)
     clusterings = {} if clusterings is None else clusterings
-    key = (corpus.name, spec.resolution, spec.seed)
+    key = (corpus, spec.resolution, spec.seed)
     if key in clusterings:
-        log.info("clustering %s resolution=%s seed=%s: reused", *key)
+        log.info("clustering %s resolution=%s seed=%s: reused", corpus.name, *key[1:])
         return clusterings[key]
     assignment = cluster_citation_graph(build_citation_graph(corpus),
                                         resolution=spec.resolution, seed=spec.seed)
     clusterings[key] = assignment
     log.info("clustering %s resolution=%s seed=%s: computed, %d clusters",
-             *key, assignment.cluster_count)
+             corpus.name, *key[1:], assignment.cluster_count)
     return assignment
 
 
 def enhance(result: ResultSet, assignment: ClusterAssignment, strategy: SearchStrategy,
-            corpus: Corpus) -> tuple[ResultSet, EnhancementReport]:
-    """Cluster-threshold enhancement by `strategy.enhancement`, cut to the
-    strategy's window: cluster shares count the records in the window (the whole
-    corpus with `whole_corpus_shares`), and only members in the window are kept."""
-    spec = strategy.enhancement
+            ) -> tuple[ResultSet, EnhancementReport]:
+    """Cluster-threshold enhancement of `result` by `strategy.enhancement`, cut
+    to the strategy's window: cluster shares count its corpus's records in the window
+    (all of them with `whole_corpus_shares`), and only members in the window are kept."""
+    spec, corpus = strategy.enhancement, result.corpus
     in_window = {r.internal_id for r in corpus if strategy.window.contains(r.year)}
     enhanced, report = enhance_by_cluster_threshold(
         result, assignment, spec.threshold, corpus,
@@ -197,16 +192,15 @@ def termmap_config(settings) -> TermMapConfig:
     return TermMapConfig(**{k: settings[k] for k in SETTING_MINIMUMS if k in settings})
 
 
-def term_map(result_a: ResultSet, corpus_a: Corpus, result_b: ResultSet,
-             corpus_b: Corpus, settings: dict, out_dir: Path,
+def term_map(result_a: ResultSet, result_b: ResultSet, settings: dict, out_dir: Path,
              ) -> tuple[TermMap, dict[Path, str]]:
-    """Contrast term map of two results, over their members in id order,
-    with `termmap_config(settings)`. Writes it to `out_dir/termmap.<fmt>`
+    """Contrast term map of two results, over their members' records in id
+    order, with `termmap_config(settings)`. Writes it to `out_dir/termmap.<fmt>`
     for each of TERMMAP_FORMATS, one format at a time, and returns the map
     and the sha256 of each file written."""
     config = termmap_config(settings)
-    docs_a = [corpus_a[m] for m in sorted(result_a.members)]
-    docs_b = [corpus_b[m] for m in sorted(result_b.members)]
+    docs_a = [result_a.corpus[m] for m in sorted(result_a.members)]
+    docs_b = [result_b.corpus[m] for m in sorted(result_b.members)]
     tm = build_term_map(result_a.strategy_name, docs_a, result_b.strategy_name, docs_b,
                         config)
     log.info("termmap %s__%s: %d docs, %d terms, %d edges", tm.name_a, tm.name_b,
@@ -220,14 +214,16 @@ def term_map(result_a: ResultSet, corpus_a: Corpus, result_b: ResultSet,
 
 def _check_config(doc) -> None:
     """ValueError unless `doc` is a pipeline config document (README, File
-    formats): its entries hold their string keys and name defined, distinct
-    corpora and strategies, and each termmap's `config` is a TermMapConfig."""
+    formats): its entries hold their string keys, none empty, and name defined,
+    distinct corpora and strategies; each termmap's `config` is a TermMapConfig."""
     if type(doc) is not dict:
         raise ValueError("config file is not a JSON object")
     for key, kind in (("corpora", list), ("strategies", list), ("comparisons", list),
                       ("termmaps", list), ("output_dir", str)):
         if key in doc and type(doc[key]) is not kind:
             raise ValueError(f"config {key!r} is not a {kind.__name__}")
+    if doc.get("output_dir") == "":
+        raise ValueError("config 'output_dir' is empty")
     corpora, strategies = doc.get("corpora", []), doc.get("strategies", [])
     termmaps = doc.get("termmaps", [])
     pairs = doc.get("comparisons", []) + termmaps
@@ -238,11 +234,15 @@ def _check_config(doc) -> None:
             for key in keys:
                 if type(entry) is not dict or type(entry.get(key)) is not str:
                     raise ValueError(f"{what} entry {entry!r} has no string {key!r}")
+                if not entry[key]:
+                    raise ValueError(f"{what} entry {entry!r} has an empty {key!r}")
     for entry in corpora:
         if entry.get("coverage_file") is not None and \
                 type(entry["coverage_file"]) is not str:
             raise ValueError(f"corpus entry {entry!r} has a 'coverage_file' that is "
                              f"not a string")
+        if entry.get("coverage_file") == "":
+            raise ValueError(f"corpus entry {entry!r} has an empty 'coverage_file'")
     corpus_names = [c["name"] for c in corpora]
     if len(set(corpus_names)) != len(corpus_names):
         raise ValueError("duplicate corpus names")
@@ -292,7 +292,7 @@ class PipelineConfig:
             strategies=doc.get("strategies", []),
             comparisons=doc.get("comparisons", []),
             termmaps=doc.get("termmaps", []),
-            output_dir=Path(output_dir) if output_dir
+            output_dir=Path(output_dir) if output_dir is not None
             else path.parent / doc.get("output_dir", "sdglab-out"),
             base_dir=path.parent,
             raw=doc,
@@ -385,37 +385,35 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     def write(path: Path, content) -> None:
         digests[path] = write_output(path, content)
 
-    corpora: dict[str, Corpus] = {}
-    indexes = {}
+    # Each result keeps its corpus; only the strategies look corpora up by name.
+    loaded: dict[str, tuple[PositionalIndex, Corpus]] = {}
     for c in config.corpora:
         corpus = ingest(config.resolve(c["corpus_file"]), c["name"],
                         config.resolve(c["coverage_file"])
-                        if c.get("coverage_file") else None)
-        corpora[c["name"]] = corpus
-        indexes[c["name"]] = index_corpus(corpus)
+                        if c.get("coverage_file") is not None else None)
+        loaded[c["name"]] = index_corpus(corpus), corpus
         log.info("ingest %s: %d records, %d vocabulary tokens", c["name"], len(corpus),
-                 len(indexes[c["name"]].sorted_vocabulary))
+                 len(loaded[c["name"]][0].sorted_vocabulary))
 
     runs = []
     for s in config.strategies:
         name = Path(s["file"]).stem
         strategy = load_strategy(config.resolve(s["file"]))
         with stage(f"run:{name}"):
-            result = run_strategy(strategy, indexes[s["corpus"]], corpora[s["corpus"]])
+            result = run_strategy(strategy, *loaded[s["corpus"]])
         runs.append((name, strategy, result))
-    del indexes
+    del loaded
 
     results: dict[str, ResultSet] = {}
     clusterings: dict[ClusteringKey, ClusterAssignment] = {}
     table3, table4 = [], []
     for name, strategy, result in runs:
-        corpus = corpora[result.corpus_name]
         if strategy.enhancement is not None:
             with stage(f"run:{name}"):
                 result, report = enhance(
-                    result, cluster_assignment(corpus, strategy.enhancement,
+                    result, cluster_assignment(result.corpus, strategy.enhancement,
                                                config.resolve, clusterings),
-                    strategy, corpus)
+                    strategy)
             write(out / "results" / name / "enhancement.json", to_json(asdict(report)))
         log.info("run %s: %d members", name, len(result))
         results[name] = result
@@ -430,8 +428,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         a, b = pair["a"], pair["b"]
         ra, rb = results[a], results[b]
         with stage(f"compare:{a}__{b}"):
-            row, svg, sidecar = compare(ra, corpora[ra.corpus_name].coverage,
-                                        rb, corpora[rb.corpus_name].coverage)
+            row, svg, sidecar = compare(ra, ra.corpus.coverage, rb, rb.corpus.coverage)
         table5.append(row)
         pair_dir = out / "comparisons" / f"{a}__{b}"
         write(pair_dir / "overlap.svg", svg)
@@ -440,10 +437,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
 
     for pair in config.termmaps:
         a, b = pair["a"], pair["b"]
-        ra, rb = results[a], results[b]
         with stage(f"termmap:{a}__{b}"):
-            _, written = term_map(ra, corpora[ra.corpus_name], rb, corpora[rb.corpus_name],
-                                  pair.get("config", {}), out / "termmaps" / f"{a}__{b}")
+            _, written = term_map(results[a], results[b], pair.get("config", {}),
+                                  out / "termmaps" / f"{a}__{b}")
         digests.update(written)
         figures += [str(path.relative_to(out)) for path in written]
 

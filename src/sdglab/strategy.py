@@ -105,10 +105,10 @@ _RESULT_KEYS = (("strategy", str), ("corpus", str), ("members", list), ("dois", 
 
 
 def result_to_doc(result: ResultSet) -> dict:
-    """The result.json document of `result`, which ResultSet.from_doc reads."""
+    """The result.json document of `result`, which holds its corpus; from_doc reads it."""
     return {
         "strategy": result.strategy_name,
-        "corpus": result.corpus_name,
+        "corpus": result.corpus.name,
         "members": sorted(result.members),
         "dois": sorted(result.doi_members),
         "with_doi": result.doi_record_count,
@@ -116,11 +116,11 @@ def result_to_doc(result: ResultSet) -> dict:
 
 
 class ResultSet:
-    """Set of retrieved publications; DOI view derived from corpus records."""
+    """Set of retrieved publications, kept with the `corpus` that holds their records."""
 
     def __init__(self, strategy_name: str, corpus: Corpus, members):
         self.strategy_name = strategy_name
-        self.corpus_name = corpus.name
+        self.corpus: Corpus | None = corpus
         self.members: frozenset[str] = frozenset(members)
         unknown = self.members - corpus.records.keys()
         if unknown:
@@ -133,8 +133,8 @@ class ResultSet:
     def from_doc(cls, doc: dict, corpus: Corpus | None = None) -> "ResultSet":
         """Rebuild a result from its result.json document: against `corpus`
         when given, with members checked and DOIs derived; else with the
-        document's own DOI view. ValueError for a document whose keys do not
-        hold the types of _RESULT_KEYS."""
+        document's own DOI view and `corpus` None. ValueError for a document
+        whose keys do not hold the types of _RESULT_KEYS."""
         if type(doc) is not dict:
             raise ValueError("not a result document: not a JSON object")
         for key, kind in _RESULT_KEYS:
@@ -146,7 +146,7 @@ class ResultSet:
         if corpus is not None:
             return cls(doc["strategy"], corpus, doc["members"])
         result = cls.__new__(cls)
-        result.strategy_name, result.corpus_name = doc["strategy"], doc["corpus"]
+        result.strategy_name, result.corpus = doc["strategy"], None
         result.members = frozenset(doc["members"])
         result.doi_members = frozenset(doc["dois"])
         result.doi_record_count = doc["with_doi"]

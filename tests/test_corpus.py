@@ -127,6 +127,19 @@ class TestIngest:
         with pytest.raises(ValueError, match="duplicate"):
             load_corpus_file(write_corpus(tmp_path, recs))
 
+    def test_corpus_rejects_duplicate_id_and_empty_name(self):
+        record = PublicationRecord("a", "t", 2016)
+        with pytest.raises(ValueError, match="^duplicate internal_id: a$"):
+            Corpus("c", [record, record])
+        with pytest.raises(ValueError, match="^corpus name must be non-empty$"):
+            Corpus("", [record])
+
+    def test_only_none_names_a_corpus_by_its_stem(self, tmp_path):
+        path = write_corpus(tmp_path, [{"id": "a", "title": "t", "year": 2016}])
+        assert load_corpus_file(path).name == "corpus"
+        with pytest.raises(ValueError, match="^corpus name must be non-empty$"):
+            load_corpus_file(path, name="")
+
     def test_doi_normalized_on_ingest(self, tmp_path):
         corpus = load_corpus_file(write_corpus(
             tmp_path, [{"id": "a", "title": "t", "year": 2016,

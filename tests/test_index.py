@@ -171,6 +171,17 @@ class TestBuildIndex:
         assert (again == index) is True
         assert (again != index) is False
 
+    def test_unknown_field_rejected(self):
+        record = two_doc_corpus()["a"]
+        with pytest.raises(ValueError, match="^unknown field: body$"):
+            field_token_stream(record, "body")
+
+    def test_not_equal_to_a_non_index(self):
+        index = build_index(two_doc_corpus())
+        assert index.__eq__(index.postings) is NotImplemented
+        assert (index == "index") is False
+        assert (index != 5) is True
+
     def test_load_rejects_wrong_magic(self):
         with pytest.raises(ValueError, match="not an index file"):
             load_index(io.StringIO('{"magic": "nope"}'))

@@ -20,6 +20,7 @@ from sdglab.cli import build_parser, main
 from sdglab.pipeline import (TABLE_COLUMNS, PipelineConfig, PipelineError, run_pipeline,
                              table_text)
 from sdglab.query import MAX_DEPTH
+from sdglab.strategy import EnhancementSpec
 from sdglab.termmap import TermMapConfig
 
 # sha256 of every demo pipeline output, as the manifest records them.
@@ -92,6 +93,21 @@ DEMO_OUTPUTS_SHA256 = "80d875b94d09ddb0e19eab4ab898e21c4d13c62b3afdf01f0968733c0
 def demo_config(demo_dir, tmp_path):
     return PipelineConfig.load(demo_dir / "config.json",
                                output_dir=tmp_path / "out")
+
+
+def renamed_demo_config(demo_dir: Path, names: dict, out: Path) -> Path:
+    """The demo config, its paths made absolute and each corpus `c` named
+    `names[c]`, written to `out`."""
+    doc = json.loads((demo_dir / "config.json").read_text())
+    for entry in doc["corpora"]:
+        entry["name"] = names[entry["name"]]
+        for key in ("corpus_file", "coverage_file"):
+            entry[key] = str(demo_dir / entry[key])
+    for entry in doc["strategies"]:
+        entry["corpus"] = names[entry["corpus"]]
+        entry["file"] = str(demo_dir / entry["file"])
+    out.write_text(json.dumps(doc))
+    return out
 
 
 def tree_digest(root: Path) -> dict:
@@ -185,6 +201,21 @@ class TestRunPipeline:
         assert len(made) == 1
         assert alive == [0, 0]
 
+    @pytest.mark.parametrize("names", [{"corpus_x": "x", "corpus_y": "y"},
+                                       {"corpus_x": "corpus_y", "corpus_y": "corpus_x"}],
+                             ids=["renamed", "swapped"])
+    def test_corpus_names_change_only_results(self, demo_dir, tmp_path, names):
+        """Each result keeps its own corpus, so what the config names the
+        corpora changes no table or figure; result.json records the name."""
+        config = renamed_demo_config(demo_dir, names, tmp_path / "config.json")
+        outputs = run_pipeline(PipelineConfig.load(config, tmp_path / "out")).manifest
+        figures = {p: d for p, d in outputs["outputs"].items() if not p.startswith("results/")}
+        assert figures == {p: d for p, d in DEMO_OUTPUTS.items()
+                           if not p.startswith("results/")}
+        for strategy, corpus in (("alpha", "corpus_x"), ("gamma", "corpus_y")):
+            result = tmp_path / "out" / "results" / strategy / "result.json"
+            assert json.loads(result.read_text())["corpus"] == names[corpus]
+
     def test_manifest_lists_only_this_runs_files(self, demo_config):
         out = demo_config.output_dir
         for stale in ("comparisons/old__pair/overlap.svg", "notes.txt",
@@ -201,7 +232,6 @@ class TestRunPipeline:
         config.write_text(json.dumps(doc))
         with pytest.raises(PipelineError) as exc:
             PipelineConfig.load(config)
-        assert exc.value.kind == "config"
         assert str(exc.value) == "[config] duplicate strategy names"
         assert main(["pipeline", "--config", str(config),
                      "--output-dir", str(tmp_path / "out")]) == 2
@@ -219,9 +249,8 @@ class TestRunPipeline:
             key = "corpus_file" if "corpus_file" in entry else "file"
             entry[key] = str(demo_dir / entry[key])
         bad.write_text(json.dumps(doc))
-        with pytest.raises(PipelineError) as exc:
+        with pytest.raises(PipelineError):
             PipelineConfig.load(bad, output_dir=tmp_path / "out")
-        assert exc.value.kind == "config"
 
     def test_output_dir_resolves_against_config_file(self, demo_dir, tmp_path,
                                                      monkeypatch):
@@ -332,6 +361,18 @@ class TestSharedClustering:
                 own = alone / "results" / doc["name"] / name
                 assert shared.read_bytes() == own.read_bytes()
 
+    def test_corpora_of_one_name_share_no_clustering(self, demo_dir):
+        """The memo is keyed by the corpus, not by its name."""
+        spec, memo = EnhancementSpec(), {}
+        corpus_x = pipeline.ingest(demo_dir / "corpus_x.jsonl", "c")
+        corpus_y = pipeline.ingest(demo_dir / "corpus_y.jsonl", "c")
+        assignment_x = pipeline.cluster_assignment(corpus_x, spec, clusterings=memo)
+        assignment_y = pipeline.cluster_assignment(corpus_y, spec, clusterings=memo)
+        assert assignment_x.mapping.keys() <= corpus_x.records.keys()
+        assert assignment_y.mapping and assignment_y.mapping.keys() <= corpus_y.records.keys()
+        assert len(memo) == 2
+        assert pipeline.cluster_assignment(corpus_x, spec, clusterings=memo) is assignment_x
+
     def test_reuse_is_logged(self, demo_dir, tmp_path, strategies, caplog):
         caplog.set_level(logging.INFO, logger="sdglab.pipeline")
         run_pipeline(PipelineConfig.load(
@@ -415,6 +456,16 @@ class TestCli:
         err = self.run_cli_failing(capsys, 2, "parse", "--query", "c*")
         assert err == "error: [parse] wildcard stem 'c' shorter than 2 characters " \
             "(at offset 0)\n"
+
+    def test_parse_error_labelled_by_its_command(self, capsys):
+        err = self.run_cli_failing(capsys, 2, "parse", "--query", '"a')
+        assert err == "error: [parse] unbalanced quote (at offset 0)\n"
+
+    def test_ingest_empty_name_exit_code(self, demo_dir, capsys):
+        """Only a left-out --name names a corpus by its file stem."""
+        err = self.run_cli_failing(capsys, 2, "ingest", "--corpus",
+                                   str(demo_dir / "corpus_x.jsonl"), "--name", "")
+        assert err == "error: [ingest:] corpus name must be non-empty\n"
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         err = self.run_cli_failing(capsys, 3, "ingest", "--corpus",
@@ -1024,9 +1075,8 @@ class TestCli:
             doc[section][0][key] = value
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
-        with pytest.raises(PipelineError) as exc:
+        with pytest.raises(PipelineError):
             PipelineConfig.load(config)
-        assert exc.value.kind == "config"
         err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config),
                                    "--output-dir", str(tmp_path / "out"))
         assert err.startswith("error: [config] ") and f"has no string {key!r}" in err
@@ -1066,6 +1116,35 @@ class TestCli:
                                    "--output-dir", str(tmp_path / "out"))
         assert err.startswith("error: [config] corpus entry ")
         assert "has a 'coverage_file' that is not a string" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "output_dir"), ("corpora", "name"), ("corpora", "corpus_file"),
+        ("corpora", "coverage_file"), ("strategies", "file"), ("strategies", "corpus"),
+        ("comparisons", "a"), ("comparisons", "b"), ("termmaps", "a"), ("termmaps", "b")])
+    def test_config_empty_string_exit_code(self, demo_dir, tmp_path, capsys, section, key):
+        """A string key is left out by null or absence, never by "": an empty
+        coverage_file would otherwise split surpluses by record DOIs alone."""
+        doc = json.loads((demo_dir / "config.json").read_text())
+        (doc if section is None else doc[section][0])[key] = ""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config),
+                                   "--output-dir", str(tmp_path / "out"))
+        message = "config 'output_dir' is empty" if section is None \
+            else f"has an empty {key!r}"
+        assert err.startswith("error: [config] ") and err.endswith(f"{message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_corpus_named_empty_exit_code(self, demo_dir, tmp_path, capsys):
+        """Naming corpus_x.jsonl "" and corpus_y.jsonl "corpus_x" is a config
+        error: "" does not stand for the file stem."""
+        config = renamed_demo_config(demo_dir, {"corpus_x": "", "corpus_y": "corpus_x"},
+                                     tmp_path / "config.json")
+        err = self.run_cli_failing(capsys, 2, "pipeline", "--config", str(config),
+                                   "--output-dir", str(tmp_path / "out"))
+        assert err.startswith("error: [config] corpus entry {'name': '', ")
+        assert err.endswith("has an empty 'name'\n")
         assert not (tmp_path / "out").exists()
 
     def test_config_entry_not_an_object_exit_code(self, demo_dir, tmp_path, capsys):

@@ -333,6 +333,15 @@ class TestEvaluate:
             assert evaluate(Term(token), index) == set()
         assert evaluate(Wildcard("clim"), index)
 
+    @pytest.mark.parametrize("walk", [print_query, explain, evaluate],
+                             ids=["print_query", "explain", "evaluate"])
+    def test_non_node_rejected(self, index, walk):
+        args = (index,) if walk is evaluate else ()
+        with pytest.raises(TypeError, match="^not a query node: 'climate'$"):
+            walk("climate", *args)
+        with pytest.raises(TypeError, match="^not a query node: None$"):
+            walk(And((Term("climate"), None)), *args)
+
     def test_phrase_implies_proximity_one(self, index):
         phrase_docs = evaluate(Phrase(("climate", "change")), index)
         prox_docs = evaluate(Proximity(("climate", "change"), 1), index)

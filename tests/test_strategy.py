@@ -8,8 +8,9 @@ from conftest import DATA_DIR, random_corpus
 from oracle import match_doc
 from sdglab.corpus import Corpus, PublicationRecord, YearWindow
 from sdglab.index import build_index
-from sdglab.strategy import (ClassifiedTerm, EnhancementSpec, SearchStrategy,
-                             load_strategy_file, run_strategy, term_class_summary)
+from sdglab.strategy import (ClassifiedTerm, EnhancementSpec, ResultSet, SearchStrategy,
+                             load_strategy_file, result_to_doc, run_strategy,
+                             term_class_summary)
 from sdglab.query import parse_query
 
 
@@ -217,6 +218,21 @@ def climate_strategy(**kwargs):
 
 
 class TestRunStrategy:
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="^strategy name must be non-empty$"):
+            climate_strategy(name="")
+
+    def test_result_keeps_its_corpus(self):
+        """A result holds the corpus it was checked against; one read
+        without a corpus holds None."""
+        corpus = exclusion_corpus()
+        result = run_strategy(climate_strategy(), build_index(corpus), corpus)
+        assert result.corpus is corpus
+        doc = result_to_doc(result)
+        assert doc["corpus"] == "c"
+        assert ResultSet.from_doc(doc, corpus).corpus is corpus
+        assert ResultSet.from_doc(doc).corpus is None
+
     def test_exclusion_removes_seed_match(self):
         corpus = exclusion_corpus()
         result = run_strategy(climate_strategy(), build_index(corpus), corpus)
